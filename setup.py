@@ -2,7 +2,9 @@
 
 Installs the ``repro`` package from ``src/`` and exposes the batch
 compilation CLI both as ``python -m repro`` and as the ``repro`` console
-script.  The package needs only numpy and scipy at runtime.
+script.  The package needs numpy, scipy and networkx at runtime
+(``repro.circuits`` and the QAOA workloads import networkx); the ``test``
+extra adds pytest and hypothesis.
 
 The native SABRE-scoring kernel (``repro.kernels._sabre_native``) is built
 opportunistically: when a C compiler is available the extension compiles and
@@ -83,9 +85,10 @@ setup(
     install_requires=[
         "numpy>=1.21",
         "scipy>=1.7",
+        "networkx",
     ],
     extras_require={
-        "test": ["pytest"],
+        "test": ["pytest", "hypothesis"],
     },
     entry_points={
         "console_scripts": [

@@ -8,40 +8,55 @@ single-qubit corrections, and trivial (identity-class) blocks are dropped.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Union
 
+import numpy as np
+
+from repro.circuits.instruction import Instruction
 from repro.compiler.passes.base import CompilerPass
+from repro.gates import standard
 from repro.gates.gate import UnitaryGate
 from repro.ir import CircuitIR
-from repro.synthesis.two_qubit import two_qubit_to_can_circuits_batch
+from repro.linalg.su2 import is_identity_class_batch, u3_params_batch
+from repro.linalg.weyl import kak_decompose_batch
 
 __all__ = ["FinalizeToCanPass"]
 
-#: Memo namespace version for the per-gate ``{Can, U3}`` expansion.  Bumped
-#: when the synthesis arithmetic changes (v2: batched KAK numerics) so stores
-#: written by older code are never replayed against the new computation.
-_MEMO_CONTEXT = "finalize-can/2"
+#: Memo namespace: folded into :meth:`memo_config` (whole-pass entries) and
+#: into the per-block KAK region keys, so entries written by older code are
+#: never replayed (v3: one batched scan folding KAK factors into per-wire 1Q
+#: runs; the region entry is the block's KAK decomposition).
+_MEMO_CONTEXT = "finalize/3"
+
+
+def _needs_synthesis(gate) -> bool:
+    """True for 2Q gates that are not already a named ``can`` gate."""
+    return gate.num_qubits == 2 and (isinstance(gate, UnitaryGate) or gate.name != "can")
 
 
 class FinalizeToCanPass(CompilerPass):
     """Convert fused unitary blocks to ``{Can, U3}`` and drop trivial gates.
 
-    IR-native: each fused block node expands in place via ``replace_block``,
-    then the single-qubit merge runs as the shared IR kernel.  The
-    circuit-level :meth:`run` entry keeps working through the base-class
-    adapter.
+    IR-native, as one forward scan over the program:
 
-    All blocks awaiting synthesis are collected first and decomposed in one
-    batched KAK call (:func:`two_qubit_to_can_circuits_batch`) — vectorized
-    linalg over the exact-bytes-deduplicated stack.  Batch items are
-    composition-independent, so it does not matter *which* blocks end up in
-    the batch: a from-scratch compile (everything) and an incremental replay
-    (memo misses only) synthesize any given block bit-identically.
+    * every block awaiting synthesis is decomposed up front in a single
+      batched KAK call (:func:`repro.linalg.weyl.kak_decompose_batch`) over
+      the unique block matrices; with a memo store, decompositions of
+      blocks seen before are replayed and only the rest are batched;
+    * the scan keeps, per wire, the running 2x2 product of the original 1Q
+      gates and the KAK local factors (``r1``/``r2`` before the ``Can``,
+      ``l1``/``l2`` after it), and flushes a wire's product only where a 2Q
+      gate is emitted and at the end.  An identity-class ``Can`` emits
+      nothing: its ``l @ r`` folds into the running product;
+    * all flushed products are stacked once: a vectorized identity-class
+      test drops the trivial ones and a vectorized ZYZ extraction turns the
+      rest into ``U3`` gates;
+    * the program is rebuilt with one ``rewrite``.
 
-    With a memo store attached, each 2Q decomposition is additionally
-    memoized per gate content: the ``{Can, U3}`` expansion of a block is a
-    pure function of its unitary, so an edited program replays every
-    untouched block's (expensive KAK) decomposition from the store.
+    ``merge_single_qubit=False`` runs the same scan but flushes after every
+    factor, so each original 1Q gate and each KAK factor becomes its own
+    ``U3``.  Every batched step is composition-independent, so the output
+    depends only on the program, never on how the work was batched.
     """
 
     name = "finalize_to_can"
@@ -54,47 +69,91 @@ class FinalizeToCanPass(CompilerPass):
         self.memo = memo
 
     def memo_config(self) -> Optional[str]:
-        return f"merge={self.merge_single_qubit}"
+        return f"{_MEMO_CONTEXT};merge={self.merge_single_qubit}"
 
     def run_ir(self, ir: CircuitIR, properties: Dict[str, Any]) -> CircuitIR:
-        memo = self.memo
-        if memo is not None:
-            from repro.incremental import MISS, gate_region_key
+        from repro.incremental import memoized_batch
 
-        pending: List[Tuple[int, Any, Any, Optional[str]]] = []
-        for node in list(ir.nodes()):
-            instruction = ir.instruction(node)
-            gate = instruction.gate
-            if gate.num_qubits != 2 or (not isinstance(gate, UnitaryGate) and gate.name == "can"):
+        program = list(ir.instructions())
+        block_keys: Dict[int, bytes] = {}
+        unique: Dict[bytes, Any] = {}
+        for position, instruction in enumerate(program):
+            if _needs_synthesis(instruction.gate):
+                content = instruction.gate.matrix.tobytes()
+                block_keys[position] = content
+                unique.setdefault(content, instruction.gate)
+        decomposed = memoized_batch(
+            self.memo,
+            unique,
+            (_MEMO_CONTEXT,),
+            lambda gates: kak_decompose_batch([gate.matrix for gate in gates]),
+        )
+
+        # ``emitted`` holds instructions and, for flushed products, their
+        # index into ``products`` (the wire is in ``flushed_wires``).
+        emitted: List[Union[Instruction, int]] = []
+        products: List[np.ndarray] = []
+        flushed_wires: List[int] = []
+        running: Dict[int, np.ndarray] = {}
+        merge = self.merge_single_qubit
+
+        def flush(qubit: int) -> None:
+            product = running.pop(qubit, None)
+            if product is not None:
+                emitted.append(len(products))
+                products.append(product)
+                flushed_wires.append(qubit)
+
+        def fold(qubit: int, matrix: np.ndarray) -> None:
+            product = running.get(qubit)
+            running[qubit] = matrix if product is None else matrix @ product
+            if not merge:
+                flush(qubit)
+
+        can_gates: Dict[bytes, Any] = {}
+        for position, instruction in enumerate(program):
+            qubits = instruction.qubits
+            if len(qubits) == 1:
+                fold(qubits[0], instruction.gate.matrix)
                 continue
-            if memo is not None:
-                key = gate_region_key(gate, _MEMO_CONTEXT)
-                cached = memo.lookup("region", key)
-                if cached is not MISS:
-                    self._replace(ir, node, instruction, cached)
-                    continue
-            else:
-                key = None
-            pending.append((node, instruction, gate, key))
+            content = block_keys.get(position)
+            if content is None:
+                for qubit in qubits:
+                    flush(qubit)
+                emitted.append(instruction)
+                continue
+            decomposition = decomposed[content]
+            q0, q1 = qubits
+            fold(q0, decomposition.r1)
+            fold(q1, decomposition.r2)
+            # Duplicate blocks share one decomposition, so they share one
+            # immutable Can gate (``False``: identity class, no Can).
+            can = can_gates.get(content)
+            if can is None:
+                coords = decomposition.coordinates
+                can = standard.can_gate(*coords) if any(abs(c) > 1e-9 for c in coords) else False
+                can_gates[content] = can
+            if can is not False:
+                flush(q0)
+                flush(q1)
+                emitted.append(Instruction.unchecked(can, qubits))
+            fold(q0, decomposition.l1)
+            fold(q1, decomposition.l2)
+        for qubit in list(running):
+            flush(qubit)
 
-        if pending:
-            circuits = two_qubit_to_can_circuits_batch(
-                [gate.matrix for _, _, gate, _ in pending], qubits=(0, 1)
-            )
-            for (node, instruction, gate, key), circuit in zip(pending, circuits):
-                synthesized = list(circuit)
-                if memo is not None:
-                    memo.store("region", key, synthesized)
-                self._replace(ir, node, instruction, synthesized)
-
-        if self.merge_single_qubit:
-            from repro.compiler.passes.peephole import _merge_one_qubit_runs_ir
-
-            _merge_one_qubit_runs_ir(ir, memo=memo)
+        u3s: List[Optional[Instruction]] = [None] * len(products)
+        if products:
+            stack = np.stack(products)
+            keep = np.flatnonzero(~is_identity_class_batch(stack))
+            _, thetas, phis, lams = u3_params_batch(stack[keep])
+            params = zip(thetas.tolist(), phis.tolist(), lams.tolist())
+            for index, (theta, phi, lam) in zip(keep.tolist(), params):
+                gate = standard.u3_gate(theta, phi, lam)
+                u3s[index] = Instruction.unchecked(gate, (flushed_wires[index],))
+        ir.rewrite(
+            u3s[entry] if isinstance(entry, int) else entry
+            for entry in emitted
+            if not isinstance(entry, int) or u3s[entry] is not None
+        )
         return ir
-
-    @staticmethod
-    def _replace(ir: CircuitIR, node: int, instruction, synthesized) -> None:
-        """Splice the local-wire ``{Can, U3}`` expansion over ``node``."""
-        mapping = {0: instruction.qubits[0], 1: instruction.qubits[1]}
-        ir.replace_block([node], [sub.remap(mapping) for sub in synthesized])

@@ -17,17 +17,28 @@ from repro.compiler.passes.base import CompilerPass
 from repro.gates import standard
 from repro.gates.gate import UnitaryGate
 from repro.ir import CircuitIR
-from repro.linalg.weyl import is_near_identity, weyl_coordinates
+from repro.linalg.weyl import (
+    canonicalize_coordinates,
+    is_near_identity,
+    kak_decompose_batch,
+    weyl_coordinates,
+)
 
 __all__ = ["MirrorNearIdentityPass"]
 
 _SWAP = standard.swap_gate().matrix
 
+#: Region-memo namespace of the per-gate decision (v2: batched Weyl
+#: coordinates), so decisions stored by older code are never replayed.
+_MEMO_CONTEXT = "mirror/2"
+
 
 class MirrorNearIdentityPass(CompilerPass):
     """Replace near-identity 2Q gates with their SWAP-composed mirrors.
 
-    IR-native: each affected node is rewritten in place with
+    IR-native: the near-identity decision is made once per unique
+    explicit-matrix 2Q gate, in one batched KAK call, before the permutation
+    scan; each affected node is then rewritten in place with
     ``substitute_node`` (mirrored gate, or the same gate on permuted wires);
     untouched gates keep their node.  The circuit-level :meth:`run` entry
     keeps working through the base-class adapter.
@@ -43,56 +54,76 @@ class MirrorNearIdentityPass(CompilerPass):
         self.memo = memo
 
     def memo_config(self) -> Optional[str]:
-        return f"threshold={self.threshold!r}"
+        return f"{_MEMO_CONTEXT};threshold={self.threshold!r}"
 
     def run_ir(self, ir: CircuitIR, properties: Dict[str, Any]) -> CircuitIR:
+        nodes = list(ir.nodes())
+        decisions = self._decide([ir.instruction(node).gate for node in nodes])
         permutation: List[int] = list(range(ir.num_qubits))
         mirrored_count = 0
-        for node in list(ir.nodes()):
+        for node, mirror in zip(nodes, decisions):
             instruction = ir.instruction(node)
             wires = tuple(permutation[q] for q in instruction.qubits)
             gate = instruction.gate
-            if gate.num_qubits == 2:
-                if self._should_mirror(gate):
-                    mirrored = UnitaryGate(_SWAP @ gate.matrix, label="su4")
-                    ir.substitute_node(node, Instruction(mirrored, wires))
-                    # The logical SWAP is resolved by exchanging the wires that
-                    # the two logical qubits map to from here on.
-                    a, b = instruction.qubits
-                    permutation[a], permutation[b] = permutation[b], permutation[a]
-                    mirrored_count += 1
-                    continue
+            if mirror:
+                mirrored = UnitaryGate(_SWAP @ gate.matrix, label="su4")
+                ir.substitute_node(node, Instruction(mirrored, wires))
+                # The logical SWAP is resolved by exchanging the wires that
+                # the two logical qubits map to from here on.
+                a, b = instruction.qubits
+                permutation[a], permutation[b] = permutation[b], permutation[a]
+                mirrored_count += 1
+                continue
             if wires != instruction.qubits:
                 ir.substitute_node(node, Instruction(gate, wires))
         properties["mirror_permutation"] = list(permutation)
         properties["mirrored_gate_count"] = mirrored_count
         return ir
 
-    def _should_mirror(self, gate) -> bool:
-        """Near-identity decision for ``gate``, memoized per gate content.
+    def _decide(self, gates: List[Any]) -> List[bool]:
+        """Near-identity decision per gate (``False`` for non-2Q gates).
 
-        Only the boolean is cached (the mirrored gate itself is recomputed
-        deterministically as ``SWAP @ matrix``), and only for explicit-matrix
-        gates — the Weyl decomposition is what costs; ``can`` gates read
-        their coordinates straight from the parameters.
+        ``can`` gates read their coordinates straight from the parameters.
+        Every other 2Q gate is decided once per unique matrix, keyed by its
+        exact bytes: memoized decisions (booleans) are replayed and the rest
+        are decided by one batched Weyl-coordinate computation.
         """
-        if gate.name == "can":
-            return is_near_identity(tuple(gate.params), self.threshold)
-        if self.memo is not None:
-            from repro.incremental import MISS, gate_region_key
+        from repro.incremental import memoized_batch
 
-            key = gate_region_key(gate, "mirror", f"threshold={self.threshold!r}")
-            cached = self.memo.lookup("region", key)
-            if cached is not MISS:
-                return cached
-            decision = self._near_identity(gate)
-            self.memo.store("region", key, decision)
-            return decision
-        return self._near_identity(gate)
+        keys: List[Optional[bytes]] = []
+        unique: Dict[bytes, Any] = {}
+        for gate in gates:
+            if gate.num_qubits != 2 or (gate.name == "can" and not isinstance(gate, UnitaryGate)):
+                keys.append(None)
+                continue
+            content = gate.matrix.tobytes()
+            keys.append(content)
+            unique.setdefault(content, gate)
+        context = (_MEMO_CONTEXT, f"threshold={self.threshold!r}")
+        decided = memoized_batch(self.memo, unique, context, self._near_identity)
+        return [
+            decided[key]
+            if key is not None
+            else gate.num_qubits == 2 and is_near_identity(tuple(gate.params), self.threshold)
+            for gate, key in zip(gates, keys)
+        ]
 
-    def _near_identity(self, gate) -> bool:
+    def _near_identity(self, gates) -> List[bool]:
+        """Batched near-identity test; per-item scalar fallback if the batch raises."""
+        try:
+            decompositions = kak_decompose_batch([gate.matrix for gate in gates], validate=False)
+        except ValueError:  # includes LinAlgError
+            # A malformed block fails the whole batch; deciding each gate on
+            # its own keeps one bad gate from failing the compile.
+            return [self._near_identity_scalar(gate) for gate in gates]
+        return [
+            is_near_identity(canonicalize_coordinates(*d.coordinates), self.threshold)
+            for d in decompositions
+        ]
+
+    def _near_identity_scalar(self, gate) -> bool:
         try:
             coords = weyl_coordinates(gate.matrix)
-        except Exception:  # pragma: no cover - defensive
+        except Exception:
             return False
         return is_near_identity(coords, self.threshold)

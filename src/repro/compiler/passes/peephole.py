@@ -147,18 +147,8 @@ def _cancel_adjacent_two_qubit(circuit: QuantumCircuit) -> QuantumCircuit:
 # ---------------------------------------------------------------------------
 
 
-def _merge_one_qubit_runs_ir(ir: CircuitIR, memo: Optional[Any] = None) -> None:
-    """IR-native twin of :func:`_merge_one_qubit_runs` (in place).
-
-    With a memo store, each run's merged result — ``None`` (identity-class
-    run, dropped) or the ``(theta, phi, lam)`` of the replacement ``U3`` — is
-    memoized per run content.  A miss evaluates the *same* left-multiplied
-    matrix product as the memo-less path (``g_n @ ... @ g_1 @ I``), so a
-    replayed hit is bit-identical to recomputation.
-    """
-    if memo is not None:
-        _merge_one_qubit_runs_ir_memo(ir, memo)
-        return
+def _merge_one_qubit_runs_ir(ir: CircuitIR) -> None:
+    """IR-native twin of :func:`_merge_one_qubit_runs` (in place)."""
     pending: Dict[int, np.ndarray] = {}
     run_nodes: Dict[int, List[int]] = {}
 
@@ -188,58 +178,6 @@ def _merge_one_qubit_runs_ir(ir: CircuitIR, memo: Optional[Any] = None) -> None:
             for qubit in instruction.qubits:
                 flush(qubit, anchor=node)
     for qubit in list(pending):
-        flush(qubit, anchor=None)
-
-
-def _merge_one_qubit_runs_ir_memo(ir: CircuitIR, memo: Any) -> None:
-    """Memoized variant of :func:`_merge_one_qubit_runs_ir`.
-
-    Runs are keyed by the content of their gate sequence; the matrix product
-    is only evaluated on a miss, with the identical operation order as the
-    memo-less kernel.
-    """
-    from repro.incremental import MISS, gates_region_key
-
-    runs: Dict[int, List[Any]] = {}
-    run_nodes: Dict[int, List[int]] = {}
-
-    def flush(qubit: int, anchor: Optional[int]) -> None:
-        gates = runs.pop(qubit, None)
-        if gates is None:
-            return
-        nodes = run_nodes.pop(qubit)
-        for node in nodes:
-            ir.remove_node(node)
-        key = gates_region_key(gates, "merge-1q")
-        params = memo.lookup("region", key)
-        if params is MISS:
-            matrix = np.eye(2, dtype=complex)
-            for gate in gates:
-                matrix = gate.matrix @ matrix
-            if allclose_up_to_global_phase(matrix, np.eye(2), atol=1e-10):
-                params = None
-            else:
-                _, theta, phi, lam = u3_params_from_matrix(matrix)
-                params = (theta, phi, lam)
-            memo.store("region", key, params)
-        if params is None:
-            return
-        merged = Instruction(standard.u3_gate(*params), (qubit,))
-        if anchor is None:
-            ir.append(merged)
-        else:
-            ir.insert_before(anchor, merged)
-
-    for node in list(ir.nodes()):
-        instruction = ir.instruction(node)
-        if instruction.num_qubits == 1:
-            qubit = instruction.qubits[0]
-            runs.setdefault(qubit, []).append(instruction.gate)
-            run_nodes.setdefault(qubit, []).append(node)
-        else:
-            for qubit in instruction.qubits:
-                flush(qubit, anchor=node)
-    for qubit in list(runs):
         flush(qubit, anchor=None)
 
 

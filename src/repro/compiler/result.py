@@ -110,11 +110,24 @@ class CompilationResult:
 
     @property
     def final_permutation(self) -> List[int]:
-        """Qubit permutation accumulated by mirroring and routing."""
-        permutation = self.properties.get("mirror_permutation")
-        if permutation is None:
-            permutation = list(range(self.circuit.num_qubits))
-        return permutation
+        """Output wire of every logical qubit, after mirroring and routing.
+
+        Logical qubit ``q`` of the input is carried by output wire
+        ``final_layout[mirror_permutation[q]]``.  Each map is first completed
+        to the output width: the wires it does not name are appended in
+        ascending order (on a widened program they hold ``|0>`` ancillas).
+        A missing map is the identity.  So, up to a global phase,
+        ``U_out = permutation_unitary(final_permutation) @ U_in``, with the
+        input padded by ``|0>`` ancillas to the output width.
+        """
+        width = self.circuit.num_qubits
+
+        def completed(name: str) -> List[int]:
+            values = [int(v) for v in self.properties.get(name) or []]
+            return values + sorted(set(range(width)) - set(values))
+
+        mirror, final = completed("mirror_permutation"), completed("final_layout")
+        return [final[mirror[q]] for q in range(width)]
 
     @property
     def routing_overhead(self) -> Optional[int]:

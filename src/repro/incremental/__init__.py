@@ -18,13 +18,12 @@ memo-safety contract passes must honor.
 from repro.incremental.fingerprint import (
     gate_content,
     gate_region_key,
-    gates_region_key,
     instruction_content,
     program_fingerprint,
     region_fingerprint,
     target_fingerprint,
 )
-from repro.incremental.store import MISS, MemoStats, PassMemoStore
+from repro.incremental.store import MISS, MemoStats, PassMemoStore, memoized_batch
 
 __all__ = [
     "MISS",
@@ -32,8 +31,8 @@ __all__ = [
     "PassMemoStore",
     "gate_content",
     "gate_region_key",
-    "gates_region_key",
     "instruction_content",
+    "memoized_batch",
     "program_fingerprint",
     "region_fingerprint",
     "target_fingerprint",

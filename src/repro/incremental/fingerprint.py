@@ -46,7 +46,6 @@ __all__ = [
     "gate_content",
     "instruction_content",
     "gate_region_key",
-    "gates_region_key",
     "region_fingerprint",
     "program_fingerprint",
     "target_fingerprint",
@@ -98,19 +97,6 @@ def instruction_content(instruction: Instruction) -> bytes:
 def gate_region_key(gate: Gate, *context: str) -> str:
     """Region key of a single-gate region (e.g. one fused SU(4) block)."""
     digest = hashlib.sha256(gate_content(gate))
-    for tag in context:
-        digest.update(b"\x00")
-        digest.update(tag.encode("utf-8"))
-    return digest.hexdigest()
-
-
-def gates_region_key(gates: Iterable[Gate], *context: str) -> str:
-    """Region key of an ordered gate run on one wire (wire identity elided)."""
-    digest = hashlib.sha256()
-    for gate in gates:
-        payload = gate_content(gate)
-        digest.update(_LEN.pack(len(payload)))
-        digest.update(payload)
     for tag in context:
         digest.update(b"\x00")
         digest.update(tag.encode("utf-8"))

@@ -28,12 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from hashlib import sha256
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro import __version__
+from repro.incremental.fingerprint import gate_region_key
 from repro.service.cache import SynthesisCache
 
-__all__ = ["MISS", "MemoStats", "PassMemoStore"]
+__all__ = ["MISS", "MemoStats", "PassMemoStore", "memoized_batch"]
 
 
 class _MemoMiss:
@@ -198,3 +199,37 @@ class PassMemoStore:
             f"PassMemoStore(tag={self._tag!r}, owns_backing={self._owns_backing}, "
             f"stats={self.stats.as_dict()})"
         )
+
+
+def memoized_batch(
+    memo: Optional[PassMemoStore],
+    gates: Dict[bytes, Any],
+    context: Sequence[str],
+    compute: Callable[[List[Any]], List[Any]],
+) -> Dict[bytes, Any]:
+    """Per-gate results for ``gates`` (unique gates keyed by content bytes).
+
+    With a memo store, each gate's result is looked up as a region entry
+    (``gate_region_key(gate, *context)``) first; the misses are computed in
+    one ``compute`` call and stored.  ``compute`` must be
+    composition-independent (an item's result never depends on which other
+    items share its batch), so replaying a hit is bit-identical to
+    recomputing it.
+    """
+    results: Dict[bytes, Any] = {}
+    keys: Dict[bytes, str] = {}
+    if memo is not None:
+        for content, gate in gates.items():
+            key = gate_region_key(gate, *context)
+            cached = memo.lookup("region", key)
+            if cached is MISS:
+                keys[content] = key
+            else:
+                results[content] = cached
+    misses = [content for content in gates if content not in results]
+    if misses:
+        for content, value in zip(misses, compute([gates[content] for content in misses])):
+            results[content] = value
+            if memo is not None:
+                memo.store("region", keys[content], value)
+    return results

@@ -89,9 +89,9 @@ def two_qubit_to_can_circuits_batch(
 
     The KAK decompositions run as one vectorized batch
     (:func:`repro.linalg.weyl.kak_decompose_batch`, exact-bytes
-    deduplicated); the circuit assembly is per item.  Used by the finalize
-    pass and block consolidation, which collect all blocks awaiting
-    synthesis and decompose them in one call.
+    deduplicated); the circuit assembly is per item.  Used by block
+    consolidation, which collects all blocks awaiting synthesis and
+    decomposes them in one call.
     """
     from repro.linalg.weyl import kak_decompose_batch
 

@@ -24,7 +24,7 @@ from repro.compiler.passes.base import CompilerPass
 from repro.gates.gate import UnitaryGate
 from repro.service.cache import SynthesisCache, unitary_fingerprint
 from repro.simulators.statevector import apply_gate, apply_gate_sequence
-from repro.synthesis.approximate import ApproximateSynthesizer
+from repro.synthesis.approximate import INSTANTIATION_VERSION, ApproximateSynthesizer
 from repro.synthesis.blocks import consolidate_blocks
 
 __all__ = [
@@ -241,7 +241,8 @@ class HierarchicalSynthesisPass(CompilerPass):
             f"block_size={self.block_size};threshold={self.threshold};"
             f"tolerance={self.tolerance!r};dag={self.enable_dag_compacting};"
             f"max_blocks={self.max_synthesis_blocks};"
-            f"synth={synth.tolerance!r}:{synth.restarts}:{synth.seed}:{synth.max_iterations}"
+            f"synth={synth.tolerance!r}:{synth.restarts}:{synth.seed}:{synth.max_iterations};"
+            f"{INSTANTIATION_VERSION}"
         )
 
     # ------------------------------------------------------------------
@@ -284,16 +285,9 @@ class HierarchicalSynthesisPass(CompilerPass):
         original_count = block.num_two_qubit_gates
         num_qubits = len(block.qubits)
         if self.cache is not None:
-            synth = self.synthesizer
-            key = unitary_fingerprint(
-                target,
-                "hierarchical_synthesis",
-                f"count={original_count}",
-                f"tol={self.tolerance}",
-                f"synth={synth.tolerance}:{synth.restarts}:{synth.seed}:{synth.max_iterations}",
-            )
             local = self.cache.get_or_compute(
-                key, lambda: self._synthesize_local(target, num_qubits, original_count)
+                self.cache_key(target, original_count),
+                lambda: self._synthesize_local(target, num_qubits, original_count),
             )
         else:
             local = self._synthesize_local(target, num_qubits, original_count)
@@ -301,6 +295,18 @@ class HierarchicalSynthesisPass(CompilerPass):
             return None
         mapping = {local_q: phys for local_q, phys in enumerate(block.qubits)}
         return [instr.remap(mapping) for instr in local]
+
+    def cache_key(self, target: np.ndarray, original_count: int) -> str:
+        """:class:`SynthesisCache` key of one block's re-synthesis outcome."""
+        synth = self.synthesizer
+        return unitary_fingerprint(
+            target,
+            "hierarchical_synthesis",
+            f"count={original_count}",
+            f"tol={self.tolerance}",
+            f"synth={synth.tolerance}:{synth.restarts}:{synth.seed}:{synth.max_iterations}",
+            INSTANTIATION_VERSION,
+        )
 
     def _synthesize_local(
         self, target: np.ndarray, num_qubits: int, original_count: int

@@ -333,7 +333,6 @@ def canonicalize_coordinates(
     identity = np.eye(2, dtype=complex)
     record = _DecompositionRecord(1.0 + 0.0j, identity, identity, [x, y, z], identity, identity)
     _canonicalize_record(record)
-    cx, cy, cz = record.coords
     # Snap values that are within tolerance of chamber landmarks to avoid
     # noise like -1e-17 for the z coordinate of CNOT-class gates.
     def _snap(value: float) -> float:
@@ -342,7 +341,24 @@ def canonicalize_coordinates(
                 return landmark
         return float(value)
 
-    return _snap(cx), _snap(cy), _snap(cz)
+    coords = [_snap(value) for value in record.coords]
+    # The record folds with a tolerance band, so a coordinate within it of a
+    # chamber face can keep a sign, an order or an excess of up to
+    # ``_BOUNDARY_TOL`` (e.g. ``(0, 0, -4e-11)`` leaves ``x = -4e-11 < y``).
+    # Settle those with the same symmetries, applied exactly: a pi/2 shift of
+    # one coordinate, permutations, paired sign flips and, at x = pi/4, the
+    # mirror ``(x, y, z) -> (pi/2 - x, y, -z)``.
+    coords = [value - 2.0 * PI_4 if value > PI_4 else value for value in coords]
+    cx, cy, cz = sorted(coords, key=abs, reverse=True)
+    if cx < 0.0 and cy < 0.0:
+        cx, cy = -cx, -cy
+    elif cx < 0.0:
+        cx, cz = -cx, -cz
+    elif cy < 0.0:
+        cy, cz = -cy, -cz
+    if cx == PI_4 and cz < 0.0:
+        cz = -cz
+    return cx + 0.0, cy + 0.0, cz + 0.0  # + 0.0 turns a flipped -0.0 into 0.0
 
 
 def _simultaneously_diagonalize(m2: np.ndarray, rng: np.random.Generator) -> np.ndarray:

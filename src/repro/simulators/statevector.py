@@ -82,9 +82,9 @@ def apply_gate(
 
 
 #: (num_qubits, per-op qubit tuples, batched) -> (per-op permutations, final
-#: restoring permutation).  Bounded FIFO: the approximate-synthesis inner
-#: loop re-applies the same structure thousands of times, but arbitrary
-#: circuit signatures (simulate_statevector) must not accumulate forever.
+#: restoring permutation).  Bounded FIFO: block unitaries re-apply the same
+#: structures many times, but arbitrary circuit signatures
+#: (simulate_statevector) must not accumulate forever.
 _SEQ_PLAN_CACHE: Dict[tuple, tuple] = {}
 _SEQ_PLAN_CAPACITY = 1024
 _SEQ_PLAN_MAX_OPS = 64
@@ -129,7 +129,7 @@ def apply_gate_sequence(
     see the module docstring — but performs one transpose per gate instead
     of two by keeping the tensor in the axis order the previous contraction
     produced.  This is the kernel behind the unitary-accumulation loops of
-    approximate synthesis, hierarchical synthesis and block consolidation.
+    hierarchical synthesis and block consolidation.
     """
     operations = [(matrix, tuple(qubits)) for matrix, qubits in operations]
     if not operations:

@@ -311,6 +311,40 @@ class TestMemoizedCompile:
         assert result.memo_stats is None
         assert circuits_bit_identical(result.circuit, previous.circuit)
 
+    def test_resynthesis_results_are_versioned_and_replay_bit_identically(self):
+        from repro.compiler.passes.hierarchical import HierarchicalSynthesisPass
+        from repro.service.cache import unitary_fingerprint
+        from repro.synthesis.approximate import INSTANTIATION_VERSION
+        from repro.target.target import resolve_target
+        from repro.workloads.suite import benchmark_suite
+
+        # Results of the current optimizer must not share a memo entry or a
+        # synthesis-cache key with those of an earlier one.
+        hierarchical = HierarchicalSynthesisPass()
+        synth = hierarchical.synthesizer
+        settings = f"{synth.tolerance!r}:{synth.restarts}:{synth.seed}:{synth.max_iterations}"
+        unversioned_config = (
+            f"block_size=3;threshold=4;tolerance=1e-06;dag=True;max_blocks=None;synth={settings}"
+        )
+        assert hierarchical.memo_config() == f"{unversioned_config};{INSTANTIATION_VERSION}"
+        block = QuantumCircuit(3)
+        block.cx(0, 1).cx(1, 2).cx(0, 2).cx(0, 1).cx(1, 2)
+        target = block.to_unitary()
+        unversioned_key = unitary_fingerprint(
+            target, "hierarchical_synthesis", "count=5", "tol=1e-06", f"synth={settings}"
+        )
+        assert hierarchical.cache_key(target, 5) != unversioned_key
+
+        (case,) = [c for c in benchmark_suite(scale="medium") if c.name == "rip_add_8"]
+        device = resolve_target("xy-grid", num_qubits=case.circuit.num_qubits)
+        scratch = target_compile(case.circuit, target=device, spec="reqisc-full")
+        first = target_compile(case.circuit, target=device, spec="reqisc-full", memo=True)
+        again = target_compile(case.circuit, previous=first)
+        hierarchical_record = [r for r in again.pass_records if r.name == hierarchical.name]
+        assert hierarchical_record[0].cached
+        assert circuits_bit_identical(scratch.circuit, first.circuit)
+        assert circuits_bit_identical(scratch.circuit, again.circuit)
+
     def test_result_pickles_without_the_memo_store(self):
         circuit = random_two_qubit_circuit(4, 25, seed=18)
         result = target_compile(circuit, spec="reqisc-eff", memo=True)

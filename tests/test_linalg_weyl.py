@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.linalg.constants import MAGIC_BASIS, PAULI_X, PAULI_Y, PAULI_Z, XX, YY, ZZ
 from repro.linalg.predicates import (
@@ -240,11 +240,26 @@ def test_property_kak_reconstruction(seed):
     st.floats(min_value=-3.0, max_value=3.0),
     st.floats(min_value=-3.0, max_value=3.0),
 )
+# A z within the fold's tolerance band of 0 once came back as x < y = 0.
+@example(0.0, 0.0, -4.2577558014874254e-11)
 def test_property_canonicalization_in_chamber(x, y, z):
     cx, cy, cz = canonicalize_coordinates(x, y, z)
     assert PI_4 + 1e-9 >= cx >= cy >= abs(cz) - 1e-9
     if abs(cx - PI_4) < 1e-9:
         assert cz >= -1e-9
+
+
+def test_canonicalization_near_chamber_faces_is_exact():
+    # Coordinates inside the fold's tolerance band of a face or landmark
+    # must still land exactly in the chamber, with no tolerance.
+    rng = np.random.default_rng(7)
+    landmarks = (0.0, PI_4, -PI_4, 2 * PI_4)
+    for _ in range(3000):
+        raw = [rng.choice(landmarks) + rng.uniform(-1e-9, 1e-9) for _ in range(3)]
+        cx, cy, cz = canonicalize_coordinates(*raw)
+        assert PI_4 >= cx >= cy >= abs(cz)
+        if cx == PI_4:
+            assert cz >= 0.0
 
 
 @settings(max_examples=25, deadline=None)

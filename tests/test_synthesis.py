@@ -12,8 +12,16 @@ from repro.gates import standard
 from repro.linalg.predicates import allclose_up_to_global_phase, unitary_infidelity
 from repro.linalg.random import haar_random_su2, haar_random_unitary
 from repro.linalg.weyl import canonical_gate, weyl_coordinates
-from repro.simulators.statevector import simulate_statevector
-from repro.synthesis.approximate import AnsatzBlock, ApproximateSynthesizer
+from repro.linalg.su2 import u3_matrix
+from repro.simulators.statevector import apply_gate_sequence, simulate_statevector
+from repro.simulators.unitary import permutation_unitary
+from repro.synthesis.approximate import (
+    AnsatzBlock,
+    ApproximateSynthesizer,
+    _ansatz_plan,
+    _infidelity_and_gradient,
+    default_pair_order,
+)
 from repro.synthesis.blocks import (
     block_unitary,
     collect_two_qubit_blocks,
@@ -357,3 +365,106 @@ def test_property_can_synthesis_roundtrip(seed):
     target = haar_random_unitary(4, np.random.default_rng(seed))
     circuit = two_qubit_to_can_circuit(target)
     assert unitary_infidelity(circuit.to_unitary(), target) < 1e-8
+
+
+def test_synthesize_cache_separates_pair_orders():
+    circuit = QuantumCircuit(3)
+    circuit.cx(0, 1).t(1).cx(1, 2).h(2).cx(1, 2).cx(0, 1)
+    target = circuit.to_unitary()
+    synthesizer = ApproximateSynthesizer(tolerance=1e-6, restarts=0, seed=5, max_iterations=50)
+    first = synthesizer.synthesize(target, 3, max_blocks=2, min_blocks=2, pair_order=[(0, 1), (1, 2)])
+    second = synthesizer.synthesize(target, 3, max_blocks=2, min_blocks=2, pair_order=[(1, 2), (0, 2)])
+    assert [block.pair for block in first.blocks] == [(0, 1), (1, 2)]
+    assert [block.pair for block in second.blocks] == [(1, 2), (0, 2)]
+
+
+# ---------------------------------------------------------------------------
+# The instantiation objective and its exact gradient.
+# ---------------------------------------------------------------------------
+
+
+def _ansatz(num_qubits, gate_name, count=4):
+    pairs = default_pair_order(num_qubits)
+    return tuple(AnsatzBlock(pair=pairs[i % len(pairs)], gate_name=gate_name) for i in range(count))
+
+
+def _reference_unitary(params, num_qubits, blocks):
+    """The ansatz unitary built gate by gate through the statevector kernel."""
+    operations = []
+    cursor = 0
+
+    def take():
+        nonlocal cursor
+        cursor += 3
+        return params[cursor - 3 : cursor]
+
+    for qubit in range(num_qubits):
+        operations.append((u3_matrix(*take()), (qubit,)))
+    for block in blocks:
+        if block.gate_name is None:
+            operations.append((canonical_gate(*take()), block.pair))
+        else:
+            operations.append((standard.named_gate(block.gate_name).matrix, block.pair))
+        for qubit in block.pair:
+            operations.append((u3_matrix(*take()), (qubit,)))
+    return apply_gate_sequence(np.eye(2**num_qubits, dtype=complex), operations, num_qubits)
+
+
+_GRADIENT_CASES = [(n, gate) for n in (2, 3, 4) for gate in (None, "cx", "sqisw", "b")]
+
+
+@pytest.mark.parametrize("num_qubits,gate_name", _GRADIENT_CASES)
+def test_objective_gradient_matches_central_differences(num_qubits, gate_name):
+    rng = np.random.default_rng(num_qubits * 10 + len(gate_name or ""))
+    blocks = _ansatz(num_qubits, gate_name)
+    plan = _ansatz_plan(num_qubits, blocks)
+    target = haar_random_unitary(2**num_qubits, rng)
+    params = rng.uniform(-math.pi, math.pi, plan.num_parameters)
+    _, gradient = _infidelity_and_gradient(params, plan, target)
+    step = 1e-6
+    numeric = np.empty_like(gradient)
+    for index in range(params.size):
+        shift = np.zeros_like(params)
+        shift[index] = step
+        upper, _ = _infidelity_and_gradient(params + shift, plan, target)
+        lower, _ = _infidelity_and_gradient(params - shift, plan, target)
+        numeric[index] = (upper - lower) / (2 * step)
+    assert np.max(np.abs(gradient - numeric)) <= 1e-6
+
+
+@pytest.mark.parametrize("num_qubits,gate_name", _GRADIENT_CASES)
+def test_objective_value_matches_gate_by_gate_infidelity(num_qubits, gate_name):
+    rng = np.random.default_rng(100 + num_qubits)
+    blocks = _ansatz(num_qubits, gate_name)
+    plan = _ansatz_plan(num_qubits, blocks)
+    target = haar_random_unitary(2**num_qubits, rng)
+    for _ in range(3):
+        params = rng.uniform(-math.pi, math.pi, plan.num_parameters)
+        value, _ = _infidelity_and_gradient(params, plan, target)
+        trial = _reference_unitary(params, num_qubits, blocks)
+        expected = 1.0 - abs(np.trace(target.conj().T @ trial)) / 2**num_qubits
+        assert abs(value - expected) <= 1e-14
+
+
+def test_objective_gradient_is_finite_for_an_orthogonal_target():
+    # With every parameter zero the ansatz is the identity, and tr(Z x Z) = 0.
+    plan = _ansatz_plan(2, ())
+    target = np.kron(standard.z_gate().matrix, standard.z_gate().matrix)
+    value, gradient = _infidelity_and_gradient(np.zeros(plan.num_parameters), plan, target)
+    assert value == 1.0
+    assert np.all(np.isfinite(gradient))
+
+
+def test_rip_add_dense_block_is_resynthesized_through_reqisc_full():
+    from repro.target.api import compile as target_compile
+    from repro.target.target import resolve_target
+    from repro.workloads.suite import benchmark_suite
+
+    (case,) = [c for c in benchmark_suite(scale="medium") if c.name == "rip_add_8"]
+    source = case.circuit
+    device = resolve_target("xy-grid", num_qubits=source.num_qubits)
+    result = target_compile(source, target=device, spec="reqisc-full", seed=1)
+    (record,) = [r for r in result.pass_records if r.name == "hierarchical_synthesis"]
+    assert record.two_qubit_after == record.two_qubit_before - 1
+    expected = permutation_unitary(result.final_permutation) @ source.to_unitary()
+    assert allclose_up_to_global_phase(result.circuit.to_unitary(), expected, atol=1e-6)

@@ -128,6 +128,7 @@ number can never drift from its operands.
 
 from __future__ import annotations
 
+import gc
 import platform
 import sys
 import time
@@ -871,9 +872,14 @@ def bench_incr(
     incremental_times: List[float] = []
     memo_hits = memo_misses = 0
     for edited in edits:
+        # Collect before each timed compile, as timeit keeps GC out of its
+        # timings: a gen-2 pass (~45 ms) landing in one window decides the
+        # comparison otherwise.
+        gc.collect()
         start = time.perf_counter()
         scratch = target_compile(edited, target=resolved, spec=compiler)
         scratch_times.append(time.perf_counter() - start)
+        gc.collect()
         start = time.perf_counter()
         incremental = target_compile(edited, previous=previous)
         incremental_times.append(time.perf_counter() - start)

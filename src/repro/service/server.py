@@ -8,11 +8,13 @@ layers of request coalescing in front of it:
 
 1. **Result cache** — a bounded LRU of completed responses keyed by the
    request's content hash; a repeat submission answers without touching
-   the pool at all.
+   the pool at all.  In front of it, a raw-request pre-key (a hash of the
+   exact QASM bytes and options) aliases requests that were already
+   answered, so an exact repeat answers before its QASM is even parsed.
 2. **In-flight dedup** — concurrent submissions of the same circuit
    (same :func:`~repro.service.cache.circuit_fingerprint`, compiler,
-   target and seed) attach to the one running job and all receive the
-   identical result; only one compile ever runs.
+   target, seed, fault and session) attach to the one running job and all
+   receive the identical result; only one compile ever runs.
 3. **Synthesis cache** — inside the workers, the segment-backed
    :class:`~repro.service.cache.SynthesisCache` shares KAK/template
    results across jobs, workers and daemon restarts.
@@ -34,6 +36,7 @@ and the synthesis cache keys on exact matrix bytes (gated continuously by
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import os
 import queue as queue_module
@@ -59,6 +62,16 @@ _WAIT_GRACE_SECONDS = 10.0
 _SOCKET_DELAY_SECONDS = 0.5
 #: EWMA smoothing for observed compile latency (drives the retry-after hint).
 _EWMA_ALPHA = 0.2
+
+
+def _raw_request_key(qasm_bytes: bytes, request: Dict[str, Any]) -> str:
+    """Hash of a compile request's exact QASM bytes and every option the
+    content key covers.  ``repr`` keeps ``None`` apart from ``"None"``."""
+    options = tuple(request[name] for name in ("compiler", "target", "seed", "fault", "session"))
+    digest = hashlib.blake2b(repr(options).encode("utf-8"), digest_size=32)
+    digest.update(b"\n")
+    digest.update(qasm_bytes)
+    return digest.hexdigest()
 
 
 @dataclass
@@ -94,7 +107,8 @@ class ServeStats:
     failed: int = 0
     compiles_started: int = 0
     dedup_inflight: int = 0
-    dedup_result_cache: int = 0
+    dedup_result_cache: int = 0  # every result-LRU answer, raw-key hits included
+    dedup_raw_key: int = 0  # result-LRU answers found by raw pre-key, before parsing
     rejected_overload: int = 0
     rejected_invalid: int = 0
     malformed_frames: int = 0
@@ -107,6 +121,7 @@ class ServeStats:
             "compiles_started": self.compiles_started,
             "dedup_inflight": self.dedup_inflight,
             "dedup_result_cache": self.dedup_result_cache,
+            "dedup_raw_key": self.dedup_raw_key,
             "rejected_overload": self.rejected_overload,
             "rejected_invalid": self.rejected_invalid,
             "malformed_frames": self.malformed_frames,
@@ -135,6 +150,10 @@ class CompileServer:
         # fields (result LRU).  Aggregated worker-side cache counters.
         self._inflight: Dict[str, "Future[JobOutcome]"] = {}
         self._result_cache: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        # Raw pre-key (exact QASM bytes + options) -> content key, recorded
+        # only once that request was answered with a result; bounded like
+        # the result LRU.
+        self._result_aliases: "OrderedDict[str, str]" = OrderedDict()
         self._cache_totals: Dict[str, int] = {}
         # Resilience state: chaos socket-layer injector, watchdog thread and
         # the degraded-mode latch it drives, compile-latency EWMA for the
@@ -390,7 +409,8 @@ class CompileServer:
             )
 
         qasm = request["qasm"]
-        if len(qasm.encode("utf-8")) > self.config.max_qasm_bytes:
+        qasm_bytes = qasm.encode("utf-8")
+        if len(qasm_bytes) > self.config.max_qasm_bytes:
             with self._lock:
                 self.stats.rejected_invalid += 1
             return protocol.error_response(
@@ -398,6 +418,22 @@ class CompileServer:
                 protocol.ERR_TOO_LARGE,
                 f"qasm exceeds max_qasm_bytes={self.config.max_qasm_bytes}",
             )
+
+        # Exact repeat of an answered request: same bytes and options passed
+        # every check below before, so answer from the result LRU unparsed.
+        raw_key = _raw_request_key(qasm_bytes, request)
+        with self._lock:
+            aliased = self._result_aliases.get(raw_key)
+            if aliased is not None:
+                cached = self._result_cache.get(aliased)
+                if cached is not None:
+                    self._result_aliases.move_to_end(raw_key)
+                    self._result_cache.move_to_end(aliased)
+                    self.stats.dedup_raw_key += 1
+                    self.stats.dedup_result_cache += 1
+                    self.stats.completed += 1
+                    return protocol.ok_response(request_id, cached="result", **cached)
+                del self._result_aliases[raw_key]  # its result was evicted
 
         # Parse up front: a syntactically broken program is the client's
         # error (bad-request), not a compile failure, and the parsed circuit
@@ -459,6 +495,7 @@ class CompileServer:
             cached = self._result_cache.get(key)
             if cached is not None:
                 self._result_cache.move_to_end(key)
+                self._remember_alias(raw_key, key)
                 self.stats.dedup_result_cache += 1
                 self.stats.completed += 1
                 return protocol.ok_response(request_id, cached="result", **cached)
@@ -536,6 +573,7 @@ class CompileServer:
                 self._result_cache[key] = fields
                 while len(self._result_cache) > self.config.result_cache_size:
                     self._result_cache.popitem(last=False)
+                self._remember_alias(raw_key, key)
                 self.stats.completed += 1
                 return protocol.ok_response(request_id, cached="no", **fields)
             self.stats.failed += 1
@@ -553,6 +591,13 @@ class CompileServer:
                 **extra,
             )
 
+    def _remember_alias(self, raw_key: str, key: str) -> None:
+        """Alias an answered request's raw pre-key to its content key (lock held)."""
+        self._result_aliases[raw_key] = key
+        self._result_aliases.move_to_end(raw_key)
+        while len(self._result_aliases) > self.config.result_cache_size:
+            self._result_aliases.popitem(last=False)
+
     def snapshot(self) -> Dict[str, Any]:
         """Daemon + pool + aggregated worker-cache counters (``stats`` op)."""
         with self._lock:
@@ -562,6 +607,7 @@ class CompileServer:
                 "cache": dict(self._cache_totals),
                 "inflight": len(self._inflight),
                 "result_cache_entries": len(self._result_cache),
+                "result_cache_aliases": len(self._result_aliases),
                 "config": {
                     "workers": self.config.workers,
                     "max_pending": self.config.max_pending,

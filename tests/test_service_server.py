@@ -10,19 +10,25 @@ Covers the tentpole service contracts end-to-end against live daemons:
   their own job, the pool respawns the worker, and later jobs still
   produce bit-identical results;
 * malformed frames, oversized circuits and overload get explicit,
-  structured refusals instead of hangs or crashes.
+  structured refusals instead of hangs or crashes;
+* the raw-request pre-key answers exact repeats without parsing, never
+  answers one option set with another's result, and stays correct while
+  a tiny result LRU evicts (differential fuzz, concurrent clients).
 """
 
+import functools
 import socket
+import sys
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.qasm import dumps, loads
 from repro.service.protocol import FrameReader
 from repro.service.server import CompileServer, ServeClient, ServeConfig, ServeError
-from repro.workloads.algorithms import qft_circuit
+from repro.workloads.algorithms import hamiltonian_simulation, qft_circuit
 
 
 def _sequential_qasm(circuit, compiler="reqisc-eff", seed=0):
@@ -53,6 +59,22 @@ def client(server):
         yield instance
 
 
+@pytest.fixture()
+def parse_calls(monkeypatch):
+    """Count the daemon's QASM parses (it runs in this process)."""
+    import repro.qasm
+
+    calls = []
+    real_loads = repro.qasm.loads
+
+    def counting_loads(text, *args, **kwargs):
+        calls.append(len(text))
+        return real_loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(repro.qasm, "loads", counting_loads)
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # Round trip + determinism.
 # ---------------------------------------------------------------------------
@@ -74,13 +96,22 @@ def test_compile_round_trip_matches_sequential(client):
     assert response["compile_seconds"] > 0.0
 
 
-def test_repeat_submission_hits_result_cache(client):
+def test_repeat_submission_hits_result_cache(server, client, parse_calls):
     qasm = dumps(qft_circuit(3))
     first = client.compile(qasm)
+    before = server.snapshot()["server"]
+    parses = len(parse_calls)
     second = client.compile(qasm)
+    after = server.snapshot()["server"]
     assert second["cached"] == "result"
     assert second["qasm"] == first["qasm"]
     assert second["key"] == first["key"]
+    assert second["summary"] == first["summary"]
+    # An exact repeat is answered by its raw pre-key, before parsing.
+    assert len(parse_calls) == parses
+    assert after["dedup_raw_key"] == before["dedup_raw_key"] + 1
+    assert after["dedup_result_cache"] == before["dedup_result_cache"] + 1
+    assert after["completed"] == before["completed"] + 1
 
 
 def test_seed_and_compiler_participate_in_job_identity(client):
@@ -235,13 +266,26 @@ def test_oversized_circuit_is_refused(limits_server):
         assert "max_qubits" in excinfo.value.message
 
 
-def test_oversized_qasm_is_refused_before_parsing(limits_server):
+def test_oversized_qasm_is_refused_before_parsing(limits_server, monkeypatch):
+    from repro.service import server as server_module
+
+    hashed = []
+    real_key = server_module._raw_request_key
+
+    def counting_key(qasm_bytes, request):
+        hashed.append(len(qasm_bytes))
+        return real_key(qasm_bytes, request)
+
+    monkeypatch.setattr(server_module, "_raw_request_key", counting_key)
     padded = "OPENQASM 2.0;\n" + "// padding\n" * 100  # > max_qasm_bytes
     with ServeClient(limits_server.config.address) as client:
-        with pytest.raises(ServeError) as excinfo:
-            client.compile(padded)
-        assert excinfo.value.code == "too-large"
-        assert "max_qasm_bytes" in excinfo.value.message
+        for _ in range(2):  # a refusal never becomes a pre-key alias
+            with pytest.raises(ServeError) as excinfo:
+                client.compile(padded)
+            assert excinfo.value.code == "too-large"
+            assert "max_qasm_bytes" in excinfo.value.message
+    assert hashed == []  # refused before the raw pre-key is even computed
+    assert limits_server.snapshot()["result_cache_aliases"] == 0
 
 
 def _raw_connect(server):
@@ -328,6 +372,9 @@ def test_stats_snapshot_shape(client, server):
     assert stats["pool"]["workers"] == server.config.workers
     assert stats["config"]["max_pending"] == server.config.max_pending
     assert stats["server"]["received"] >= 1
+    assert {"dedup_result_cache", "dedup_raw_key"} <= set(stats["server"])
+    assert stats["server"]["dedup_raw_key"] <= stats["server"]["dedup_result_cache"]
+    assert 0 <= stats["result_cache_aliases"] <= server.config.result_cache_size
 
 
 def test_worker_cache_counters_aggregate(server, client):
@@ -393,3 +440,201 @@ def test_shared_disk_cache_across_daemon_restarts(tmp_path):
         second_totals = second.snapshot()["cache"]
     assert second_qasm == first_qasm  # cache reuse never changes output
     assert second_totals.get("disk_hits", 0) >= 1
+
+
+# ---------------------------------------------------------------------------
+# Raw-request pre-key: exact repeats answer from the result LRU unparsed.
+# ---------------------------------------------------------------------------
+
+
+def _result_fields(response):
+    return {name: response[name] for name in ("key", "qasm", "summary", "compile_seconds", "worker")}
+
+
+def _other_text(qasm, note):
+    """The same program as different text: a comment line after the header."""
+    return qasm.replace("\n", f"\n// {note}\n", 1)
+
+
+def test_other_text_hits_by_content_then_by_its_own_alias(client, parse_calls):
+    qasm = dumps(qft_circuit(4))
+    first = client.compile(qasm, seed=4)
+    variant = _other_text(qasm, "same circuit, other text")
+    parses = len(parse_calls)
+    by_content = client.compile(variant, seed=4)
+    assert len(parse_calls) == parses + 1  # new bytes: parsed, content key hits
+    assert by_content["cached"] == "result"
+    assert _result_fields(by_content) == _result_fields(first)
+    by_alias = client.compile(variant, seed=4)
+    assert len(parse_calls) == parses + 1  # its own alias now answers unparsed
+    assert by_alias["cached"] == "result"
+    assert _result_fields(by_alias) == _result_fields(first)
+
+
+def test_every_option_separates_pre_keys(client, parse_calls):
+    circuit = qft_circuit(3)
+    qasm = _other_text(dumps(circuit), "option separation")
+    base = client.compile(qasm)
+    client.compile(qasm)  # the base option set now has an alias
+    option_sets = ({"seed": 9}, {"compiler": "reqisc-full"}, {"target": "xy-line"}, {"session": "pk"})
+    keys = {base["key"]}
+    responses = {}
+    for options in option_sets:
+        parses = len(parse_calls)
+        response = client.compile(qasm, **options)
+        assert len(parse_calls) == parses + 1, options  # no alias crosses option sets
+        assert response["key"] not in keys, options
+        keys.add(response["key"])
+        repeat = client.compile(qasm, **options)
+        assert len(parse_calls) == parses + 1, options
+        assert _result_fields(repeat) == _result_fields(response), options
+        responses.update(dict.fromkeys(options, response))
+    assert responses["seed"]["qasm"] == _sequential_qasm(circuit, seed=9)
+    assert responses["compiler"]["qasm"] == _sequential_qasm(circuit, compiler="reqisc-full")
+    assert responses["session"]["qasm"] == base["qasm"]  # sessions never change bytes
+
+
+def test_failed_requests_never_create_an_alias(server, client, parse_calls):
+    aliases = server.snapshot()["result_cache_aliases"]
+    for _ in range(2):
+        with pytest.raises(ServeError) as excinfo:
+            client.compile("this is not OpenQASM either")
+        assert excinfo.value.code == "bad-request"
+    assert len(parse_calls) == 2  # both submissions were parsed
+    for _ in range(2):
+        with pytest.raises(ServeError) as excinfo:
+            client.compile(dumps(qft_circuit(3)), fault="raise", seed=31)
+        assert excinfo.value.code == "compile-error"
+    assert server.snapshot()["result_cache_aliases"] == aliases
+
+
+@pytest.fixture(scope="module")
+def small_lru_server(tmp_path_factory):
+    path = tmp_path_factory.mktemp("serve-lru") / "lru.sock"
+    config = ServeConfig(address=str(path), workers=1, cache_dir=None, result_cache_size=2)
+    with CompileServer(config) as instance:
+        yield instance
+
+
+def test_evicted_result_falls_through_to_a_fresh_compile(small_lru_server, parse_calls):
+    server = small_lru_server
+    circuit = qft_circuit(5)
+    qasm = _other_text(dumps(circuit), "eviction")
+    with ServeClient(server.config.address) as client:
+        first = client.compile(qasm)
+        for n in (3, 4):  # two newer results evict the first one
+            client.compile(_other_text(dumps(qft_circuit(n)), "eviction"))
+        snapshot = server.snapshot()
+        assert snapshot["result_cache_entries"] == 2
+        assert snapshot["result_cache_aliases"] <= 2
+        parses = len(parse_calls)
+        again = client.compile(qasm)
+        assert len(parse_calls) == parses + 1
+        assert again["cached"] == "no"
+        assert again["qasm"] == first["qasm"] == _sequential_qasm(circuit)
+
+        # An alias whose content entry is gone is dropped, not followed.
+        assert client.compile(qasm)["cached"] == "result"
+        with server._lock:
+            del server._result_cache[again["key"]]
+        parses = len(parse_calls)
+        compiles = server.snapshot()["server"]["compiles_started"]
+        third = client.compile(qasm)
+        assert len(parse_calls) == parses + 1
+        assert third["cached"] == "no"
+        assert third["qasm"] == first["qasm"]
+        snapshot = server.snapshot()
+        assert snapshot["server"]["compiles_started"] == compiles + 1
+        assert snapshot["result_cache_aliases"] <= 2
+
+
+# Programs whose reqisc-eff and reqisc-full outputs differ, so an answer
+# crossing compilers shows in the bytes; the seed shows in the key.
+_FUZZ_PROGRAMS = (qft_circuit(4), hamiltonian_simulation(4))
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_reference(program, compiler, seed):
+    from repro.service.cache import circuit_fingerprint
+
+    circuit = _FUZZ_PROGRAMS[program]
+    key = circuit_fingerprint(loads(dumps(circuit)), "serve", compiler, "None", str(seed), "None", "None")
+    return _sequential_qasm(circuit, compiler=compiler, seed=seed), key
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 1),  # program
+            st.integers(0, 1),  # textual variant
+            st.sampled_from((0, 7)),  # seed
+            st.sampled_from(("reqisc-eff", "reqisc-full")),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_prekey_differential_fuzz_under_eviction(small_lru_server, submissions):
+    # A 2-entry LRU against 16 request shapes: aliases and results are
+    # evicted constantly, and every answer must still be the reference.
+    with ServeClient(small_lru_server.config.address) as client:
+        for program, variant, seed, compiler in submissions:
+            qasm = dumps(_FUZZ_PROGRAMS[program])
+            if variant:
+                qasm = _other_text(qasm, "variant")
+            response = client.compile(qasm, compiler=compiler, seed=seed)
+            assert (response["qasm"], response["key"]) == _fuzz_reference(program, compiler, seed)
+    assert small_lru_server.snapshot()["result_cache_aliases"] <= 2
+
+
+def test_prekey_under_concurrent_clients(small_lru_server):
+    # More client threads than cores, with a short switch interval, race the
+    # alias table and the 2-entry LRU; a lost update shows as a wrong answer,
+    # a table over its bound or counters that stop adding up.
+    shapes = [
+        (program, variant, seed, compiler)
+        for program in (0, 1)
+        for variant in (0, 1)
+        for seed in (0, 7)
+        for compiler in ("reqisc-eff", "reqisc-full")
+    ]
+    responses, failures = [], []
+
+    def submit(offset):
+        try:
+            with ServeClient(small_lru_server.config.address) as client:
+                for step in range(12):
+                    shape = shapes[(offset * 5 + step * 3) % len(shapes)]
+                    program, variant, seed, compiler = shape
+                    qasm = dumps(_FUZZ_PROGRAMS[program])
+                    if variant:
+                        qasm = _other_text(qasm, "variant")
+                    responses.append((shape, client.compile(qasm, compiler=compiler, seed=seed)))
+        except Exception as exc:  # noqa: BLE001 — surfaced via `failures`
+            failures.append(repr(exc))
+
+    before = small_lru_server.snapshot()["server"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=submit, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert len(responses) == 8 * 12
+    for (program, _, seed, compiler), response in responses:
+        assert (response["qasm"], response["key"]) == _fuzz_reference(program, compiler, seed)
+    after = small_lru_server.snapshot()
+    delta = {name: after["server"][name] - before[name] for name in before}
+    from_cache = sum(response["cached"] == "result" for _, response in responses)
+    assert delta["received"] == delta["completed"] == len(responses)
+    assert delta["dedup_result_cache"] == from_cache
+    assert delta["compiles_started"] + delta["dedup_inflight"] == len(responses) - from_cache
+    assert delta["dedup_raw_key"] <= delta["dedup_result_cache"]
+    assert after["result_cache_aliases"] <= 2

@@ -35,8 +35,7 @@ from typing import Any, Dict, List, Tuple
 
 #: Report sections whose ``bit_identical`` flag gates the build.
 BIT_IDENTITY_SECTIONS = (
-    "routing", "equivalence", "ir", "incr", "qasm", "serve", "chaos", "synth_batch",
-    "fidelity",
+    "routing", "equivalence", "ir", "qasm", "serve", "chaos", "synth_batch", "fidelity",
 )
 
 #: section -> (speedup field, numerator field, denominator field).  Each
@@ -46,7 +45,6 @@ BIT_IDENTITY_SECTIONS = (
 SPEEDUP_FIELDS = {
     "routing": ("speedup", "baseline_seconds", "fast_seconds"),
     "ir": ("speedup", "legacy_seconds", "ir_seconds"),
-    "incr": ("speedup", "from_scratch_seconds", "incremental_seconds"),
     "synth_batch": ("speedup", "scalar_seconds", "batch_seconds"),
 }
 

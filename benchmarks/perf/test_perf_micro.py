@@ -65,31 +65,6 @@ def test_gate_matrix_cache_hits_on_perf_workload():
     assert stats["hits"] > stats["misses"]
 
 
-def test_incr_micro_edit_recompile_is_bit_identical_and_faster():
-    from repro.perf.harness import bench_incr
-
-    records, section = bench_incr(
-        num_qubits=8, num_gates=200, num_edits=5, seed=42, repeats=2
-    )
-    # Bit identity is the hard incremental-recompilation gate at every
-    # scale; the documented >=5x speedup is checked at acceptance scale.
-    assert section["bit_identical"] is True
-    assert section["mismatches"] == []
-    assert section["memo_hits"] > 0
-    assert section["incremental_seconds"] < section["from_scratch_seconds"]
-    names = {record.name for record in records}
-    assert len(names) == 2
-
-
-@pytest.mark.skipif(not _FULL, reason="acceptance-scale run (set REPRO_PERF_FULL=1)")
-def test_incr_acceptance_scale_speedup():
-    from repro.perf.harness import bench_incr
-
-    _, section = bench_incr()  # 24q, 4000 gates, 10-gate edits
-    assert section["bit_identical"] is True
-    assert section["speedup"] >= 5.0
-
-
 @pytest.mark.skipif(not _FULL, reason="acceptance-scale run (set REPRO_PERF_FULL=1)")
 def test_routing_acceptance_scale_speedup():
     _, routing = bench_route(num_qubits=64, num_gates=2000, seed=42, repeats=3)

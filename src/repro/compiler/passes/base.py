@@ -24,7 +24,6 @@ pre-refactor per-pass marshalling for benchmarking).
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, MutableMapping, Optional, Tuple, Union
@@ -54,22 +53,6 @@ class CompilerPass:
     consumes: str = "circuit"
     #: Representation the pass returns: ``"circuit"`` or ``"ir"``.
     produces: str = "circuit"
-    #: Memo-safety declaration (see docs/incremental.md): ``True`` promises
-    #: that the pass output is a deterministic pure function of the input
-    #: program content plus :meth:`memo_config` — the pass must not read the
-    #: property set (it may write it) and every configuration knob that can
-    #: change the output must be folded into the config fingerprint.
-    memo_safe: bool = False
-
-    def memo_config(self) -> Optional[str]:
-        """Config fingerprint for whole-pass memoization.
-
-        Memo-safe passes return a string capturing every output-relevant
-        setting; returning ``None`` disables memoization for this instance
-        (e.g. when a setting holds an object that cannot be fingerprinted).
-        """
-        return "" if self.memo_safe else None
-
     def run(self, circuit: QuantumCircuit, properties: Dict[str, Any]) -> QuantumCircuit:
         """Transform ``circuit`` and return the new circuit.
 
@@ -108,8 +91,6 @@ class PassRecord:
     #: Property-set keys this pass wrote (added or changed), sorted — a
     #: deterministic snapshot, identical between sequential and batch runs.
     properties_written: List[str] = field(default_factory=list)
-    #: True when the pass was spliced from the memo store instead of running.
-    cached: bool = False
 
 
 def _coerce(program: Program, wants: str) -> Program:
@@ -164,15 +145,6 @@ class PassManager:
     passes: List[CompilerPass] = field(default_factory=list)
     records: List[PassRecord] = field(default_factory=list)
     force_circuit_boundaries: bool = False
-    #: Optional :class:`repro.incremental.PassMemoStore`.  When set, every
-    #: memo-safe pass is keyed by the fingerprint of its full input program
-    #: (plus its config and ``memo_context``) and replayed from the store on
-    #: a hit — splicing the recorded output instructions and property writes
-    #: instead of running the pass.
-    memo: Optional[Any] = None
-    #: Compilation-context tag folded into every memo key (target, ISA,
-    #: seed); set by :func:`repro.target.api.compile`.
-    memo_context: str = ""
 
     def append(self, compiler_pass: CompilerPass) -> "PassManager":
         """Add a pass to the end of the pipeline."""
@@ -223,7 +195,10 @@ class PassManager:
             gates_before, two_qubit_before, depth_before = _measure(current)
             snapshot = dict(properties.items())
             start = time.perf_counter()
-            current, cached = self._run_pass(compiler_pass, current, wants, properties)
+            if wants == "ir":
+                current = compiler_pass.run_ir(current, properties)
+            else:
+                current = compiler_pass.run(current, properties)
             seconds = time.perf_counter() - start
             gates_after, two_qubit_after, depth_after = _measure(current)
             records.append(
@@ -237,98 +212,8 @@ class PassManager:
                     depth_before=depth_before,
                     depth_after=depth_after,
                     properties_written=_written_keys(snapshot, properties),
-                    cached=cached,
                 )
             )
         compiled = _coerce(current, "circuit")
         self.records = records
         return compiled, records
-
-    # ------------------------------------------------------------------
-    # Whole-pass memoization.
-    # ------------------------------------------------------------------
-    def _memo_key(self, compiler_pass: CompilerPass, program: Program) -> Optional[str]:
-        """Memo key for running ``compiler_pass`` on ``program``, or ``None``.
-
-        ``None`` means "do not memoize": the manager is in the
-        force-circuit-boundaries benchmarking mode, the pass has not declared
-        itself memo-safe, its configuration cannot be fingerprinted, or it
-        changes representation (splicing would skip a conversion the
-        from-scratch pipeline performs, breaking conversion-count parity).
-        """
-        if self.memo is None or self.force_circuit_boundaries:
-            return None
-        if not getattr(compiler_pass, "memo_safe", False):
-            return None
-        wants = getattr(compiler_pass, "consumes", "circuit")
-        if getattr(compiler_pass, "produces", "circuit") != wants:
-            return None
-        config = compiler_pass.memo_config()
-        if config is None:
-            return None
-        from repro.incremental import program_fingerprint
-
-        return program_fingerprint(
-            program,
-            "pass",
-            type(compiler_pass).__name__,
-            config,
-            self.memo_context,
-        )
-
-    def _run_pass(
-        self,
-        compiler_pass: CompilerPass,
-        current: Program,
-        wants: str,
-        properties: MutableMapping[str, Any],
-    ) -> Tuple[Program, bool]:
-        """Run one pass, consulting the memo store first when eligible.
-
-        Returns the transformed program and whether it was spliced from the
-        store.  A hit replays the recorded output instructions and property
-        writes verbatim, which is bit-identical to rerunning the pass because
-        the key covers the full input content, the pass config and the
-        compilation context, and memo-safe passes are pure in exactly those.
-        """
-        key = self._memo_key(compiler_pass, current)
-        if key is not None:
-            from repro.incremental import MISS
-
-            payload = self.memo.lookup("pass", key)
-            if payload is not MISS:
-                if isinstance(current, CircuitIR):
-                    current.num_qubits = payload["num_qubits"]
-                    current.rewrite(payload["instructions"])
-                else:
-                    spliced = QuantumCircuit(payload["num_qubits"], current.name)
-                    spliced.instructions.extend(payload["instructions"])
-                    current = spliced
-                for prop_key, value in payload["properties"]["set"].items():
-                    properties[prop_key] = copy.deepcopy(value)
-                for prop_key in payload["properties"]["deleted"]:
-                    properties.pop(prop_key, None)
-                return current, True
-        snapshot = dict(properties.items())
-        if wants == "ir":
-            current = compiler_pass.run_ir(current, properties)
-        else:
-            current = compiler_pass.run(current, properties)
-        if key is not None and isinstance(current, (QuantumCircuit, CircuitIR)):
-            written = {}
-            for prop_key, value in properties.items():
-                if prop_key not in snapshot or snapshot[prop_key] is not value:
-                    written[prop_key] = copy.deepcopy(value)
-            deleted = [prop_key for prop_key in snapshot if prop_key not in properties]
-            self.memo.store(
-                "pass",
-                key,
-                {
-                    "instructions": list(current.instructions)
-                    if isinstance(current, QuantumCircuit)
-                    else list(current.instructions()),
-                    "num_qubits": current.num_qubits,
-                    "properties": {"set": written, "deleted": deleted},
-                },
-            )
-        return current, False

@@ -115,9 +115,6 @@ class DecomposeToCnotPass(CompilerPass):
     """Pass wrapper around :func:`decompose_to_cnot`."""
 
     name = "decompose_to_cnot"
-    # Stateless and configuration-free: output depends only on the input
-    # circuit, so the inherited empty memo_config() is exact.
-    memo_safe = True
 
     def run(self, circuit: QuantumCircuit, properties: Dict[str, Any]) -> QuantumCircuit:
         return decompose_to_cnot(circuit)

@@ -22,12 +22,6 @@ from repro.linalg.weyl import kak_decompose_batch
 
 __all__ = ["FinalizeToCanPass"]
 
-#: Memo namespace: folded into :meth:`memo_config` (whole-pass entries) and
-#: into the per-block KAK region keys, so entries written by older code are
-#: never replayed (v3: one batched scan folding KAK factors into per-wire 1Q
-#: runs; the region entry is the block's KAK decomposition).
-_MEMO_CONTEXT = "finalize/3"
-
 
 def _needs_synthesis(gate) -> bool:
     """True for 2Q gates that are not already a named ``can`` gate."""
@@ -41,8 +35,7 @@ class FinalizeToCanPass(CompilerPass):
 
     * every block awaiting synthesis is decomposed up front in a single
       batched KAK call (:func:`repro.linalg.weyl.kak_decompose_batch`) over
-      the unique block matrices; with a memo store, decompositions of
-      blocks seen before are replayed and only the rest are batched;
+      the unique block matrices;
     * the scan keeps, per wire, the running 2x2 product of the original 1Q
       gates and the KAK local factors (``r1``/``r2`` before the ``Can``,
       ``l1``/``l2`` after it), and flushes a wire's product only where a 2Q
@@ -62,18 +55,11 @@ class FinalizeToCanPass(CompilerPass):
     name = "finalize_to_can"
     consumes = "ir"
     produces = "ir"
-    memo_safe = True
 
-    def __init__(self, merge_single_qubit: bool = True, memo: Optional[Any] = None) -> None:
+    def __init__(self, merge_single_qubit: bool = True) -> None:
         self.merge_single_qubit = merge_single_qubit
-        self.memo = memo
-
-    def memo_config(self) -> Optional[str]:
-        return f"{_MEMO_CONTEXT};merge={self.merge_single_qubit}"
 
     def run_ir(self, ir: CircuitIR, properties: Dict[str, Any]) -> CircuitIR:
-        from repro.incremental import memoized_batch
-
         program = list(ir.instructions())
         block_keys: Dict[int, bytes] = {}
         unique: Dict[bytes, Any] = {}
@@ -82,12 +68,10 @@ class FinalizeToCanPass(CompilerPass):
                 content = instruction.gate.matrix.tobytes()
                 block_keys[position] = content
                 unique.setdefault(content, instruction.gate)
-        decomposed = memoized_batch(
-            self.memo,
-            unique,
-            (_MEMO_CONTEXT,),
-            lambda gates: kak_decompose_batch([gate.matrix for gate in gates]),
-        )
+        decomposed: Dict[bytes, Any] = {}
+        if unique:
+            matrices = [gate.matrix for gate in unique.values()]
+            decomposed = dict(zip(unique, kak_decompose_batch(matrices)))
 
         # ``emitted`` holds instructions and, for flushed products, their
         # index into ``products`` (the wire is in ``flushed_wires``).

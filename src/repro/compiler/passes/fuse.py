@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.compiler.passes.base import CompilerPass
 from repro.ir import CircuitIR
@@ -27,16 +27,11 @@ class Fuse2QBlocksPass(CompilerPass):
     name = "fuse_2q_blocks"
     consumes = "ir"
     produces = "ir"
-    memo_safe = True
 
-    def __init__(self, form: str = "unitary", memo: Optional[Any] = None) -> None:
+    def __init__(self, form: str = "unitary") -> None:
         if form not in ("unitary", "can"):
             raise ValueError("form must be 'unitary' or 'can'")
         self.form = form
-        self.memo = memo
-
-    def memo_config(self) -> Optional[str]:
-        return f"form={self.form}"
 
     def run_ir(self, ir: CircuitIR, properties: Dict[str, Any]) -> CircuitIR:
         if ir.max_gate_arity() > 2:
@@ -44,5 +39,5 @@ class Fuse2QBlocksPass(CompilerPass):
                 "Fuse2QBlocksPass expects a circuit with only 1Q/2Q gates; "
                 "lower high-level gates first"
             )
-        consolidate_blocks_ir(ir, form=self.form, memo=self.memo)
+        consolidate_blocks_ir(ir, form=self.form)
         return ir

@@ -209,7 +209,6 @@ class HierarchicalSynthesisPass(CompilerPass):
     """
 
     name = "hierarchical_synthesis"
-    memo_safe = True
 
     def __init__(
         self,
@@ -230,20 +229,6 @@ class HierarchicalSynthesisPass(CompilerPass):
         )
         self.max_synthesis_blocks = max_synthesis_blocks
         self.cache = cache
-
-    def memo_config(self) -> Optional[str]:
-        synth = self.synthesizer
-        if type(synth) is not ApproximateSynthesizer:
-            # A custom synthesizer may hold state we cannot fingerprint;
-            # disable memoization rather than risk replaying a wrong result.
-            return None
-        return (
-            f"block_size={self.block_size};threshold={self.threshold};"
-            f"tolerance={self.tolerance!r};dag={self.enable_dag_compacting};"
-            f"max_blocks={self.max_synthesis_blocks};"
-            f"synth={synth.tolerance!r}:{synth.restarts}:{synth.seed}:{synth.max_iterations};"
-            f"{INSTANTIATION_VERSION}"
-        )
 
     # ------------------------------------------------------------------
     def run(self, circuit: QuantumCircuit, properties: Dict[str, Any]) -> QuantumCircuit:

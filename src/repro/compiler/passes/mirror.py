@@ -28,10 +28,6 @@ __all__ = ["MirrorNearIdentityPass"]
 
 _SWAP = standard.swap_gate().matrix
 
-#: Region-memo namespace of the per-gate decision (v2: batched Weyl
-#: coordinates), so decisions stored by older code are never replayed.
-_MEMO_CONTEXT = "mirror/2"
-
 
 class MirrorNearIdentityPass(CompilerPass):
     """Replace near-identity 2Q gates with their SWAP-composed mirrors.
@@ -47,14 +43,9 @@ class MirrorNearIdentityPass(CompilerPass):
     name = "mirror_near_identity"
     consumes = "ir"
     produces = "ir"
-    memo_safe = True
 
-    def __init__(self, threshold: float = 0.15, memo: Optional[Any] = None) -> None:
+    def __init__(self, threshold: float = 0.15) -> None:
         self.threshold = threshold
-        self.memo = memo
-
-    def memo_config(self) -> Optional[str]:
-        return f"{_MEMO_CONTEXT};threshold={self.threshold!r}"
 
     def run_ir(self, ir: CircuitIR, properties: Dict[str, Any]) -> CircuitIR:
         nodes = list(ir.nodes())
@@ -85,11 +76,8 @@ class MirrorNearIdentityPass(CompilerPass):
 
         ``can`` gates read their coordinates straight from the parameters.
         Every other 2Q gate is decided once per unique matrix, keyed by its
-        exact bytes: memoized decisions (booleans) are replayed and the rest
-        are decided by one batched Weyl-coordinate computation.
+        exact bytes, in one batched Weyl-coordinate computation.
         """
-        from repro.incremental import memoized_batch
-
         keys: List[Optional[bytes]] = []
         unique: Dict[bytes, Any] = {}
         for gate in gates:
@@ -99,8 +87,7 @@ class MirrorNearIdentityPass(CompilerPass):
             content = gate.matrix.tobytes()
             keys.append(content)
             unique.setdefault(content, gate)
-        context = (_MEMO_CONTEXT, f"threshold={self.threshold!r}")
-        decided = memoized_batch(self.memo, unique, context, self._near_identity)
+        decided = dict(zip(unique, self._near_identity(list(unique.values())))) if unique else {}
         return [
             decided[key]
             if key is not None

@@ -318,17 +318,10 @@ class PeepholeOptimizationPass(CompilerPass):
     name = "peephole"
     consumes = "ir"
     produces = "ir"
-    # The cancellation scan looks arbitrarily far back (per qubit pair), so
-    # edits have unbounded influence radius — no region splice, but the pass
-    # is pure in (program, config) and memoizes at whole-pass granularity.
-    memo_safe = True
 
     def __init__(self, consolidate: bool = True, max_rounds: int = 4) -> None:
         self.consolidate = consolidate
         self.max_rounds = max_rounds
-
-    def memo_config(self) -> Optional[str]:
-        return f"consolidate={self.consolidate};max_rounds={self.max_rounds}"
 
     def run_ir(self, ir: CircuitIR, properties: Dict[str, Any]) -> CircuitIR:
         peephole_optimize_ir(ir, consolidate=self.consolidate, max_rounds=self.max_rounds)

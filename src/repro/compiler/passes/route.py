@@ -37,11 +37,6 @@ class SabreRoutingPass(CompilerPass):
     name = "sabre_route"
     consumes = "ir"
     produces = "ir"
-    # SABRE's lookahead makes every routing decision depend on global
-    # context, so there is no bit-identical region splice — but the whole
-    # pass is a pure function of (program, topology, settings) and memoizes
-    # at pass granularity.
-    memo_safe = True
 
     def __init__(
         self,
@@ -59,7 +54,7 @@ class SabreRoutingPass(CompilerPass):
         self.lookahead_size = lookahead_size
         self.lookahead_weight = lookahead_weight
         # Noise-aware routing is a strict opt-in: with the default False the
-        # pass (and its memo key) is byte-identical to the pre-calibration
+        # pass is byte-identical to the pre-calibration
         # behaviour.  When enabled it routes with BOTH the calibration-
         # weighted scorer and the distance-only one and keeps whichever
         # estimated fidelity is higher (see docs/noise.md), so it can never
@@ -68,34 +63,6 @@ class SabreRoutingPass(CompilerPass):
         self.calibration = calibration
         if noise_aware and calibration is None:
             raise ValueError("noise_aware routing needs a calibrated target")
-
-    def memo_config(self) -> Optional[str]:
-        if self.coupling_map is None:
-            # No-op configuration: memoizing would store the whole program
-            # for nothing.
-            return None
-        import hashlib
-        import json
-
-        topology = hashlib.sha256(
-            json.dumps(
-                {
-                    "num_qubits": self.coupling_map.num_qubits,
-                    "edges": sorted(self.coupling_map.edges),
-                },
-                sort_keys=True,
-            ).encode("utf-8")
-        ).hexdigest()
-        config = (
-            f"mirroring={self.mirroring};seed={self.seed};"
-            f"lookahead={self.lookahead_size}:{self.lookahead_weight!r};"
-            f"topology={topology}"
-        )
-        if self.noise_aware:
-            # Only the opt-in path extends the key: noise_aware=False memo
-            # entries stay interchangeable with pre-calibration ones.
-            config += f";noise=1;cal={self.calibration.fingerprint()}"
-        return config
 
     def run_ir(self, ir: CircuitIR, properties: Dict[str, Any]) -> CircuitIR:
         if self.coupling_map is None:

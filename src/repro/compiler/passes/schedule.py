@@ -125,16 +125,12 @@ class SchedulingPass(CompilerPass):
     """Attach an ASAP schedule + makespan to the property set.
 
     The circuit itself is untouched (identity on gates), so the pass can be
-    appended to any pipeline without disturbing downstream stages.  It is
-    deliberately not memo-safe: its output is pure bookkeeping in the
-    property set, and memoizing would store the whole program to replay two
-    numbers.
+    appended to any pipeline without disturbing downstream stages.
     """
 
     name = "schedule"
     consumes = "circuit"
     produces = "circuit"
-    memo_safe = False
 
     def __init__(self, target, isa: Optional[str] = None) -> None:
         self.target = target

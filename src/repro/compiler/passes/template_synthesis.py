@@ -43,7 +43,6 @@ class TemplateSynthesisPass(CompilerPass):
     """
 
     name = "template_synthesis"
-    memo_safe = True
 
     def __init__(
         self,
@@ -57,12 +56,6 @@ class TemplateSynthesisPass(CompilerPass):
         self.fuse_output = fuse_output
         self.cache = cache
         self._library_key: Optional[str] = None
-
-    def memo_config(self) -> Optional[str]:
-        return (
-            f"{self._library_fingerprint()};selective={self.selective_assembly};"
-            f"fuse={self.fuse_output}"
-        )
 
     # ------------------------------------------------------------------
     def run(self, circuit: QuantumCircuit, properties: Dict[str, Any]) -> QuantumCircuit:

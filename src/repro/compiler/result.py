@@ -52,17 +52,6 @@ class CompilationResult:
     #: Circuit<->IR marshalling counters accumulated during this compile
     #: (delta of :func:`repro.ir.conversion_stats` around the pipeline run).
     conversions: Dict[str, int] = field(default_factory=dict)
-    #: Memo hit/miss counters for this compile (a
-    #: :class:`~repro.incremental.MemoStats` delta) when memoization was on.
-    memo_stats: Optional[Any] = None
-    #: The memo store used by this compile; handing the result to
-    #: ``compile(..., previous=result)`` reuses it.  Dropped on pickling
-    #: (the store holds locks and file handles).
-    memo: Optional[Any] = field(default=None, repr=False, compare=False)
-    #: The resolved pipeline spec, so ``previous=`` recompiles reuse the
-    #: exact stage configuration.  Dropped on pickling alongside ``memo``
-    #: (stage configs may hold arbitrary objects).
-    spec: Optional[Any] = field(default=None, repr=False, compare=False)
 
     # -- metrics -----------------------------------------------------------
     @property
@@ -141,7 +130,7 @@ class CompilationResult:
         calibration proxy, the genAshN pulse duration, (when routing ran) the
         inserted-SWAP overhead, and the name of the target device.
         """
-        payload = {
+        return {
             "compiler": self.compiler_name,
             "target": self.target.name if self.target is not None else None,
             "num_2q": self.num_two_qubit_gates,
@@ -153,21 +142,3 @@ class CompilationResult:
             "compile_seconds": self.compile_seconds,
             "conversions": sum(self.conversions.values()) if self.conversions else 0,
         }
-        if self.memo_stats is not None:
-            stats = self.memo_stats
-            payload["memo_hits"] = stats.pass_hits + stats.region_hits
-            payload["memo_misses"] = stats.pass_misses + stats.region_misses
-        return payload
-
-    # -- serialization -------------------------------------------------------
-    # The memo store holds locks/file handles and stage configs may hold
-    # arbitrary objects: both stay behind when a result crosses a process
-    # boundary (the daemon's workers pickle summaries, not stores).
-    def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        state["memo"] = None
-        state["spec"] = None
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)

@@ -67,8 +67,6 @@ class NoiseRoutingModel:
     #: (num_edges,) int64 per-candidate SWAP surcharge, aligned with the
     #: coupling map's lexicographic edge ids.
     swap_penalty: np.ndarray
-    #: Content hash of the calibration this model was built from (memo keys).
-    fingerprint: str
 
     @property
     def num_qubits(self) -> int:
@@ -137,11 +135,7 @@ def build_noise_model(
     distance = np.ascontiguousarray(distance)
     distance.setflags(write=False)
     swap_penalty.setflags(write=False)
-    return NoiseRoutingModel(
-        distance=distance,
-        swap_penalty=swap_penalty,
-        fingerprint=calibration.fingerprint(),
-    )
+    return NoiseRoutingModel(distance=distance, swap_penalty=swap_penalty)
 
 
 def estimated_log_fidelity(circuit, calibration) -> float:

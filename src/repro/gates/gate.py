@@ -159,11 +159,7 @@ class Gate:
         Real parameters (rotation angles, canonical coordinates, ...).
     """
 
-    # ``_content`` interns the gate's canonical fingerprint bytes (computed
-    # lazily by repro.incremental.fingerprint; gates are immutable so the
-    # bytes never go stale).  Read it with ``getattr(..., None)``: gates
-    # unpickled from pre-1.4 payloads may not carry the slot's value.
-    __slots__ = ("name", "num_qubits", "params", "_matrix", "_content")
+    __slots__ = ("name", "num_qubits", "params", "_matrix")
 
     def __init__(
         self,
@@ -176,7 +172,6 @@ class Gate:
         self.num_qubits = int(num_qubits)
         self.params: Tuple[float, ...] = tuple(float(p) for p in params)
         self._matrix = None if matrix is None else _freeze(matrix)
-        self._content: Optional[bytes] = None
 
     # -- matrix ------------------------------------------------------------
     @property

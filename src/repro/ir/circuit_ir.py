@@ -72,8 +72,6 @@ class CircuitIR:
         "_graph",
         "_graph_nodes",
         "_depth",
-        "_version",
-        "_content_digest",
     )
 
     def __init__(self, num_qubits: int, name: str = "circuit") -> None:
@@ -81,11 +79,6 @@ class CircuitIR:
             raise ValueError("a circuit needs at least one qubit")
         self.num_qubits = int(num_qubits)
         self.name = name
-        self._version = 0
-        # (version, digest) pair owned by repro.incremental.fingerprint: the
-        # whole-program content digest last computed, valid while the
-        # mutation counter still matches.
-        self._content_digest = None
         self._reset_storage()
 
     # ------------------------------------------------------------------
@@ -149,7 +142,6 @@ class CircuitIR:
         self._graph: Optional[DependencyGraph] = None
         self._graph_nodes: Optional[List[int]] = None
         self._depth: Optional[int] = None
-        self._version += 1
 
     def _validate(self, instruction: Instruction) -> None:
         for qubit in instruction.qubits:
@@ -253,16 +245,6 @@ class CircuitIR:
     # ------------------------------------------------------------------
     # O(1) views (incrementally maintained / cached until mutation).
     # ------------------------------------------------------------------
-    @property
-    def version(self) -> int:
-        """Monotonic mutation counter (bumped by every rewrite primitive).
-
-        Dirty-region tracking for incremental recompilation hangs off this:
-        :mod:`repro.incremental.fingerprint` caches the whole-program content
-        digest against it, so fingerprinting an unmutated IR is O(1).
-        """
-        return self._version
-
     def two_qubit_count(self) -> int:
         """Number of two-qubit instructions (the paper's #2Q), O(1)."""
         return self._two_qubit_count

@@ -12,8 +12,8 @@ Two properties make the batch path safe to wire into the compiler:
   gufuncs, broadcast matmuls, elementwise ufuncs) processes each item
   independently, so an item's decomposition never depends on which other
   matrices share its batch.  Callers (the finalize and mirror passes,
-  block consolidation) may therefore group work differently between runs —
-  e.g. mirror batches only its memo misses — without perturbing any result.
+  block consolidation) may therefore group work differently between runs
+  without perturbing any result.
 * **Exact-bytes interning.**  Inputs are deduplicated on their exact matrix
   bytes before any numerics run (identical fused blocks recur heavily across
   benchmark programs), and the per-family interning statistics are exposed

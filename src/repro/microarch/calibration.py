@@ -362,7 +362,7 @@ class CalibrationData:
         )
 
     def fingerprint(self) -> str:
-        """Stable content hash (memo keys for noise-aware routing)."""
+        """Stable content hash of :meth:`to_dict` (equal calibrations hash equal)."""
         canonical = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

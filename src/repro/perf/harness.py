@@ -16,10 +16,10 @@ measurement methodology of the systems papers this repo tracks:
   the baseline, and the equivalence sweep re-checks that over the whole
   workload suite.
 
-Report schema (``schema = "repro-perf/8"``)::
+Report schema (``schema = "repro-perf/9"``)::
 
     {
-      "schema": "repro-perf/8",
+      "schema": "repro-perf/9",
       "created_unix": <float>,            # seconds since epoch
       "quick": <bool>,                    # quick mode (CI smoke) or full
       "seed": <int>,
@@ -50,17 +50,6 @@ Report schema (``schema = "repro-perf/8"``)::
         "dump_seconds": float, "load_seconds": float,
         "dump_gates_per_second": float, "load_gates_per_second": float,
         "bit_identical": bool,                    # from_qasm(to_qasm(c)) == c
-        "mismatches": [str, ...]},
-      "incr": {                           # edit-recompile vs from scratch
-        "compiler": str, "target": str,
-        "num_qubits": int, "num_gates": int, "num_edits": int,
-        "edits_measured": int,                    # distinct edited variants
-        "warm_compile_seconds": float,            # memo-warming base compile
-        "from_scratch_seconds": float,            # mean over edits, no memo
-        "incremental_seconds": float,             # mean, compile(previous=...)
-        "speedup": float,                         # from_scratch / incremental
-        "memo_hits": int, "memo_misses": int,
-        "bit_identical": bool,                    # incremental == from scratch
         "mismatches": [str, ...]},
       "serve": {                          # repro serve daemon under load
         "scale": str, "compiler": str, "cases": int, "requests": int,
@@ -128,7 +117,6 @@ number can never drift from its operands.
 
 from __future__ import annotations
 
-import gc
 import platform
 import sys
 import time
@@ -146,7 +134,6 @@ __all__ = [
     "circuits_bit_identical",
     "bench_route",
     "bench_compile",
-    "bench_incr",
     "bench_ir",
     "bench_qasm",
     "bench_serve",
@@ -161,7 +148,7 @@ __all__ = [
     "write_report",
 ]
 
-SCHEMA_VERSION = "repro-perf/8"
+SCHEMA_VERSION = "repro-perf/9"
 
 #: Workload categories exercised by the compile benchmark (a representative
 #: slice; the full suite is covered by the equivalence sweep).
@@ -810,126 +797,6 @@ def bench_chaos(
     return [record], section
 
 
-def _edited_variant(base: QuantumCircuit, num_edits: int, edit_seed: int) -> QuantumCircuit:
-    """Replace ``num_edits`` gates of ``base`` at deterministic positions.
-
-    One-qubit gates are replaced by fresh random ``u3`` rotations on the
-    same wire; two-qubit gates by a direction-flipped CNOT — small local
-    edits that leave the rest of the program untouched, the edit-recompile
-    workload of ``docs/incremental.md``.
-    """
-    rng = np.random.default_rng(edit_seed)
-    instructions = list(base)
-    positions = {int(p) for p in rng.choice(len(instructions), size=num_edits, replace=False)}
-    edited = QuantumCircuit(base.num_qubits, f"{base.name}-edit{edit_seed}")
-    for index, instruction in enumerate(instructions):
-        if index not in positions:
-            edited.append(instruction.gate, instruction.qubits)
-        elif instruction.num_qubits == 1:
-            theta, phi, lam = rng.uniform(0.0, 2.0 * np.pi, 3)
-            edited.u3(float(theta), float(phi), float(lam), instruction.qubits[0])
-        else:
-            a, b = instruction.qubits
-            edited.cx(b, a)
-    return edited
-
-
-def bench_incr(
-    num_qubits: int = 24,
-    num_gates: int = 4000,
-    num_edits: int = 10,
-    seed: int = 42,
-    repeats: int = 3,
-    compiler: str = "reqisc-eff",
-    target: Optional[str] = "xy-line",
-) -> Tuple[List[PerfRecord], Dict[str, Any]]:
-    """Edit-recompile via the pass-memo store vs compiling from scratch.
-
-    Warms a memo store by compiling the base program once with
-    ``memo=True``, then measures ``repeats`` *distinct* ``num_edits``-gate
-    edits of it (distinct so an edited program can never answer from the
-    whole-pass memo of a previous repeat), each compiled both from scratch
-    and incrementally with ``compile(edited, previous=result)``.  Every
-    incremental output is asserted bit-identical to its from-scratch twin —
-    the incremental-recompilation correctness contract.
-    """
-    from repro.target.api import compile as target_compile
-    from repro.target.target import resolve_target
-
-    base = random_two_qubit_circuit(num_qubits, num_gates, seed=seed)
-    resolved = resolve_target(target, num_qubits=num_qubits)
-    edits = [
-        _edited_variant(base, num_edits, edit_seed=seed * 1000 + index)
-        for index in range(max(1, repeats))
-    ]
-
-    warm_start = time.perf_counter()
-    previous = target_compile(base, target=resolved, spec=compiler, memo=True)
-    warm_seconds = time.perf_counter() - warm_start
-
-    mismatches: List[str] = []
-    scratch_times: List[float] = []
-    incremental_times: List[float] = []
-    memo_hits = memo_misses = 0
-    for edited in edits:
-        # Collect before each timed compile, as timeit keeps GC out of its
-        # timings: a gen-2 pass (~45 ms) landing in one window decides the
-        # comparison otherwise.
-        gc.collect()
-        start = time.perf_counter()
-        scratch = target_compile(edited, target=resolved, spec=compiler)
-        scratch_times.append(time.perf_counter() - start)
-        gc.collect()
-        start = time.perf_counter()
-        incremental = target_compile(edited, previous=previous)
-        incremental_times.append(time.perf_counter() - start)
-        stats = incremental.memo_stats
-        memo_hits += stats.pass_hits + stats.region_hits
-        memo_misses += stats.pass_misses + stats.region_misses
-        if not circuits_bit_identical(scratch.circuit, incremental.circuit):
-            mismatches.append(edited.name)
-
-    scratch_mean = sum(scratch_times) / len(scratch_times)
-    incremental_mean = sum(incremental_times) / len(incremental_times)
-    section = {
-        "compiler": compiler,
-        "target": resolved.name,
-        "num_qubits": num_qubits,
-        "num_gates": num_gates,
-        "num_edits": num_edits,
-        "edits_measured": len(edits),
-        "warm_compile_seconds": warm_seconds,
-        "from_scratch_seconds": scratch_mean,
-        "incremental_seconds": incremental_mean,
-        "speedup": speedup_ratio(scratch_mean, incremental_mean),
-        "memo_hits": memo_hits,
-        "memo_misses": memo_misses,
-        "bit_identical": not mismatches,
-        "mismatches": mismatches,
-    }
-    records = [
-        PerfRecord(
-            name=f"incr.scratch.{num_qubits}q{num_gates}g",
-            kind="incr",
-            repeats=len(edits),
-            wall_seconds=min(scratch_times),
-            mean_seconds=scratch_mean,
-            gates=num_gates,
-            extra={"compiler": compiler, "num_edits": num_edits},
-        ),
-        PerfRecord(
-            name=f"incr.recompile.{num_qubits}q{num_gates}g",
-            kind="incr",
-            repeats=len(edits),
-            wall_seconds=min(incremental_times),
-            mean_seconds=incremental_mean,
-            gates=num_gates,
-            extra={"compiler": compiler, "num_edits": num_edits},
-        ),
-    ]
-    return records, section
-
-
 def bench_synthesize(count: int = 64, seed: int = 7, repeats: int = 3) -> List[PerfRecord]:
     """KAK-decompose a batch of Haar-random SU(4) matrices."""
     from repro.linalg.random import haar_random_su4
@@ -974,7 +841,7 @@ def bench_synth_batch(
       within 1e-12, and the batch must be *composition independent*: splitting
       the same inputs across two smaller batches must reproduce the full
       batch's results bit for bit (the invariant that lets the finalize and
-      consolidation passes group memo misses freely).
+      consolidation passes batch blocks freely).
     * **Interning** — the collector's exact-bytes dedup counters
       (:func:`repro.kernels.batch_stats`), reported as ``interned_fraction``.
     * **apply_gate_sequence** — the unitary-accumulation kernel vs a
@@ -1355,14 +1222,14 @@ def run_perf(
     ``quick`` trims repeats and workload scale for CI smoke runs; the
     acceptance-scale routing benchmark (>=64 qubits, >=2000 gates, anchored
     baseline) runs in both modes.  ``kinds`` restricts to a subset of
-    ``{"compile", "route", "incr", "ir", "qasm", "serve", "chaos",
+    ``{"compile", "route", "ir", "qasm", "serve", "chaos",
     "synthesize", "synth_batch", "simulate", "fidelity"}``.
     """
     from repro.gates.gate import matrix_cache_stats, reset_matrix_cache_stats
     from repro.kernels import backend_info
 
     all_kinds = {
-        "compile", "route", "incr", "ir", "qasm", "serve", "chaos",
+        "compile", "route", "ir", "qasm", "serve", "chaos",
         "synthesize", "synth_batch", "simulate", "fidelity",
     }
     selected = set(kinds) if kinds else set(all_kinds)
@@ -1380,7 +1247,6 @@ def run_perf(
     qasm_section: Optional[Dict[str, Any]] = None
     serve_section: Optional[Dict[str, Any]] = None
     chaos_section: Optional[Dict[str, Any]] = None
-    incr_section: Optional[Dict[str, Any]] = None
     synth_batch_section: Optional[Dict[str, Any]] = None
     fidelity_section: Optional[Dict[str, Any]] = None
 
@@ -1395,18 +1261,6 @@ def run_perf(
             scale="tiny", seed=seed, repeats=repeats if quick else max(2, repeats)
         )
         records.extend(compile_records)
-    if "incr" in selected:
-        # The acceptance workload is the full-mode one: a 4000-gate program
-        # with 10-gate edits.  Quick mode shrinks the program (CI smoke)
-        # but keeps the bit-identity assertion at full strength.
-        incr_records, incr_section = bench_incr(
-            num_qubits=12 if quick else 24,
-            num_gates=400 if quick else 4000,
-            num_edits=10,
-            seed=seed,
-            repeats=2 if quick else max(3, repeats),
-        )
-        records.extend(incr_records)
     if "ir" in selected:
         # Best-of-5 in full mode: the marshalling delta is only a few
         # percent of a compile, so the minimum needs more samples to settle.
@@ -1481,7 +1335,6 @@ def run_perf(
         "routing": routing,
         "equivalence": equivalence,
         "ir": ir_section,
-        "incr": incr_section,
         "qasm": qasm_section,
         "serve": serve_section,
         "chaos": chaos_section,

@@ -35,18 +35,16 @@ registered compilers (``reqisc-full`` / ``reqisc-eff`` / baselines, see
 ``submit``
     Client for a running daemon: compile OpenQASM 2.0 files over the
     socket (``repro submit prog.qasm``), or probe it with ``--ping`` /
-    ``--stats`` / ``--shutdown``.  ``--session NAME`` opens an incremental
-    compile session: edited resubmissions replay every memoized pass and
-    region on the session's pinned worker (see ``docs/incremental.md``).
+    ``--stats`` / ``--shutdown``.
 
 ``cache``
-    Maintain the on-disk segment store shared by the synthesis cache and
-    the incremental pass-memo store: ``repro cache stats`` reports live
-    entries / segment files / bytes plus corruption counters, ``repro
-    cache compact`` folds every live record into one fresh segment, and
-    ``repro cache scrub`` CRC-verifies every record, salvages the valid
-    ones out of damaged segments and quarantines the damage under
-    ``segments/quarantine/`` (see ``docs/resilience.md``).
+    Maintain the on-disk segment store of the synthesis cache: ``repro
+    cache stats`` reports live entries / segment files / bytes plus
+    corruption counters, ``repro cache compact`` folds every live record
+    into one fresh segment, and ``repro cache scrub`` CRC-verifies every
+    record, salvages the valid ones out of damaged segments and
+    quarantines the damage under ``segments/quarantine/`` (see
+    ``docs/resilience.md``).
 
 ``chaos``
     Soak a live daemon under a seeded, reproducible
@@ -84,8 +82,6 @@ Examples::
     python -m repro suite --compiler reqisc-full --scale tiny --workers 4 --csv
     python -m repro suite --compiler reqisc-eff --target xy-line --format json
     python -m repro suite --compiler reqisc-eff --qasm a.qasm --qasm b.qasm
-    python -m repro compile prog.qasm --memo
-    python -m repro submit edit1.qasm edit2.qasm --session mysession
     python -m repro cache stats
     python -m repro targets
 """
@@ -235,15 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     compile_parser.add_argument(
         "--compiler", default="reqisc-full", metavar="NAME", help="compiler name (default: reqisc-full)"
     )
-    compile_parser.add_argument(
-        "--memo",
-        action="store_true",
-        help=(
-            "enable content-addressed pass memoization: identical regions are "
-            "synthesized once and the summary reports memo hit/miss counters "
-            "(bit-identical output; see docs/incremental.md)"
-        ),
-    )
     _add_common_arguments(compile_parser)
 
     bench_parser = subparsers.add_parser(
@@ -379,17 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout", type=float, default=None, metavar="SECONDS", help="per-job deadline override"
     )
     submit_parser.add_argument(
-        "--session",
-        metavar="NAME",
-        default=None,
-        help=(
-            "incremental compile session: submissions under the same session "
-            "are pinned to one daemon worker whose pass-memo store replays "
-            "every unchanged pass/region of an edited program "
-            "(see docs/incremental.md)"
-        ),
-    )
-    submit_parser.add_argument(
         "--priority",
         type=int,
         default=None,
@@ -449,11 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     cache_parser = subparsers.add_parser(
         "cache",
-        help="inspect or compact the on-disk synthesis/memo cache",
+        help="inspect or compact the on-disk synthesis cache",
         description=(
-            "Maintain the append-only segment store shared by the synthesis "
-            "cache and the incremental pass-memo store: `stats` reports live "
-            "entries, segment files and bytes on disk; `compact` folds every "
+            "Maintain the append-only segment store of the synthesis cache: "
+            "`stats` reports live entries, segment files and bytes on disk; "
+            "`compact` folds every "
             "live record into one fresh segment and deletes the superseded "
             "files (run it without concurrent writers); `scrub` CRC-verifies "
             "every record, salvages valid records out of damaged segments and "
@@ -554,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KIND",
         action="append",
         choices=(
-            "compile", "route", "incr", "ir", "qasm", "serve", "chaos",
+            "compile", "route", "ir", "qasm", "serve", "chaos",
             "synthesize", "synth_batch", "simulate", "fidelity",
         ),
         help="restrict to one benchmark kind (repeatable; default: all)",
@@ -766,10 +742,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     registry = build_compilers(
         [args.compiler], seed=args.seed, synthesis_cache=cache, target=target
     )
-    engine = registry[args.compiler]
-    if args.memo:
-        engine.memo = True  # compile() builds a PassMemoStore backed by `cache`
-    result = engine.compile(circuit)
+    result = registry[args.compiler].compile(circuit)
     elapsed = time.perf_counter() - start
 
     if args.emit == "qasm":
@@ -797,7 +770,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
             {
                 "pass": record.name,
                 "seconds": record.seconds,
-                "cached": "memo" if record.cached else "-",
                 "gates": f"{record.gates_before}->{record.gates_after}",
                 "2q": f"{record.two_qubit_before}->{record.two_qubit_after}",
                 "depth": f"{record.depth_before}->{record.depth_after}",
@@ -1093,7 +1065,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                     seed=args.seed,
                     target=args.target,
                     timeout=args.timeout,
-                    session=args.session,
                     priority=args.priority,
                 )
             except ServeError as exc:
@@ -1329,15 +1300,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
                     quarantined=chaos_section["scrub"].get("segments_quarantined", 0),
                     **chaos_section,
                 )
-            )
-        incr_section = report.get("incr")
-        if incr_section:
-            print(
-                "incr: {speedup:.2f}x edit-recompile over from-scratch "
-                "({from_scratch_seconds:.3f}s -> {incremental_seconds:.3f}s, "
-                "{num_gates} gates, {num_edits}-gate edits), "
-                "memo hits={memo_hits} misses={memo_misses}, "
-                "bit_identical={bit_identical}".format(**incr_section)
             )
         ir_section = report.get("ir")
         if ir_section:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-import hashlib
 import multiprocessing
 import os
 import queue
@@ -59,10 +58,8 @@ class PoolJob:
     """One compile job, picklable for the worker boundary.
 
     ``key`` is the request's content-hash (dedup identity); it also selects
-    the shard, unless ``session`` is set — session jobs are pinned to the
-    session's shard so edited resubmissions hit the same worker's warm
-    per-session pass-memo store.  ``fault`` is the test-only injected
-    failure mode (see :data:`repro.service.protocol.FAULT_MODES`).
+    the shard.  ``fault`` is the test-only injected failure mode (see
+    :data:`repro.service.protocol.FAULT_MODES`).
     ``priority`` (0–9, higher first) orders each shard's backlog and decides
     what :meth:`WorkerPool.shed` drops under degraded load.
     """
@@ -74,7 +71,6 @@ class PoolJob:
     target: Optional[str] = None
     timeout: float = 60.0
     fault: Optional[str] = None
-    session: Optional[str] = None
     priority: int = 5
 
 
@@ -105,11 +101,7 @@ class _WorkerSlot:
     injected: Optional[str] = None  # chaos fault riding on the running job
 
 
-#: Per-worker bound on live session memo stores (oldest evicted first).
-_MAX_SESSION_MEMOS = 8
-
-
-def _execute_job(job: PoolJob, cache, memo=None) -> Tuple[bool, Any, Optional[str], Optional[str]]:
+def _execute_job(job: PoolJob, cache) -> Tuple[bool, Any, Optional[str], Optional[str]]:
     """Worker-side job body; returns (ok, payload, error_code, error_message)."""
     from repro.service.protocol import ERR_COMPILE
 
@@ -125,54 +117,26 @@ def _execute_job(job: PoolJob, cache, memo=None) -> Tuple[bool, Any, Optional[st
     from repro.service.cache import CacheStats
 
     before = cache.stats.snapshot() if cache is not None else CacheStats()
-    memo_before = memo.stats.snapshot() if memo is not None else None
     start = time.perf_counter()
     try:
         circuit = loads(job.qasm)
         registry = build_compilers(
             [job.compiler], seed=job.seed, synthesis_cache=cache, target=job.target
         )
-        engine = registry[job.compiler]
-        engine.memo = memo
-        result = engine.compile(circuit)
+        result = registry[job.compiler].compile(circuit)
     except QasmError as exc:
         return False, None, ERR_COMPILE, f"QasmError: {exc}"
     except Exception as exc:  # noqa: BLE001 — a poisoned circuit fails alone
         return False, None, ERR_COMPILE, f"{type(exc).__name__}: {exc}"
     elapsed = time.perf_counter() - start
     delta = cache.stats.delta_since(before) if cache is not None else CacheStats()
-    counters = delta.as_dict()
-    if memo is not None:
-        memo_delta = memo.stats.delta_since(memo_before)
-        counters.update({f"memo_{k}": v for k, v in memo_delta.as_dict().items()})
     payload = {
         "qasm": dumps(result.circuit),
         "summary": result.summary(),
-        "cache": counters,
+        "cache": delta.as_dict(),
         "compile_seconds": elapsed,
     }
     return True, payload, None, None
-
-
-def _session_memo(session: Optional[str], memos, cache):
-    """Fetch-or-create the worker's memo store for ``session`` (LRU, bounded).
-
-    Session stores share the worker's warm :class:`SynthesisCache` when one
-    exists — memo entries then persist through the same disk segment store —
-    and otherwise own a private in-memory cache.
-    """
-    if session is None:
-        return None
-    memo = memos.pop(session, None)
-    if memo is None:
-        from repro.incremental import PassMemoStore
-
-        memo = PassMemoStore(backing=cache) if cache is not None else PassMemoStore()
-    memos[session] = memo  # most-recently-used position
-    while len(memos) > _MAX_SESSION_MEMOS:
-        _, evicted = memos.popitem(last=False)
-        evicted.close()
-    return memo
 
 
 def _worker_main(worker_index: int, inbox, outbox, cache_spec, fault_plan=None) -> None:
@@ -188,7 +152,6 @@ def _worker_main(worker_index: int, inbox, outbox, cache_spec, fault_plan=None) 
             # Chaos cache layer: the plan crosses the fork as a plain value;
             # each worker owns a fresh injector over its own write stream.
             cache.fault_injector = fault_plan.injector("cache")
-    memos: "collections.OrderedDict[str, Any]" = collections.OrderedDict()
     try:
         while True:
             job = inbox.get()
@@ -196,16 +159,13 @@ def _worker_main(worker_index: int, inbox, outbox, cache_spec, fault_plan=None) 
                 break
             start = time.perf_counter()
             try:
-                memo = _session_memo(job.session, memos, cache)
-                ok, payload, code, message = _execute_job(job, cache, memo)
+                ok, payload, code, message = _execute_job(job, cache)
             except Exception as exc:  # noqa: BLE001 — report, don't die
                 ok, payload = False, None
                 code, message = ERR_COMPILE, f"{type(exc).__name__}: {exc}"
             elapsed = time.perf_counter() - start
             outbox.put((job.key, ok, payload, code, message, elapsed))
     finally:
-        for memo in memos.values():
-            memo.close()
         if cache is not None:
             cache.close()
 
@@ -274,9 +234,8 @@ class WorkerPool:
         if self._closed.is_set():
             raise RuntimeError("pool is shut down")
         future: "Future[JobOutcome]" = Future()
-        # Session jobs pin to the session's shard (warm memo store); plain
-        # jobs shard by content hash (warm memory-tier synthesis cache).
-        slot = self._slots[self._shard(job.session or job.key)]
+        # Jobs shard by content hash (warm memory-tier synthesis cache).
+        slot = self._slots[self._shard(job.key)]
         with self._lock:
             slot.backlog.append((job, future))
             if len(slot.backlog) > 1 and job.priority > slot.backlog[-2][0].priority:
@@ -410,15 +369,7 @@ class WorkerPool:
     # Internals (pump thread + process management).
     # ------------------------------------------------------------------
     def _shard(self, key: str) -> int:
-        try:
-            return int(key[:8], 16) % self.workers
-        except ValueError:
-            # Session names are arbitrary strings, not hex digests: hash them
-            # deterministically (`hash()` is salted per process) so a session
-            # maps to the same shard across daemon restarts with a warm disk
-            # cache.
-            digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
-            return int(digest[:8], 16) % self.workers
+        return int(key[:8], 16) % self.workers
 
     def _spawn(self, slot: _WorkerSlot) -> None:
         slot.inbox = self._ctx.Queue()

@@ -15,10 +15,6 @@ Requests carry an ``op``:
     ``{"op": "compile", "id": ..., "qasm": "...", "compiler": "reqisc-eff",
     "seed": 0, "target": null, "timeout": 30.0}`` — compile an OpenQASM 2.0
     program.  ``id`` is an arbitrary client token echoed back verbatim.
-    ``session`` (optional string) names an incremental compile session:
-    jobs sharing a session are pinned to one worker, which keeps a
-    per-session pass-memo store so edited resubmissions replay every
-    unchanged pass and region (see ``docs/incremental.md``).
     ``fault`` (``raise`` / ``hang`` / ``exit``) is only accepted when the
     server was started with fault injection enabled (test harnesses).
     ``priority`` (optional int 0–9, default 5; higher is more important)
@@ -181,7 +177,7 @@ def validate_request(frame: Dict[str, Any], *, allow_fault: bool = False) -> Dic
         raise ProtocolError(f"unknown op {op!r}; expected one of {', '.join(_OPS)}")
     allowed = {"op", "id"}
     if op == "compile":
-        allowed |= {"qasm", "compiler", "seed", "target", "timeout", "fault", "session", "priority"}
+        allowed |= {"qasm", "compiler", "seed", "target", "timeout", "fault", "priority"}
     unknown = set(frame) - allowed
     if unknown:
         raise ProtocolError(f"unknown field(s) for op {op!r}: {', '.join(sorted(unknown))}")
@@ -213,9 +209,6 @@ def validate_request(frame: Dict[str, Any], *, allow_fault: bool = False) -> Dic
             raise ProtocolError(f"unknown fault {fault!r}; expected one of {', '.join(FAULT_MODES)}")
         if not allow_fault:
             raise ProtocolError("fault injection is disabled on this server")
-    session = frame.get("session")
-    if session is not None and (not isinstance(session, str) or not session.strip()):
-        raise ProtocolError("'session' must be a non-empty string or null")
     priority = frame.get("priority", DEFAULT_PRIORITY)
     if (
         not isinstance(priority, int)
@@ -227,7 +220,7 @@ def validate_request(frame: Dict[str, Any], *, allow_fault: bool = False) -> Dic
         )
     request.update(
         {"qasm": qasm, "compiler": compiler, "seed": seed, "target": target,
-         "timeout": timeout, "fault": fault, "session": session, "priority": priority}
+         "timeout": timeout, "fault": fault, "priority": priority}
     )
     return request
 

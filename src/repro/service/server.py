@@ -13,7 +13,7 @@ layers of request coalescing in front of it:
    answered, so an exact repeat answers before its QASM is even parsed.
 2. **In-flight dedup** — concurrent submissions of the same circuit
    (same :func:`~repro.service.cache.circuit_fingerprint`, compiler,
-   target, seed, fault and session) attach to the one running job and all
+   target, seed and fault) attach to the one running job and all
    receive the identical result; only one compile ever runs.
 3. **Synthesis cache** — inside the workers, the segment-backed
    :class:`~repro.service.cache.SynthesisCache` shares KAK/template
@@ -67,7 +67,7 @@ _EWMA_ALPHA = 0.2
 def _raw_request_key(qasm_bytes: bytes, request: Dict[str, Any]) -> str:
     """Hash of a compile request's exact QASM bytes and every option the
     content key covers.  ``repr`` keeps ``None`` apart from ``"None"``."""
-    options = tuple(request[name] for name in ("compiler", "target", "seed", "fault", "session"))
+    options = tuple(request[name] for name in ("compiler", "target", "seed", "fault"))
     digest = hashlib.blake2b(repr(options).encode("utf-8"), digest_size=32)
     digest.update(b"\n")
     digest.update(qasm_bytes)
@@ -474,11 +474,6 @@ class CompileServer:
         # Job identity: exact circuit content + everything that can change
         # the compiled bytes.  The injected fault participates so a hanging
         # probe never coalesces with a real compile of the same circuit.
-        # The session participates too: a sessioned job must reach its
-        # session's worker shard to warm the per-session pass-memo store,
-        # so it never coalesces with a sessionless compile of the same
-        # circuit (the results are still bit-identical either way).
-        session = request["session"]
         key = circuit_fingerprint(
             circuit,
             "serve",
@@ -486,7 +481,6 @@ class CompileServer:
             str(target),
             str(request["seed"]),
             str(request["fault"]),
-            str(session),
         )
         timeout = request["timeout"] or self.config.job_timeout
 
@@ -534,7 +528,6 @@ class CompileServer:
                     target=target,
                     timeout=timeout,
                     fault=request["fault"],
-                    session=session,
                     priority=request["priority"],
                 )
                 future = self._pool.submit(job)
@@ -696,8 +689,6 @@ class CompileServer:
             inflight = len(self._inflight)
             server_stats = self.stats.as_dict()
         hits, misses = cache.get("hits", 0), cache.get("misses", 0)
-        memo_hits = sum(cache.get(k, 0) for k in ("memo_pass_hits", "memo_region_hits"))
-        memo_misses = sum(cache.get(k, 0) for k in ("memo_pass_misses", "memo_region_misses"))
         dedup = server_stats["dedup_inflight"] + server_stats["dedup_result_cache"]
         scrub_age: Optional[float] = None
         if self.config.cache_dir is not None:
@@ -735,9 +726,6 @@ class CompileServer:
                 dedup / server_stats["received"] if server_stats["received"] else 0.0
             ),
             "synthesis_cache_hit_rate": hits / (hits + misses) if hits + misses else None,
-            "memo_hit_rate": (
-                memo_hits / (memo_hits + memo_misses) if memo_hits + memo_misses else None
-            ),
             "last_scrub_age_seconds": scrub_age,
         }
 
@@ -1007,7 +995,6 @@ class ServeClient:
         target: Optional[str] = None,
         timeout: Optional[float] = None,
         fault: Optional[str] = None,
-        session: Optional[str] = None,
         priority: Optional[int] = None,
     ) -> Dict[str, Any]:
         """Compile one OpenQASM 2.0 program; raises :class:`ServeError` on failure.
@@ -1016,9 +1003,6 @@ class ServeClient:
         ``summary`` (the metric row), ``key`` (the dedup content hash),
         ``cached`` (``"no"`` / ``"result"``) and ``compile_seconds``.
 
-        ``session`` names an incremental compile session: resubmitting an
-        edited program under the same session replays every memoized pass
-        and region on the session's pinned worker (bit-identical output).
         ``priority`` (0–9, higher first) orders queued work and decides
         what a degraded daemon sheds.  Optional fields are only sent when
         set, so older daemons keep working.
@@ -1039,8 +1023,6 @@ class ServeClient:
             message["timeout"] = timeout
         if fault is not None:
             message["fault"] = fault
-        if session is not None:
-            message["session"] = session
         if priority is not None:
             message["priority"] = priority
         return self._resilient(message)

@@ -46,7 +46,7 @@ __all__ = [
 
 #: Names the numerical instantiation path.  Results it produces differ in
 #: their low bits from those of any earlier optimizer, so persisted results
-#: (pass memo configs, synthesis-cache keys) carry this token.
+#: (synthesis-cache keys) carry this token.
 INSTANTIATION_VERSION = "grad=analytic/1"
 
 

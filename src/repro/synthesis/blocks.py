@@ -10,7 +10,7 @@ minimal number of CNOTs) and the template library's post-assembly fusion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Literal, Optional, Tuple
+from typing import Dict, Iterable, List, Literal, Optional, Tuple
 
 import numpy as np
 
@@ -157,84 +157,35 @@ def _fuse_block(
     return replacement
 
 
-#: Sentinel distinguishing "not yet computed" from "keep the original run"
-#: (``None``) in the batched fusion helper.
-_PENDING = object()
-
-#: Memo namespace version for the batched ``"can"`` fusion (v2: batched KAK
-#: numerics) — stores written by the scalar-arithmetic code are never
-#: replayed against the batch computation.
-_CAN_FUSE_CONTEXT = "fuse/2"
-
-
 def _fuse_blocks(
     blocks: List[TwoQubitBlock],
     form: OutputForm,
     only_if_fewer_gates: bool,
-    memo: Optional[Any] = None,
 ) -> List[Optional[List[Instruction]]]:
     """Replacement lists for ``blocks`` (``None`` = keep the original run).
 
-    The ``"can"`` form collects every non-memoized block unitary and runs the
-    KAK decompositions as one vectorized batch; batch items are
-    composition-independent, so memo hit/miss grouping (and the flat-vs-IR
-    entry point) cannot perturb any block's synthesis.  Other forms fuse one
-    block at a time as before.
+    The ``"can"`` form collects every block unitary and runs the KAK
+    decompositions as one vectorized batch; batch items are
+    composition-independent, so the flat-vs-IR entry point cannot perturb
+    any block's synthesis.  Other forms fuse one block at a time.
     """
     if form != "can":
-        if memo is not None:
-            return [
-                _fuse_block_memo(block, form, only_if_fewer_gates, memo)
-                for block in blocks
-            ]
         return [_fuse_block(block, form, only_if_fewer_gates) for block in blocks]
+    if not blocks:
+        return []
 
     from repro.synthesis.two_qubit import two_qubit_to_can_circuits_batch
 
-    results: List[Any] = [_PENDING] * len(blocks)
-    keys: List[Optional[str]] = [None] * len(blocks)
-    if memo is not None:
-        from repro.incremental import MISS, region_fingerprint
-
-        for index, block in enumerate(blocks):
-            mapping = {block.qubits[0]: 0, block.qubits[1]: 1}
-            local = [instr.remap(mapping) for instr in block.instructions]
-            keys[index] = region_fingerprint(
-                local, _CAN_FUSE_CONTEXT, form, f"fewer={only_if_fewer_gates}"
-            )
-            cached = memo.lookup("region", keys[index])
-            if cached is MISS:
-                continue
-            if cached is None:
-                results[index] = None
-            else:
-                inverse = {0: block.qubits[0], 1: block.qubits[1]}
-                results[index] = [instr.remap(inverse) for instr in cached]
-
-    pending = [index for index, value in enumerate(results) if value is _PENDING]
-    if pending:
-        circuits = two_qubit_to_can_circuits_batch(
-            [block_unitary(blocks[index]) for index in pending], qubits=(0, 1)
-        )
-        for index, circuit in zip(pending, circuits):
-            block = blocks[index]
-            mapping = {0: block.qubits[0], 1: block.qubits[1]}
-            replacement = [instr.remap(mapping) for instr in circuit]
-            if only_if_fewer_gates:
-                new_count = sum(1 for instr in replacement if instr.is_two_qubit)
-                if new_count >= block.num_two_qubit_gates:
-                    replacement = None
-            if memo is not None:
-                if replacement is None:
-                    memo.store("region", keys[index], None)
-                else:
-                    forward = {block.qubits[0]: 0, block.qubits[1]: 1}
-                    memo.store(
-                        "region",
-                        keys[index],
-                        [instr.remap(forward) for instr in replacement],
-                    )
-            results[index] = replacement
+    circuits = two_qubit_to_can_circuits_batch([block_unitary(block) for block in blocks], qubits=(0, 1))
+    results: List[Optional[List[Instruction]]] = []
+    for block, circuit in zip(blocks, circuits):
+        mapping = {0: block.qubits[0], 1: block.qubits[1]}
+        replacement: Optional[List[Instruction]] = [instr.remap(mapping) for instr in circuit]
+        if only_if_fewer_gates:
+            new_count = sum(1 for instr in replacement if instr.is_two_qubit)
+            if new_count >= block.num_two_qubit_gates:
+                replacement = None
+        results.append(replacement)
     return results
 
 
@@ -268,41 +219,10 @@ def consolidate_blocks(
     return result
 
 
-def _fuse_block_memo(
-    block: TwoQubitBlock, form: OutputForm, only_if_fewer_gates: bool, memo: Any
-) -> Optional[List[Instruction]]:
-    """Memoized :func:`_fuse_block`: keyed by the block's *local* content.
-
-    The block is relabelled onto local wires ``(0, 1)`` (the same mapping
-    :func:`block_unitary` uses), so structurally identical runs on different
-    qubit pairs share one entry; a hit remaps the cached local replacement
-    back onto the block's wires — bit-identical to recomputation because the
-    fused result depends on the wires only through that relabelling.
-    """
-    from repro.incremental import MISS, region_fingerprint
-
-    mapping = {block.qubits[0]: 0, block.qubits[1]: 1}
-    local = [instr.remap(mapping) for instr in block.instructions]
-    key = region_fingerprint(local, "fuse", form, f"fewer={only_if_fewer_gates}")
-    cached = memo.lookup("region", key)
-    if cached is not MISS:
-        if cached is None:
-            return None
-        inverse = {0: block.qubits[0], 1: block.qubits[1]}
-        return [instr.remap(inverse) for instr in cached]
-    replacement = _fuse_block(block, form, only_if_fewer_gates)
-    if replacement is None:
-        memo.store("region", key, None)
-        return None
-    memo.store("region", key, [instr.remap(mapping) for instr in replacement])
-    return replacement
-
-
 def consolidate_blocks_ir(
     ir,
     form: OutputForm = "unitary",
     only_if_fewer_gates: bool = False,
-    memo: Optional[Any] = None,
 ) -> None:
     """In-place block consolidation of a :class:`repro.ir.CircuitIR`.
 
@@ -310,13 +230,10 @@ def consolidate_blocks_ir(
     — each maximal run is collapsed onto the position of its first member via
     :meth:`~repro.ir.CircuitIR.replace_block`, leftovers keep their nodes
     untouched — so the resulting instruction sequence is bit-identical to the
-    flat-circuit path.  ``memo`` optionally memoizes each block's fusion per
-    block content (see :func:`_fuse_block_memo`).
+    flat-circuit path.
     """
     blocks, _ = _collect_blocks([(node, ir.instruction(node)) for node in ir.nodes()])
-    for block, replacement in zip(
-        blocks, _fuse_blocks(blocks, form, only_if_fewer_gates, memo=memo)
-    ):
+    for block, replacement in zip(blocks, _fuse_blocks(blocks, form, only_if_fewer_gates)):
         if replacement is None:
             # Kept run: the flat path still collapses it onto the block's
             # start position, which only matters when other instructions are

@@ -36,8 +36,6 @@ def compile(
     seed: int = 0,
     synthesis_cache: Optional[Any] = None,
     properties: Optional[Mapping[str, Any]] = None,
-    memo: Union[None, bool, Any] = None,
-    previous: Optional[CompilationResult] = None,
 ) -> CompilationResult:
     """Compile ``circuit`` for ``target`` with the pipeline ``spec``.
 
@@ -55,8 +53,8 @@ def compile(
     spec:
         A :class:`PipelineSpec` or a named pipeline (``"reqisc-full"``,
         ``"reqisc-eff"``, ``"qiskit-like"``, ...); ``None`` means
-        ``"reqisc-full"`` (or ``previous``'s pipeline).  Hardware-aware
-        stages are skipped when the target has no coupling map.
+        ``"reqisc-full"``.  Hardware-aware stages are skipped when the
+        target has no coupling map.
     seed:
         Base random seed forwarded to seed-sensitive passes (routing,
         approximate synthesis) unless their stage config pins its own.
@@ -67,63 +65,28 @@ def compile(
     properties:
         Initial property values merged into the run's
         :class:`~repro.target.properties.PropertySet`.
-    memo:
-        Pass-memoization control: a
-        :class:`~repro.incremental.PassMemoStore` to consult/populate,
-        ``True`` to create one (backed by ``synthesis_cache`` when given),
-        ``False`` to disable even with ``previous``, ``None`` (default) to
-        inherit from ``previous``.  Memoized recompilation is bit-identical
-        to a from-scratch run; see ``docs/incremental.md``.
-    previous:
-        A prior :class:`CompilationResult` to recompile against: its target,
-        pipeline and memo store become the defaults, so
-        ``compile(edited, previous=result)`` replays every pass and region
-        the edit did not touch.
     """
     from repro.linalg.weyl import install_kak_cache
 
     start = time.perf_counter()
-    if previous is not None:
-        if target is None:
-            target = previous.target
-        if spec is None:
-            spec = previous.spec or previous.compiler_name
-        if memo is None:
-            memo = previous.memo or True
     if spec is None:
         spec = "reqisc-full"
     resolved = resolve_target(target, num_qubits=circuit.num_qubits)
     if isinstance(spec, str):
         spec = named_pipeline(spec)
 
-    memo_store = None
-    if memo is True:
-        from repro.incremental import PassMemoStore
-
-        memo_store = PassMemoStore(backing=synthesis_cache)
-    elif memo:  # a PassMemoStore (False and None both disable)
-        memo_store = memo
-
     props = PropertySet.ensure(properties)
     props["isa"] = spec.isa
     props["target"] = resolved.name
 
-    context = PassContext(
-        target=resolved, seed=seed, synthesis_cache=synthesis_cache, memo=memo_store
-    )
+    context = PassContext(target=resolved, seed=seed, synthesis_cache=synthesis_cache)
     manager = PassManager()
     for stage in spec.stages:
         if stage.requires_topology and resolved.coupling_map is None:
             continue
         manager.append(PASS_REGISTRY.create(stage, context))
-    if memo_store is not None:
-        from repro.incremental import target_fingerprint
-
-        manager.memo = memo_store
-        manager.memo_context = f"{target_fingerprint(resolved)};isa={spec.isa};seed={seed}"
 
     conversions_before = conversion_stats()
-    memo_before = memo_store.stats.snapshot() if memo_store is not None else None
     previous_kak_cache = None
     if synthesis_cache is not None:
         previous_kak_cache = install_kak_cache(synthesis_cache)
@@ -145,11 +108,6 @@ def compile(
             key: conversions_after[key] - conversions_before[key]
             for key in conversions_after
         },
-        memo_stats=(
-            memo_store.stats.delta_since(memo_before) if memo_store is not None else None
-        ),
-        memo=memo_store,
-        spec=spec,
     )
 
 
@@ -169,19 +127,13 @@ class PipelineCompiler:
     seed: int = 0
     synthesis_cache: Optional[Any] = None
     properties: Dict[str, Any] = field(default_factory=dict)
-    #: Optional :class:`~repro.incremental.PassMemoStore` consulted by every
-    #: compile through this handle — the daemon's session mode pins one per
-    #: session so edited resubmissions replay memoized passes/regions.
-    memo: Optional[Any] = None
 
     @property
     def name(self) -> str:
         """Reporting name (the spec's name)."""
         return self.spec.name
 
-    def compile(
-        self, circuit: QuantumCircuit, previous: Optional[CompilationResult] = None
-    ) -> CompilationResult:
+    def compile(self, circuit: QuantumCircuit) -> CompilationResult:
         """Compile ``circuit`` with the bound spec/target/seed/cache."""
         return compile(
             circuit,
@@ -190,6 +142,4 @@ class PipelineCompiler:
             seed=self.seed,
             synthesis_cache=self.synthesis_cache,
             properties=dict(self.properties) if self.properties else None,
-            memo=self.memo,
-            previous=previous,
         )

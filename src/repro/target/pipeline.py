@@ -51,9 +51,6 @@ class PassContext:
     target: Any  # repro.target.target.Target (typed loosely to avoid cycles)
     seed: int = 0
     synthesis_cache: Optional[Any] = None
-    #: Optional :class:`repro.incremental.PassMemoStore` threaded into the
-    #: memo-aware passes for region-level memoization.
-    memo: Optional[Any] = None
 
 
 class PassRegistry:
@@ -252,7 +249,7 @@ def _make_hierarchical_synthesis(config: Mapping[str, Any], context: PassContext
 def _make_fuse(config: Mapping[str, Any], context: PassContext) -> CompilerPass:
     from repro.compiler.passes.fuse import Fuse2QBlocksPass
 
-    return Fuse2QBlocksPass(form=config.get("form", "unitary"), memo=context.memo)
+    return Fuse2QBlocksPass(form=config.get("form", "unitary"))
 
 
 @PASS_REGISTRY.register(
@@ -261,9 +258,7 @@ def _make_fuse(config: Mapping[str, Any], context: PassContext) -> CompilerPass:
 def _make_mirror(config: Mapping[str, Any], context: PassContext) -> CompilerPass:
     from repro.compiler.passes.mirror import MirrorNearIdentityPass
 
-    return MirrorNearIdentityPass(
-        threshold=config.get("threshold", 0.15), memo=context.memo
-    )
+    return MirrorNearIdentityPass(threshold=config.get("threshold", 0.15))
 
 
 @PASS_REGISTRY.register(
@@ -305,9 +300,7 @@ def _make_schedule(config: Mapping[str, Any], context: PassContext) -> CompilerP
 def _make_finalize(config: Mapping[str, Any], context: PassContext) -> CompilerPass:
     from repro.compiler.passes.finalize import FinalizeToCanPass
 
-    return FinalizeToCanPass(
-        merge_single_qubit=config.get("merge_single_qubit", True), memo=context.memo
-    )
+    return FinalizeToCanPass(merge_single_qubit=config.get("merge_single_qubit", True))
 
 
 @PASS_REGISTRY.register("decompose_cnot", description="lower everything to {CX, 1Q}")
@@ -354,7 +347,7 @@ def reqisc_pipeline(
     with plain SU(4) fusion to keep the distinct-gate count minimal.
     ``noise_aware=True`` switches routing to the calibration-weighted
     portfolio (needs a calibrated target; see docs/noise.md) — the default
-    keeps the stage config, and therefore every memo key, unchanged.
+    keeps the stage config unchanged.
     """
     if mode not in ("full", "eff"):
         raise ValueError("mode must be 'full' or 'eff'")

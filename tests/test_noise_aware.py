@@ -3,9 +3,8 @@
 Covers the :class:`CalibrationData` model (validation, JSON round trip,
 seeded determinism), the exact-uniform-reduction property — noise-aware
 routing under a *uniform* calibration is bit-identical to distance-only
-routing, on both kernel backends — the portfolio guarantee (noise-aware
-never scores worse than distance-only), and the memo-key opt-in contract
-(``noise_aware=False`` keys are byte-identical to pre-calibration ones).
+routing, on both kernel backends — and the portfolio guarantee
+(noise-aware never scores worse than distance-only).
 """
 
 import json
@@ -227,7 +226,7 @@ def test_compare_routing_strategies_needs_calibration():
 
 
 # ---------------------------------------------------------------------------
-# End-to-end pipeline and memo-key opt-in.
+# End-to-end pipeline.
 # ---------------------------------------------------------------------------
 
 
@@ -258,20 +257,6 @@ def test_reqisc_noise_pipeline_writes_fidelity_properties():
     assert result.properties["estimated_log_fidelity"] >= (
         result.properties["distance_log_fidelity"]
     )
-
-
-def test_memo_config_unchanged_when_noise_aware_off():
-    coupling_map = CouplingMap.line(5)
-    calibration = CalibrationData.seeded(coupling_map, seed=1)
-    plain = SabreRoutingPass(coupling_map)
-    off = SabreRoutingPass(coupling_map, noise_aware=False, calibration=calibration)
-    on = SabreRoutingPass(coupling_map, noise_aware=True, calibration=calibration)
-    # The opt-out key is byte-identical to the pre-calibration key, so warm
-    # memo entries stay valid; only the opt-in path extends it.
-    assert off.memo_config() == plain.memo_config()
-    assert "noise" not in plain.memo_config()
-    assert on.memo_config() != plain.memo_config()
-    assert calibration.fingerprint() in on.memo_config()
 
 
 def test_noise_aware_pass_requires_calibration():

@@ -64,7 +64,6 @@ def test_run_perf_schema_and_file(tmp_path):
         "routing",
         "equivalence",
         "ir",
-        "incr",
         "qasm",
         "serve",
         "chaos",
@@ -75,7 +74,6 @@ def test_run_perf_schema_and_file(tmp_path):
     }
     assert report["routing"] is None  # route kind not selected
     assert report["ir"] is None  # ir kind not selected
-    assert report["incr"] is None  # incr kind not selected
     assert report["qasm"] is None  # qasm kind not selected
     assert report["serve"] is None  # serve kind not selected
     assert report["synth_batch"] is None  # synth_batch kind not selected

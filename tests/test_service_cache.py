@@ -328,3 +328,53 @@ def test_kak_cached_result_matches_uncached():
     assert cached.coordinates == plain.coordinates
     assert np.array_equal(cached.l1, plain.l1)
     assert np.array_equal(cached.r2, plain.r2)
+
+
+def _legacy_gate_dumps(value, protocol=None):
+    """``pickle.dumps`` laying gates out as older releases did.
+
+    Those releases gave :class:`~repro.gates.gate.Gate` one more slot,
+    ``_content``, so their pickles restore a slot the class no longer has.
+    """
+    import copyreg
+    import io
+    import pickle
+
+    from repro.gates.gate import Gate
+
+    class LegacyPickler(pickle.Pickler):
+        def reducer_override(self, obj):
+            if not isinstance(obj, Gate):
+                return NotImplemented
+            slots = {name: getattr(obj, name) for name in Gate.__slots__ if hasattr(obj, name)}
+            slots["_content"] = None
+            return copyreg.__newobj__, (type(obj),), (getattr(obj, "__dict__", None), slots)
+
+    buffer = io.BytesIO()
+    LegacyPickler(buffer, protocol).dump(value)
+    return buffer.getvalue()
+
+
+def test_entries_with_gates_from_older_releases_read_as_misses(tmp_path, monkeypatch):
+    import pickle
+
+    from repro.target.api import compile as target_compile
+
+    circuit = QuantumCircuit(4, "tof_chain")
+    circuit.h(0).ccx(0, 1, 2).cx(2, 3).ccx(1, 2, 3)
+    cold = target_compile(circuit, spec="reqisc-eff")
+
+    directory = str(tmp_path / "store")
+    with monkeypatch.context() as patch:
+        patch.setattr(pickle, "dumps", _legacy_gate_dumps)
+        writer = SynthesisCache(directory=directory)
+        target_compile(circuit, spec="reqisc-eff", synthesis_cache=writer)
+        writer.close()
+
+    reader = SynthesisCache(directory=directory)
+    warm = target_compile(circuit, spec="reqisc-eff", synthesis_cache=reader)
+    reader.close()
+    # The template pass's stored output holds gates: it fails to unpickle,
+    # reads as a miss and is recomputed.
+    assert reader.stats.misses > 0
+    assert warm.circuit.instructions == cold.circuit.instructions  # bit-exact gate equality

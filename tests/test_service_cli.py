@@ -162,6 +162,20 @@ def test_parser_rejects_json_and_csv_together():
         parser.parse_args(["suite", "--json", "--csv"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compile", "--workload", "qft", "--memo"],
+        ["submit", "prog.qasm", "--session", "edits"],
+    ],
+)
+def test_removed_memo_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 _BELL_QASM = """OPENQASM 2.0;
 include "qelib1.inc";
 qreg q[2];

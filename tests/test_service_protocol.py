@@ -97,7 +97,6 @@ def test_validate_compile_fills_defaults():
         "seed": 0,
         "target": None,
         "timeout": None,
-        "session": None,
         "fault": None,
         "priority": 5,
     }
@@ -114,6 +113,9 @@ def test_validate_rejects_unknown_fields():
         validate_request({"op": "compile", "qasm": "x", "complier": "reqisc-eff"})
     with pytest.raises(ProtocolError, match="unknown field"):
         validate_request({"op": "ping", "qasm": "x"})
+    # Sessions are gone: a frame that still names one is a bad request.
+    with pytest.raises(ProtocolError, match="unknown field.*session"):
+        validate_request({"op": "compile", "qasm": "x", "session": "edits"})
 
 
 @pytest.mark.parametrize(

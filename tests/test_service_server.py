@@ -476,7 +476,7 @@ def test_every_option_separates_pre_keys(client, parse_calls):
     qasm = _other_text(dumps(circuit), "option separation")
     base = client.compile(qasm)
     client.compile(qasm)  # the base option set now has an alias
-    option_sets = ({"seed": 9}, {"compiler": "reqisc-full"}, {"target": "xy-line"}, {"session": "pk"})
+    option_sets = ({"seed": 9}, {"compiler": "reqisc-full"}, {"target": "xy-line"})
     keys = {base["key"]}
     responses = {}
     for options in option_sets:
@@ -491,7 +491,6 @@ def test_every_option_separates_pre_keys(client, parse_calls):
         responses.update(dict.fromkeys(options, response))
     assert responses["seed"]["qasm"] == _sequential_qasm(circuit, seed=9)
     assert responses["compiler"]["qasm"] == _sequential_qasm(circuit, compiler="reqisc-full")
-    assert responses["session"]["qasm"] == base["qasm"]  # sessions never change bytes
 
 
 def test_failed_requests_never_create_an_alias(server, client, parse_calls):
@@ -558,7 +557,7 @@ def _fuzz_reference(program, compiler, seed):
     from repro.service.cache import circuit_fingerprint
 
     circuit = _FUZZ_PROGRAMS[program]
-    key = circuit_fingerprint(loads(dumps(circuit)), "serve", compiler, "None", str(seed), "None", "None")
+    key = circuit_fingerprint(loads(dumps(circuit)), "serve", compiler, "None", str(seed), "None")
     return _sequential_qasm(circuit, compiler=compiler, seed=seed), key
 
 

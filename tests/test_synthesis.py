@@ -468,3 +468,21 @@ def test_rip_add_dense_block_is_resynthesized_through_reqisc_full():
     assert record.two_qubit_after == record.two_qubit_before - 1
     expected = permutation_unitary(result.final_permutation) @ source.to_unitary()
     assert allclose_up_to_global_phase(result.circuit.to_unitary(), expected, atol=1e-6)
+
+
+def test_resynthesis_cache_key_is_versioned():
+    # Results of the current optimizer must never share a synthesis-cache
+    # key with those of an earlier one.
+    from repro.compiler.passes.hierarchical import HierarchicalSynthesisPass
+    from repro.service.cache import unitary_fingerprint
+    from repro.synthesis.approximate import INSTANTIATION_VERSION
+
+    hierarchical = HierarchicalSynthesisPass()
+    synth = hierarchical.synthesizer
+    settings = f"synth={synth.tolerance}:{synth.restarts}:{synth.seed}:{synth.max_iterations}"
+    block = QuantumCircuit(3)
+    block.cx(0, 1).cx(1, 2).cx(0, 2).cx(0, 1).cx(1, 2)
+    target = block.to_unitary()
+    context = ("hierarchical_synthesis", "count=5", "tol=1e-06", settings)
+    assert hierarchical.cache_key(target, 5) == unitary_fingerprint(target, *context, INSTANTIATION_VERSION)
+    assert hierarchical.cache_key(target, 5) != unitary_fingerprint(target, *context)

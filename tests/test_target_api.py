@@ -204,6 +204,30 @@ def test_compile_does_not_alias_caller_properties():
     assert logical.routing_overhead is None  # no leak from the routed run
 
 
+def test_summary_reports_conversion_count():
+    summary = target_compile(_toffoli_workload(), spec="reqisc-eff").summary()
+    assert summary["conversions"] > 0
+
+
+@pytest.mark.parametrize("keyword", ["previous", "memo"])
+def test_compile_rejects_removed_memo_arguments(keyword):
+    # Incremental recompilation is gone: its keywords fail loudly instead
+    # of being silently ignored.
+    circuit = _toffoli_workload()
+    value = target_compile(circuit, spec="reqisc-eff") if keyword == "previous" else True
+    with pytest.raises(TypeError, match=keyword):
+        target_compile(circuit, spec="reqisc-eff", **{keyword: value})
+
+
+def test_compilation_result_pickles_round_trip():
+    import pickle
+
+    result = target_compile(_toffoli_workload(), target=Target.xy_line(4), spec="reqisc-eff")
+    clone = pickle.loads(pickle.dumps(result))
+    assert clone.circuit.instructions == result.circuit.instructions
+    assert clone.summary() == result.summary()
+
+
 # ---------------------------------------------------------------------------
 # PassManager record isolation (bug fix).
 # ---------------------------------------------------------------------------

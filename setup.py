@@ -6,11 +6,12 @@ script.  The package needs numpy, scipy and networkx at runtime
 (``repro.circuits`` and the QAOA workloads import networkx); the ``test``
 extra adds pytest and hypothesis.
 
-The native SABRE-scoring kernel (``repro.kernels._sabre_native``) is built
-opportunistically: when a C compiler is available the extension compiles and
-``repro.kernels`` auto-selects it, and when it is not (or the build fails
-for any reason) the install still succeeds and the pure-Python fallback is
-selected at runtime — a source install without a toolchain must never fail.
+The native SABRE routing loop (``repro.kernels._sabre_loop``: the whole
+step loop, one call per routing run) is built opportunistically: when a C
+compiler is available the extension compiles and ``repro.kernels``
+auto-selects it, and when it is not (or the build fails for any reason) the
+install still succeeds and the router's Python loop is selected at runtime —
+a source install without a toolchain must never fail.
 """
 
 import os
@@ -76,8 +77,8 @@ setup(
     packages=find_packages("src"),
     ext_modules=[
         Extension(
-            "repro.kernels._sabre_native",
-            sources=["src/repro/kernels/_sabre_native.c"],
+            "repro.kernels._sabre_loop",
+            sources=["src/repro/kernels/_sabre_loop.c"],
             optional=True,
         )
     ],

@@ -31,6 +31,7 @@ class CouplingMap:
         # Target duration models, perf harness) sees the same arrays instead
         # of re-deriving them per call.
         self._distance: np.ndarray = None
+        self._distance64: np.ndarray = None
         self._adjacency: np.ndarray = None
         self._neighbor_lists: List[List[int]] = None
         self._neighbor_sets: List[frozenset] = None
@@ -192,7 +193,7 @@ class CouplingMap:
 
         Returns ``(indptr, indices)`` with the edge ids incident to physical
         qubit ``p`` stored (ascending) at ``indices[indptr[p]:indptr[p+1]]``
-        — the flat layout consumed by the native scoring kernel.
+        — the flat layout consumed by the native routing loop.
         """
         if self._incident_edge_csr is None:
             incident = self.incident_edge_ids()
@@ -248,6 +249,18 @@ class CouplingMap:
             matrix.setflags(write=False)
             self._distance = matrix
         return self._distance
+
+    def distance_matrix64(self) -> np.ndarray:
+        """:meth:`distance_matrix` widened to ``int64`` (cached, read-only).
+
+        The native routing loop reads one distance type for both the
+        hop-count and the calibration-weighted router.
+        """
+        if self._distance64 is None:
+            matrix = self.distance_matrix().astype(np.int64)
+            matrix.setflags(write=False)
+            self._distance64 = matrix
+        return self._distance64
 
     def distance(self, qubit_a: int, qubit_b: int) -> float:
         """Shortest-path distance between two physical qubits (inf if unreachable)."""

@@ -11,34 +11,36 @@ gate on the same physical pair (``SU(4) . SWAP`` is still a single SU(4)) are
 preferred whenever they also lower the heuristic cost, eliminating the 2Q
 overhead of those SWAPs entirely.
 
-This is the array-native fast path co-designed with the access pattern of
-the algorithm:
+The step loop runs in one of two implementations, picked per routing run
+by ``REPRO_KERNELS`` (:func:`repro.kernels.select_backend`):
 
-* the dependency DAG is a CSR :class:`~repro.circuits.depgraph.DependencyGraph`
-  consumed as flat arrays (plus plain-list mirrors for the scalar loop);
-* the executable front is rebuilt per pass (no ``list.remove`` rescans) and
-  adjacency checks hit precomputed neighbour sets;
-* the SWAP heuristic is evaluated for *all* candidates at once: one layout
-  gather over the concatenated front+lookahead qubit array, one broadcast
-  trial-position computation and vectorized integer distance sums;
-* the lookahead (extended) set is only recomputed after a gate executes —
-  consecutive stalls reuse it;
-* the stall scoring itself (candidate collection + cost evaluation) runs
-  behind the :mod:`repro.kernels` backend interface — the compiled kernel
-  when available, the reference numpy arithmetic otherwise.  Candidate
-  *selection* (argmin / stable argsort + absorption) stays here, so the
-  tie-breaking semantics are backend-independent.
+* the native loop, :func:`repro.kernels.sabre_route_native` — the whole
+  step loop in one C call per routing run;
+* the Python loop in :meth:`SabreRouter._route_py` — the fallback.  It
+  scores each stall's candidates at once through
+  :mod:`repro.kernels.sabre_score` (one layout gather, one broadcast
+  trial-position computation, vectorized integer distance sums); that
+  arithmetic is the only part the two loops share.
 
-Because all distances are small integers the vectorized sums are exact, and
-the routed output is **bit-identical** to the frozen pre-optimization
-baseline in :mod:`repro.compiler.routing.sabre_reference` (enforced by the
-regression tests and re-checked by ``repro perf``).
+Both rebuild the executable front per pass (survivors in order, then
+released nodes), recompute the lookahead set only after a gate executes,
+and return the same event stream: emitted DAG nodes and SWAP edges in
+order, the absorptions, the final layout and the SWAP counts.  One emitter
+turns that stream into the routed circuit.
+
+Because all distances are integers the sums are exact and both loops
+perform the same IEEE-754 operations in the same order, so the routed
+output is **bit-identical** across backends and to the frozen
+pre-optimization baseline in :mod:`repro.compiler.routing.sabre_reference`
+(enforced by ``tests/test_kernels.py`` and ``tests/test_sabre_fast_path.py``,
+and by the routing gate of ``repro perf --quick``).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,11 +51,13 @@ from repro.circuits.instruction import Instruction
 from repro.compiler.routing.coupling_map import CouplingMap
 from repro.gates import standard
 from repro.gates.gate import UnitaryGate
-from repro.kernels import make_sabre_scorer
+from repro.kernels import make_sabre_scorer, sabre_route_native, select_backend
 
 __all__ = ["RoutingResult", "SabreRouter"]
 
-_SWAP_MATRIX = standard.swap_gate().matrix
+#: Every inserted SWAP shares this one gate object (gates are immutable).
+_SWAP_GATE = standard.swap_gate()
+_SWAP_MATRIX = _SWAP_GATE.matrix
 
 
 @dataclass
@@ -125,9 +129,6 @@ class SabreRouter:
         :class:`DependencyGraph` directly, so routing never re-derives the
         dependency structure from a flat gate list.
         """
-        for instruction in graph.instructions:
-            if len(instruction.qubits) > 2:
-                raise ValueError("routing expects a circuit with only 1Q/2Q gates")
         num_physical = self.coupling_map.num_qubits
         if graph.num_qubits > num_physical:
             raise ValueError("circuit does not fit on the coupling map")
@@ -140,6 +141,88 @@ class SabreRouter:
                     raise ValueError(
                         f"qubit {physical} out of range for a {num_physical}-qubit circuit"
                     )
+        # Per-node logical qubits; ``q1 = -1`` marks a single-qubit node.
+        q0_list: List[int] = []
+        q1_list: List[int] = []
+        for instruction in graph.instructions:
+            qubits = instruction.qubits
+            if len(qubits) > 2:
+                raise ValueError("routing expects a circuit with only 1Q/2Q gates")
+            q0_list.append(qubits[0])
+            q1_list.append(qubits[1] if len(qubits) == 2 else -1)
+        if q0_list and max(max(q0_list), max(q1_list)) >= len(layout_list):
+            raise ValueError("initial_layout has no entry for a qubit the circuit uses")
+        max_steps = 50 * (graph.num_nodes + 10) * max(1, num_physical)
+
+        if select_backend() == "native":
+            # The extension reads raw int64 buffers: fix dtype and layout here.
+            int64 = partial(np.ascontiguousarray, dtype=np.int64)
+            noise = self.noise_model
+            incident_ptr, incident = self.coupling_map.incident_edge_csr()
+            stream = sabre_route_native(
+                int64(q0_list),
+                int64(q1_list),
+                int64(graph.succ_indptr),
+                int64(graph.succ_indices),
+                int64(graph.indegree_vector()),
+                int64(graph.front_layer()),
+                int64(layout_list),
+                self.coupling_map.edge_array(),
+                incident_ptr,
+                incident,
+                self.coupling_map.distance_matrix64() if noise is None else int64(noise.distance),
+                None if noise is None else int64(noise.swap_penalty),
+                self.lookahead_size,
+                self.lookahead_weight,
+                self.decay_increment,
+                self.decay_reset_interval,
+                self.mirroring,
+                max_steps,
+            )
+        else:
+            stream = self._route_py(graph, q0_list, q1_list, layout_list, max_steps)
+        events, wires, absorptions, final_layout, inserted_swaps, absorbed_swaps = stream
+
+        # One shared emitter for both loops.  Event ids index the DAG nodes
+        # followed by one (shared, immutable) SWAP gate per coupling edge.
+        gates = [instruction.gate for instruction in graph.instructions]
+        gates.extend([_SWAP_GATE] * len(self.coupling_map.edge_tuples()))
+        output = QuantumCircuit(num_physical, name)
+        out_list = output.instructions
+        out_list.extend(map(Instruction.unchecked, map(gates.__getitem__, events), wires))
+        for position, _edge in absorptions:
+            previous = out_list[position]
+            merged_matrix = _SWAP_MATRIX @ previous.gate.matrix
+            out_list[position] = Instruction.unchecked(
+                UnitaryGate(merged_matrix, label="su4"), previous.qubits
+            )
+        return RoutingResult(
+            circuit=output,
+            initial_layout=(
+                list(initial_layout) if initial_layout is not None else list(range(graph.num_qubits))
+            ),
+            final_layout=final_layout,
+            inserted_swaps=inserted_swaps,
+            absorbed_swaps=absorbed_swaps,
+        )
+
+    def _route_py(
+        self,
+        graph: DependencyGraph,
+        q0_list: List[int],
+        q1_list: List[int],
+        layout_list: List[int],
+        max_steps: int,
+    ) -> tuple:
+        """The step loop in Python: the ``REPRO_KERNELS=py`` twin of the native loop.
+
+        Returns the same event stream as
+        :func:`repro.kernels.sabre_route_native`: ``(events, wires,
+        absorptions, final_layout, inserted, absorbed)``, where an event is a
+        DAG node id or ``num_nodes + edge_id`` for an inserted SWAP.
+        """
+        num_nodes = graph.num_nodes
+        num_physical = self.coupling_map.num_qubits
         # ``layout`` (numpy) feeds the vectorized heuristic; ``layout_list``
         # (plain ints) feeds the scalar execute loop.  Both are updated on
         # every SWAP.
@@ -152,30 +235,16 @@ class SabreRouter:
         edge_tuples = self.coupling_map.edge_tuples()
         score_stall = make_sabre_scorer(self.coupling_map, noise=self.noise_model)
 
-        instructions = graph.instructions
         succ_ptr = graph.succ_indptr.tolist()
         succ = graph.succ_indices.tolist()
         indegree = graph.indegree_vector().tolist()
         front: List[int] = graph.front_layer()
+        node_q0 = np.asarray(q0_list, dtype=np.int64)
+        node_q1 = np.asarray(q1_list, dtype=np.int64)
 
-        # Per-node qubit arrays/lists for the heuristic and execute loops.
-        arity1: List[bool] = []
-        q0_list: List[int] = []
-        q1_list: List[int] = []
-        for instruction in instructions:
-            qubits = instruction.qubits
-            q0_list.append(qubits[0])
-            if len(qubits) == 2:
-                q1_list.append(qubits[1])
-                arity1.append(False)
-            else:
-                q1_list.append(qubits[0])
-                arity1.append(True)
-        node_q0 = np.asarray(q0_list, dtype=np.int64) if q0_list else np.empty(0, dtype=np.int64)
-        node_q1 = np.asarray(q1_list, dtype=np.int64) if q1_list else np.empty(0, dtype=np.int64)
-
-        output = QuantumCircuit(num_physical, name)
-        out_list = output.instructions
+        events: List[int] = []
+        wires: List[Tuple[int, ...]] = []
+        absorptions: List[Tuple[int, int]] = []
         decay = np.ones(num_physical)
         lookahead_weight = self.lookahead_weight
         decay_increment = self.decay_increment
@@ -200,7 +269,6 @@ class SabreRouter:
         num_ext = 0  # E: trailing pairs from the lookahead set
         front_dirty = True
 
-        max_steps = 50 * (graph.num_nodes + 10) * max(1, num_physical)
         steps = 0
         while front:
             steps += 1
@@ -208,27 +276,26 @@ class SabreRouter:
                 raise RuntimeError("SABRE routing failed to converge (step limit exceeded)")
             # Execute everything currently executable.  Each pass rebuilds
             # the front (survivors keep their order, newly released nodes
-            # append), replacing the historical O(front) list.remove scans.
+            # append).
             while True:
                 progressed = False
                 survivors: List[int] = []
                 released: List[int] = []
                 for node in front:
                     p0 = layout_list[q0_list[node]]
-                    if arity1[node]:
-                        physical: Tuple[int, ...] = (p0,)
+                    logical1 = q1_list[node]
+                    position = len(events)
+                    if logical1 < 0:
+                        wires.append((p0,))
                     else:
-                        p1 = layout_list[q1_list[node]]
+                        p1 = layout_list[logical1]
                         if p1 not in neighbor_sets[p0]:
                             survivors.append(node)
                             continue
-                        physical = (p0, p1)
-                        pair = (p0, p1) if p0 < p1 else (p1, p0)
-                    out_list.append(Instruction.unchecked(instructions[node].gate, physical))
-                    position = len(out_list) - 1
-                    if len(physical) == 2:
-                        last_gate_on_pair[pair] = position
+                        wires.append((p0, p1))
+                        last_gate_on_pair[(p0, p1) if p0 < p1 else (p1, p0)] = position
                         last_touch[p1] = position
+                    events.append(node)
                     last_touch[p0] = position
                     for index in range(succ_ptr[node], succ_ptr[node + 1]):
                         successor = succ[index]
@@ -248,7 +315,7 @@ class SabreRouter:
             if front_dirty:
                 # At a stall every front node is a blocked 2Q gate (1Q gates
                 # always execute), so the front *is* the 2Q front.
-                ext_nodes = self._extended_nodes(front, succ_ptr, succ, arity1, len(instructions))
+                ext_nodes = self._extended_nodes(front, succ_ptr, succ, q1_list, num_nodes)
                 num_front = len(front)
                 num_ext = len(ext_nodes)
                 nodes = front + ext_nodes
@@ -256,19 +323,13 @@ class SabreRouter:
                 front_dirty = False
 
             # Candidate SWAPs = coupling edges incident to a front physical
-            # qubit, as sorted edge *ids* (edge ids are assigned in
-            # lexicographic edge order, so sorted ids == the reference's
-            # lexicographically sorted edge list).  Collection and the
-            # distance/decay cost arithmetic run on the selected kernels
-            # backend; both backends are bit-identical (exact integer sums,
-            # same IEEE-754 operation order).
+            # qubit, as sorted edge ids, with their distance/decay costs.
             ids, costs, base_cost = score_stall(
                 layout, pair_qubits, num_front, num_ext, lookahead_weight, decay
             )
             if not ids:
                 raise RuntimeError("no SWAP candidates found; is the coupling map connected?")
 
-            chosen: Optional[Tuple[int, int]] = None
             absorb = False
             if mirroring:
                 # Prefer candidates absorbable by the last mapped layer that
@@ -280,6 +341,7 @@ class SabreRouter:
                 cost_list = costs.tolist()
                 pair_get = last_gate_on_pair.get
                 touch_get = last_touch.get
+                chosen = ids[order[0]]
                 for index in order:
                     if not cost_list[index] < base_cost:
                         break
@@ -290,30 +352,25 @@ class SabreRouter:
                         and touch_get(edge[0], -1) <= position
                         and touch_get(edge[1], -1) <= position
                     ):
-                        chosen = edge
+                        chosen = ids[index]
                         absorb = True
                         break
-                if chosen is None:
-                    chosen = edge_tuples[ids[order[0]]]
             else:
-                chosen = edge_tuples[ids[int(np.argmin(costs))]]
+                chosen = ids[int(np.argmin(costs))]
 
+            edge = edge_tuples[chosen]
             if absorb:
-                position = last_gate_on_pair[chosen]
-                previous = out_list[position]
-                merged_matrix = _SWAP_MATRIX @ previous.gate.matrix
-                out_list[position] = Instruction(
-                    UnitaryGate(merged_matrix, label="su4"), previous.qubits
-                )
+                absorptions.append((last_gate_on_pair[edge], chosen))
                 absorbed_swaps += 1
             else:
-                out_list.append(Instruction.unchecked(standard.swap_gate(), chosen))
-                position = len(out_list) - 1
-                last_gate_on_pair[chosen] = position
-                last_touch[chosen[0]] = position
-                last_touch[chosen[1]] = position
+                position = len(events)
+                events.append(num_nodes + chosen)
+                wires.append(edge)
+                last_gate_on_pair[edge] = position
+                last_touch[edge[0]] = position
+                last_touch[edge[1]] = position
                 inserted_swaps += 1
-            swapped_a, swapped_b = chosen
+            swapped_a, swapped_b = edge
             logical_a = phys_to_logical[swapped_a]
             logical_b = phys_to_logical[swapped_b]
             if logical_a >= 0:
@@ -331,15 +388,7 @@ class SabreRouter:
                 decay[:] = 1.0
                 swaps_since_reset = 0
 
-        return RoutingResult(
-            circuit=output,
-            initial_layout=(
-                list(initial_layout) if initial_layout is not None else list(range(graph.num_qubits))
-            ),
-            final_layout=layout_list,
-            inserted_swaps=inserted_swaps,
-            absorbed_swaps=absorbed_swaps,
-        )
+        return events, wires, absorptions, layout_list, inserted_swaps, absorbed_swaps
 
     # ------------------------------------------------------------------
     def _extended_nodes(
@@ -347,7 +396,7 @@ class SabreRouter:
         front: Sequence[int],
         succ_ptr: Sequence[int],
         succ: Sequence[int],
-        arity1: Sequence[bool],
+        q1_list: Sequence[int],
         num_nodes: int,
     ) -> List[int]:
         """Two-qubit nodes of the lookahead (extended) set.
@@ -369,7 +418,7 @@ class SabreRouter:
                 if visited[successor]:
                     continue
                 visited[successor] = 1
-                if not arity1[successor]:
+                if q1_list[successor] >= 0:
                     extended.append(successor)
                 frontier.append(successor)
         return extended

@@ -5,12 +5,15 @@ the stack selects transparently (the CXLMemUring co-design pattern: an
 optimized fast path layered behind an unchanged software interface with a
 portable fallback):
 
-* **SABRE stall scoring** — the candidate-edge gather/score loop of
-  :class:`~repro.compiler.routing.sabre.SabreRouter`, available as a small C
-  extension (:mod:`repro.kernels._sabre_native`, built opportunistically at
-  install time) and as the reference numpy implementation
-  (:mod:`repro.kernels.sabre_score`).  Both are bit-identical; candidate
-  selection stays in the router.
+* **SABRE routing loop** — the whole step loop of
+  :class:`~repro.compiler.routing.sabre.SabreRouter` (front upkeep,
+  lookahead set, candidate scoring, SWAP selection with mirroring
+  absorption, decay) as one call per routing run into a small C extension
+  (:mod:`repro.kernels._sabre_loop`, built opportunistically at install
+  time): :func:`sabre_route_native`.  The fallback is the router's own
+  Python loop, which scores candidates with
+  :mod:`repro.kernels.sabre_score`; both loops return the same event
+  stream, bit for bit.
 * **Batched SU(4)/KAK numerics** — :func:`kak_decompose_batch` in
   :mod:`repro.kernels.kak_batch`, decomposing N interned 4x4 matrices per
   vectorized linalg call.
@@ -20,22 +23,23 @@ portable fallback):
 
 Backend selection
 -----------------
-The ``REPRO_KERNELS`` environment variable picks the SABRE scoring backend:
+The ``REPRO_KERNELS`` environment variable picks the SABRE loop backend:
 
-* ``auto`` (default, also when unset): the native extension when it imports,
-  otherwise the pure-Python fallback — a source install without a C compiler
-  silently degrades to ``py``.
+* ``auto`` (default, also when unset): the native extension when it imports
+  and provides ``route``, otherwise the pure-Python fallback — a source
+  install without a C compiler silently degrades to ``py``.
 * ``py``: force the pure-Python fallback even when the extension exists
   (CI pins one job to this so the fallback never rots).
 * ``native``: require the extension; raise ``RuntimeError`` if unavailable.
 
-The variable is re-read on every selection (router construction), so tests
+The variable is re-read on every selection (each routing run), so tests
 can flip backends with a plain ``monkeypatch.setenv``.  Use
 :func:`backend_info` for introspection.
 """
 
 from __future__ import annotations
 
+import importlib
 import os
 from typing import Any, Dict, Optional
 
@@ -44,7 +48,7 @@ from repro.kernels.kak_batch import (
     kak_decompose_batch,
     reset_batch_stats,
 )
-from repro.kernels.sabre_score import make_scorer, score_stall_py
+from repro.kernels.sabre_score import make_sabre_scorer, score_stall_py
 
 __all__ = [
     "backend_info",
@@ -52,12 +56,14 @@ __all__ = [
     "kak_decompose_batch",
     "make_sabre_scorer",
     "reset_batch_stats",
+    "sabre_route_native",
     "score_stall_py",
     "select_backend",
 ]
 
 _ENV_VAR = "REPRO_KERNELS"
 _VALID_REQUESTS = ("auto", "py", "native")
+_NATIVE_NAME = "repro.kernels._sabre_loop"
 
 #: Cached import of the native extension: unset / (module, None) / (None, err).
 _NATIVE: Optional[tuple] = None
@@ -68,11 +74,16 @@ def _native_module():
     global _NATIVE
     if _NATIVE is None:
         try:
-            from repro.kernels import _sabre_native  # type: ignore[attr-defined]
-
-            _NATIVE = (_sabre_native, None)
+            module = importlib.import_module(_NATIVE_NAME)
         except ImportError as exc:  # pragma: no cover - depends on the build
             _NATIVE = (None, str(exc))
+        else:
+            # An extension built from older sources lacks the loop entry
+            # point; treat it as missing rather than failing mid-compile.
+            if hasattr(module, "route"):
+                _NATIVE = (module, None)
+            else:
+                _NATIVE = (None, f"{_NATIVE_NAME} has no 'route'; it is stale")
     module, error = _NATIVE
     if module is None:
         raise RuntimeError(
@@ -92,7 +103,7 @@ def _native_available() -> bool:
 
 
 def select_backend(override: Optional[str] = None) -> str:
-    """Resolve the active scoring backend name (``"py"`` or ``"native"``).
+    """Resolve the active SABRE loop backend name (``"py"`` or ``"native"``).
 
     ``override`` takes precedence over the ``REPRO_KERNELS`` environment
     variable; ``"native"`` raises ``RuntimeError`` when the extension cannot
@@ -130,31 +141,11 @@ def backend_info() -> Dict[str, Any]:
     }
 
 
-def make_sabre_scorer(coupling_map, backend: Optional[str] = None, noise=None):
-    """Stall scorer bound to ``coupling_map`` on the selected backend.
+def sabre_route_native(*args):
+    """Run the whole SABRE step loop natively (see ``_sabre_loop.c``).
 
-    See :mod:`repro.kernels.sabre_score` for the scorer contract.  The
-    backend is resolved per call (cheap — once per routing run), so the
-    environment override is honoured without reloads.  ``noise`` (a
-    :class:`~repro.compiler.routing.noise.NoiseRoutingModel`) selects the
-    calibration-weighted scoring path; a stale native extension built before
-    ``score_stall_noise`` existed degrades to the pure-Python path under
-    ``auto`` and raises under an explicit ``native`` request.
+    Returns the router's event stream ``(events, wires, absorptions,
+    final_layout, inserted, absorbed)``; raises ``RuntimeError`` when the
+    extension is unavailable.
     """
-    resolved = select_backend(backend)
-    if noise is not None and resolved == "native":
-        module = _native_module()
-        if not hasattr(module, "score_stall_noise"):
-            requested = (
-                backend
-                if backend is not None
-                else os.environ.get(_ENV_VAR, "auto").strip().lower() or "auto"
-            )
-            if requested == "native":
-                raise RuntimeError(
-                    "the repro.kernels native extension predates noise-aware "
-                    "scoring (no score_stall_noise); rebuild it with "
-                    f"'python setup.py build_ext --inplace' or set {_ENV_VAR}=py"
-                )
-            resolved = "py"
-    return make_scorer(coupling_map, resolved, noise=noise)
+    return _native_module().route(*args)

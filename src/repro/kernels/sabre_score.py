@@ -1,25 +1,25 @@
-"""SABRE stall-scoring backends (pure-Python reference + native dispatch).
+"""SABRE stall scoring for the Python routing loop.
 
-At every routing stall :class:`~repro.compiler.routing.sabre.SabreRouter`
-evaluates the SWAP heuristic for all candidate coupling edges at once.  That
-evaluation — gather the physical front/lookahead pairs through the layout,
-collect the incident candidate edges, compute the trial distance sums and
-the decay-weighted costs — is a pure function of small integer arrays, and
-it is the routing hot loop.  This module packages it behind a narrow scorer
-interface so the compiled backend in :mod:`repro.kernels._sabre_native` can
-replace it transparently:
+At every routing stall the ``REPRO_KERNELS=py`` loop of
+:class:`~repro.compiler.routing.sabre.SabreRouter` evaluates the SWAP
+heuristic for all candidate coupling edges at once.  That evaluation —
+gather the physical front/lookahead pairs through the layout, collect the
+incident candidate edges, compute the trial distance sums and the
+decay-weighted costs — is a pure function of small integer arrays, packaged
+here behind a narrow scorer interface:
 
 ``scorer(layout, pair_qubits, num_front, num_ext, lookahead_weight, decay)``
 returns ``(ids, costs, base_cost)`` where ``ids`` is the ascending list of
 candidate edge ids, ``costs`` the per-candidate heuristic costs (aligned
 with ``ids``) and ``base_cost`` the pre-SWAP cost.  Candidate *selection*
-(argmin / stable argsort + absorption) stays in the router, so tie-breaking
-semantics are untouched by the backend choice.
+(argmin / stable argsort + absorption) stays in the router's loop.
 
-Both backends are bit-identical: every sum is over small integer distances
-(exact in both int64 numpy reductions and C ``long long``), and the float
-arithmetic (``sum/F``, ``+ w*(sum/E)``, ``* max(decay)``) is performed in
-the same order with the same IEEE-754 double operations.
+The native backend does not call this module: the whole step loop,
+scoring included, runs in :mod:`repro.kernels._sabre_loop`.  Only the
+arithmetic is shared, and it is bit-identical: every sum is over small
+integer distances (exact in both int64 numpy reductions and C ``int64_t``),
+and the float arithmetic (``sum/F``, ``+ w*(sum/E)``, ``* max(decay)``) is
+performed in the same order with the same IEEE-754 double operations.
 
 Noise-aware scoring (see :mod:`repro.compiler.routing.noise`) reuses the
 same arithmetic over a *weighted* int64 distance matrix and adds a per-edge
@@ -34,7 +34,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["make_scorer", "score_stall_py"]
+__all__ = ["make_sabre_scorer", "score_stall_py"]
 
 #: Scorer signature: (layout, pair_qubits, num_front, num_ext,
 #: lookahead_weight, decay) -> (ids, costs, base_cost)
@@ -100,16 +100,13 @@ def score_stall_py(
     return ids, costs, float(base_cost)
 
 
-def make_scorer(coupling_map, backend: str, noise=None) -> Scorer:
-    """Build a stall scorer bound to ``coupling_map`` for ``backend``.
+def make_sabre_scorer(coupling_map, noise=None) -> Scorer:
+    """Build the Python stall scorer bound to ``coupling_map``.
 
-    ``backend`` must be ``"py"`` or ``"native"`` (already resolved by
-    :func:`repro.kernels.select_backend`); the native path raises
-    ``RuntimeError`` if the extension cannot be imported.  ``noise`` (a
-    :class:`~repro.compiler.routing.noise.NoiseRoutingModel`) swaps the
-    hop-count matrix for the calibration-weighted one and adds the per-edge
-    SWAP surcharge; ``None`` keeps the historical distance-only arithmetic
-    byte-for-byte.
+    ``noise`` (a :class:`~repro.compiler.routing.noise.NoiseRoutingModel`)
+    swaps the hop-count matrix for the calibration-weighted one and adds the
+    per-edge SWAP surcharge; ``None`` keeps the historical distance-only
+    arithmetic byte-for-byte.
     """
     if noise is not None:
         distance = noise.distance
@@ -118,64 +115,6 @@ def make_scorer(coupling_map, backend: str, noise=None) -> Scorer:
         distance = coupling_map.distance_matrix()
         penalty = None
     edge_array = coupling_map.edge_array()
-    if backend == "native":
-        from repro.kernels import _native_module
-
-        native = _native_module()
-        incident_ptr, incident_ids = coupling_map.incident_edge_csr()
-        num_physical = coupling_map.num_qubits
-        num_edges = edge_array.shape[0]
-        # Scratch buffers reused across stalls: a per-edge mark byte for the
-        # candidate set, plus the id/cost output arrays.
-        mark = np.zeros(num_edges, dtype=np.uint8)
-        ids_out = np.empty(num_edges, dtype=np.int64)
-        costs_out = np.empty(num_edges, dtype=np.float64)
-
-        if noise is not None:
-
-            def scorer(layout, pair_qubits, num_front, num_ext, lookahead_weight, decay):
-                count, base_cost = native.score_stall_noise(
-                    layout,
-                    pair_qubits,
-                    edge_array,
-                    incident_ptr,
-                    incident_ids,
-                    distance,
-                    penalty,
-                    decay,
-                    num_front,
-                    num_ext,
-                    num_physical,
-                    lookahead_weight,
-                    mark,
-                    ids_out,
-                    costs_out,
-                )
-                return ids_out[:count].tolist(), costs_out[:count], base_cost
-
-            return scorer
-
-        def scorer(layout, pair_qubits, num_front, num_ext, lookahead_weight, decay):
-            count, base_cost = native.score_stall(
-                layout,
-                pair_qubits,
-                edge_array,
-                incident_ptr,
-                incident_ids,
-                distance,
-                decay,
-                num_front,
-                num_ext,
-                num_physical,
-                lookahead_weight,
-                mark,
-                ids_out,
-                costs_out,
-            )
-            return ids_out[:count].tolist(), costs_out[:count], base_cost
-
-        return scorer
-
     incident_edge_ids = coupling_map.incident_edge_ids()
 
     def scorer(layout, pair_qubits, num_front, num_ext, lookahead_weight, decay):

@@ -1,36 +1,45 @@
 """The kernel layer: backend selection, native-vs-python bit identity,
 batched KAK agreement and the sequence-application contract.
 
-The native SABRE scoring extension is optional — tests that need it skip
+The native SABRE loop extension is optional — tests that need it skip
 cleanly when this checkout was installed without a C compiler (the
 ``REPRO_KERNELS=py`` CI job runs exactly that configuration, which is the
 point: the fallback must carry the full contract on its own).
 """
 
+import sys
+import types
+
 import numpy as np
 import pytest
 
 import repro.kernels as kernels
+from repro.circuits.circuit import QuantumCircuit
+from repro.compiler.passes.route import SabreRoutingPass
 from repro.compiler.routing.coupling_map import CouplingMap
+from repro.compiler.routing.noise import NoiseRoutingModel
 from repro.compiler.routing.sabre import SabreRouter
 from repro.compiler.routing.sabre_reference import ReferenceSabreRouter
+from repro.ir import CircuitIR
 from repro.kernels import (
     backend_info,
     kak_decompose_batch,
     make_sabre_scorer,
     select_backend,
 )
-from repro.kernels.sabre_score import make_scorer
 from repro.linalg.random import haar_random_su4
 from repro.linalg.weyl import kak_decompose
 from repro.perf.harness import circuits_bit_identical, random_two_qubit_circuit
 from repro.simulators.statevector import apply_gate, apply_gate_sequence
+from repro.target.target import resolve_target
 
 NATIVE_AVAILABLE = backend_info()["native_available"]
 
 needs_native = pytest.mark.skipif(
     not NATIVE_AVAILABLE, reason="native extension not built in this checkout"
 )
+
+BACKENDS = ["py"] + (["native"] if NATIVE_AVAILABLE else [])
 
 
 # ---------------------------------------------------------------------------
@@ -83,37 +92,83 @@ def test_explicit_override_beats_environment(monkeypatch):
     assert select_backend("py") == "py"
 
 
+def test_extension_without_route_counts_as_missing(monkeypatch):
+    """A stale build of the extension (no ``route``) never runs."""
+    stale = types.ModuleType(kernels._NATIVE_NAME)
+    monkeypatch.setitem(sys.modules, kernels._NATIVE_NAME, stale)
+    monkeypatch.setattr(kernels, "_NATIVE", None)
+    monkeypatch.setenv("REPRO_KERNELS", "auto")
+    assert select_backend() == "py"
+    assert backend_info()["native_available"] is False
+    monkeypatch.setenv("REPRO_KERNELS", "native")
+    with pytest.raises(RuntimeError, match="build_ext --inplace"):
+        select_backend()
+
+
 # ---------------------------------------------------------------------------
-# SABRE scoring: native vs pure-Python bit identity.
+# SABRE routing loop: native vs pure-Python vs the frozen reference.
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("explicit_layout", [False, True])
+@pytest.mark.parametrize("mirroring", [False, True])
+def test_whole_router_matches_reference_at_24q(monkeypatch, mirroring, explicit_layout):
+    """24q/1000-gate line routing: every backend == ReferenceSabreRouter."""
+    circuit = random_two_qubit_circuit(24, 1000, seed=3)
+    coupling_map = CouplingMap.line(24)
+    layout = None
+    if explicit_layout:
+        layout = np.random.default_rng(7).permutation(24).tolist()
+    reference = ReferenceSabreRouter(coupling_map, mirroring=mirroring).run(
+        circuit, initial_layout=layout
+    )
+    assert reference.absorbed_swaps > 0 or not mirroring
+    for backend in BACKENDS:
+        monkeypatch.setenv("REPRO_KERNELS", backend)
+        routed = SabreRouter(coupling_map, mirroring=mirroring).run(circuit, initial_layout=layout)
+        assert circuits_bit_identical(routed.circuit, reference.circuit), backend
+        assert routed.final_layout == reference.final_layout
+        assert routed.initial_layout == reference.initial_layout
+        assert routed.inserted_swaps == reference.inserted_swaps
+        assert routed.absorbed_swaps == reference.absorbed_swaps
 
 
 @needs_native
-def test_scorer_backends_elementwise_identical():
-    """Random layouts/front layers: ids, costs and base cost all bit-equal."""
-    coupling_map = CouplingMap.grid_for(16)
-    py_scorer = make_scorer(coupling_map, "py")
-    native_scorer = make_scorer(coupling_map, "native")
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        layout = rng.permutation(16).astype(np.int64)
-        num_front = int(rng.integers(1, 5))
-        num_ext = int(rng.integers(0, 9))
-        pairs = [rng.choice(16, size=2, replace=False) for _ in range(num_front + num_ext)]
-        pair_qubits = np.array(
-            [p[0] for p in pairs] + [p[1] for p in pairs], dtype=np.int64
+def test_noise_aware_routing_pass_native_vs_py(monkeypatch):
+    """The calibrated portfolio pass picks and reports the same on both loops."""
+    target = resolve_target("xy-grid-cal-9")
+    circuit = random_two_qubit_circuit(9, 300, seed=4)
+    outcomes = {}
+    for backend in ("native", "py"):
+        monkeypatch.setenv("REPRO_KERNELS", backend)
+        routing_pass = SabreRoutingPass(
+            target.coupling_map, noise_aware=True, calibration=target.calibration
         )
-        decay = 1.0 + 0.001 * rng.integers(0, 20, size=16).astype(float)
-        lookahead_weight = float(rng.choice([0.0, 0.5, 1.0]))
-        ids_py, costs_py, base_py = py_scorer(
-            layout, pair_qubits, num_front, num_ext, lookahead_weight, decay
-        )
-        ids_nat, costs_nat, base_nat = native_scorer(
-            layout, pair_qubits, num_front, num_ext, lookahead_weight, decay
-        )
-        assert ids_py == ids_nat
-        assert base_py == base_nat
-        np.testing.assert_array_equal(np.asarray(costs_py), np.asarray(costs_nat))
+        properties = {}
+        ir = routing_pass.run_ir(CircuitIR.from_circuit(circuit), properties)
+        outcomes[backend] = (ir.to_circuit(), properties)
+    (native_circuit, native_props), (py_circuit, py_props) = outcomes["native"], outcomes["py"]
+    assert circuits_bit_identical(native_circuit, py_circuit)
+    assert native_props == py_props
+    assert native_props["inserted_swaps"] > 0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_routing_errors_raise_on_both_backends(monkeypatch, backend):
+    monkeypatch.setenv("REPRO_KERNELS", backend)
+    # Physical qubits 2 and 3 have no coupling edges: no SWAP candidates.
+    isolated = CouplingMap([(0, 1)], num_qubits=4)
+    with pytest.raises(RuntimeError, match="no SWAP candidates"):
+        SabreRouter(isolated).run(QuantumCircuit(4).cx(2, 3))
+    # A surcharge on every distance-reducing edge makes the router shuttle
+    # the (1, 4) gate's qubit over edge (0, 1) forever: the step limit.
+    line = CouplingMap.line(5)
+    model = NoiseRoutingModel(
+        distance=line.distance_matrix64(),
+        swap_penalty=np.array([0, 100, 100, 100], dtype=np.int64),
+    )
+    with pytest.raises(RuntimeError, match="step limit"):
+        SabreRouter(line, noise_model=model).run(QuantumCircuit(5).cx(1, 4))
 
 
 @needs_native
@@ -147,9 +202,29 @@ def test_forced_fallback_matches_reference_router(monkeypatch):
     assert fast.final_layout == reference.final_layout
 
 
-def test_make_sabre_scorer_honours_explicit_backend():
+@needs_native
+def test_native_loop_rejects_inconsistent_inputs():
+    """Bad arrays raise ValueError instead of reading or writing out of bounds."""
+    coupling_map = CouplingMap.line(3)
+    incident_ptr, incident = coupling_map.incident_edge_csr()
+
+    def route(q0=(0,), indegree=(0,), front=(0,)):
+        arrays = [q0, (1,), (0, 0), (), indegree, front, (0, 1, 2)]
+        return kernels.sabre_route_native(
+            *[np.asarray(a, dtype=np.int64) for a in arrays],
+            coupling_map.edge_array(), incident_ptr, incident,
+            coupling_map.distance_matrix64(), None, 20, 0.5, 0.001, 5, False, 1000,
+        )
+
+    assert route() == ([0], [(0, 1)], [], [0, 1, 2], 0, 0)
+    for bad in (dict(q0=(3,)), dict(indegree=(1,)), dict(front=(0, 0))):
+        with pytest.raises(ValueError, match="inconsistent"):
+            route(**bad)
+
+
+def test_make_sabre_scorer_returns_python_scorer():
     coupling_map = CouplingMap.line(4)
-    scorer = make_sabre_scorer(coupling_map, backend="py")
+    scorer = make_sabre_scorer(coupling_map)
     layout = np.arange(4, dtype=np.int64)
     pair_qubits = np.array([0, 1], dtype=np.int64)  # one front pair (0, 1)
     ids, costs, base_cost = scorer(layout, pair_qubits, 1, 0, 0.5, np.ones(4))

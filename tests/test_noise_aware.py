@@ -8,12 +8,10 @@ routing, on both kernel backends — and the portfolio guarantee
 """
 
 import json
-import types
 
 import numpy as np
 import pytest
 
-import repro.kernels as kernels
 from repro.circuits.depgraph import DependencyGraph
 from repro.compiler.passes.route import SabreRoutingPass
 from repro.compiler.routing.coupling_map import CouplingMap
@@ -23,7 +21,7 @@ from repro.compiler.routing.noise import (
     compare_routing_strategies,
 )
 from repro.compiler.routing.sabre import SabreRouter
-from repro.kernels import backend_info, make_sabre_scorer
+from repro.kernels import backend_info
 from repro.microarch.calibration import CalibrationData, CalibrationError, EdgeCalibration
 from repro.perf.harness import circuits_bit_identical, random_two_qubit_circuit
 from repro.target.target import Target, resolve_target, target_preset_info
@@ -262,54 +260,3 @@ def test_reqisc_noise_pipeline_writes_fidelity_properties():
 def test_noise_aware_pass_requires_calibration():
     with pytest.raises(ValueError, match="calibrated target"):
         SabreRoutingPass(CouplingMap.line(4), noise_aware=True)
-
-
-# ---------------------------------------------------------------------------
-# Kernel-layer dispatch for the noise scorer.
-# ---------------------------------------------------------------------------
-
-
-def test_stale_native_extension_degrades_under_auto(monkeypatch):
-    coupling_map = CouplingMap.line(5)
-    model = build_noise_model(coupling_map, CalibrationData.seeded(coupling_map, seed=2))
-    stale = types.SimpleNamespace()  # no score_stall_noise attribute
-    monkeypatch.setattr(kernels, "_NATIVE", (stale, None))
-    monkeypatch.setenv("REPRO_KERNELS", "auto")
-    scorer = make_sabre_scorer(coupling_map, noise=model)  # degrades to py
-    assert callable(scorer)
-    monkeypatch.setenv("REPRO_KERNELS", "native")
-    with pytest.raises(RuntimeError, match="score_stall_noise"):
-        make_sabre_scorer(coupling_map, noise=model)
-
-
-@needs_native
-def test_noise_scorer_backends_elementwise_identical():
-    from repro.kernels.sabre_score import make_scorer
-
-    coupling_map = CouplingMap.grid_for(16)
-    model = build_noise_model(coupling_map, CalibrationData.seeded(coupling_map, seed=5))
-    py_scorer = make_scorer(coupling_map, "py", noise=model)
-    native_scorer = make_scorer(coupling_map, "native", noise=model)
-    rng = np.random.default_rng(0)
-    num_physical = coupling_map.num_qubits
-    for _ in range(100):
-        layout = rng.permutation(num_physical).astype(np.int64)
-        num_front = int(rng.integers(1, 5))
-        num_ext = int(rng.integers(0, 6))
-        pairs = [
-            rng.choice(num_physical, size=2, replace=False)
-            for _ in range(num_front + num_ext)
-        ]
-        pair_qubits = np.array(
-            [p[0] for p in pairs] + [p[1] for p in pairs], dtype=np.int64
-        )
-        decay = 1.0 + 0.001 * rng.integers(0, 20, size=num_physical).astype(float)
-        py_ids, py_costs, py_base = py_scorer(
-            layout, pair_qubits, num_front, num_ext, 0.5, decay
-        )
-        nat_ids, nat_costs, nat_base = native_scorer(
-            layout, pair_qubits, num_front, num_ext, 0.5, decay
-        )
-        assert py_ids == nat_ids
-        assert py_base == nat_base
-        np.testing.assert_array_equal(np.asarray(py_costs), np.asarray(nat_costs))

@@ -84,6 +84,8 @@ def test_fast_path_rejects_out_of_range_initial_layout():
         SabreRouter(CouplingMap.line(4)).run(circuit, initial_layout=[0, -1, 2])
     with pytest.raises(ValueError, match="out of range"):
         SabreRouter(CouplingMap.line(4)).run(circuit, initial_layout=[0, 1, 4])
+    with pytest.raises(ValueError, match="no entry"):
+        SabreRouter(CouplingMap.line(4)).run(circuit, initial_layout=[0, 1])
 
 
 def test_distance_matrix_bfs_matches_networkx_on_high_degree_graph():

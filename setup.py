@@ -4,7 +4,8 @@ Installs the ``repro`` package from ``src/`` and exposes the batch
 compilation CLI both as ``python -m repro`` and as the ``repro`` console
 script.  The package needs numpy, scipy and networkx at runtime
 (``repro.circuits`` and the QAOA workloads import networkx); the ``test``
-extra adds pytest and hypothesis.
+extra adds pytest, hypothesis and pytest-benchmark (the figure benchmarks
+under ``benchmarks/`` use its ``benchmark`` fixture).
 
 The native SABRE routing loop (``repro.kernels._sabre_loop``: the whole
 step loop, one call per routing run) is built opportunistically: when a C
@@ -89,7 +90,7 @@ setup(
         "networkx",
     ],
     extras_require={
-        "test": ["pytest", "hypothesis"],
+        "test": ["pytest", "hypothesis", "pytest-benchmark"],
     },
     entry_points={
         "console_scripts": [

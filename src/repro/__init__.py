@@ -67,8 +67,6 @@ _LAZY_EXPORTS = {
     "DependencyGraph": "repro.circuits.depgraph:DependencyGraph",
     "CircuitIR": "repro.ir:CircuitIR",
     "ir_conversion_stats": "repro.ir:conversion_stats",
-    "run_perf": "repro.perf.harness:run_perf",
-    "write_perf_report": "repro.perf.harness:write_report",
 }
 
 __all__ = sorted(_LAZY_EXPORTS) + ["__version__"]

@@ -17,9 +17,7 @@ The historical circuit-in/circuit-out signature keeps working in both
 directions: a legacy pass that only implements :meth:`CompilerPass.run` is a
 ``consumes = "circuit"`` pass, and an IR-native pass can still be called
 through :meth:`run` — the base class adapts by wrapping the circuit into a
-throwaway ``CircuitIR`` (this is also what
-``PassManager(force_circuit_boundaries=True)`` uses to reproduce the
-pre-refactor per-pass marshalling for benchmarking).
+throwaway ``CircuitIR``.
 """
 
 from __future__ import annotations
@@ -133,18 +131,10 @@ def _written_keys(before: Mapping[str, Any], after: Mapping[str, Any]) -> List[s
 
 @dataclass
 class PassManager:
-    """Run a sequence of passes, recording per-pass statistics.
-
-    ``force_circuit_boundaries`` reproduces the pre-IR behaviour — every pass
-    is driven through its circuit-level entry point, re-marshalling a flat
-    gate list at each boundary.  It exists for the ``repro perf`` ``ir``
-    benchmark family (conversion-count and wall-time comparison) and should
-    stay off otherwise.
-    """
+    """Run a sequence of passes, recording per-pass statistics."""
 
     passes: List[CompilerPass] = field(default_factory=list)
     records: List[PassRecord] = field(default_factory=list)
-    force_circuit_boundaries: bool = False
 
     def append(self, compiler_pass: CompilerPass) -> "PassManager":
         """Add a pass to the end of the pipeline."""
@@ -187,10 +177,7 @@ class PassManager:
         records: List[PassRecord] = []
         current: Program = circuit
         for compiler_pass in self.passes:
-            if self.force_circuit_boundaries:
-                wants = "circuit"
-            else:
-                wants = getattr(compiler_pass, "consumes", "circuit")
+            wants = getattr(compiler_pass, "consumes", "circuit")
             current = _coerce(current, wants)
             gates_before, two_qubit_before, depth_before = _measure(current)
             snapshot = dict(properties.items())

@@ -28,7 +28,7 @@ class CouplingMap:
         self.graph.add_edges_from(edges)
         self.name = name
         # Lazily built, shared per map instance: every consumer (routing,
-        # Target duration models, perf harness) sees the same arrays instead
+        # Target duration models, benchmark) sees the same arrays instead
         # of re-deriving them per call.
         self._distance: np.ndarray = None
         self._distance64: np.ndarray = None

@@ -7,9 +7,10 @@ path in :mod:`repro.compiler.routing.sabre`.  It exists for two reasons:
 * **Equivalence testing** — the fast path guarantees bit-identical routed
   output; the regression tests route random circuits and the workload suite
   through both implementations and compare gate-for-gate.
-* **Performance baselines** — ``repro perf`` times this implementation next
-  to the fast path and records the speedup in ``BENCH_*.json``, so the perf
-  trajectory is anchored to a fixed reference rather than a moving target.
+* **A fixed anchor** — every later change to the fast path is checked
+  against this one unchanging implementation rather than against its own
+  previous version (``tests/test_sabre_fast_path.py`` routes a 64-qubit,
+  2000-gate circuit through both).
 
 Do not optimize this module; it is intentionally the slow O(n·front) loop
 (``front.remove``, per-candidate Python heuristic sums, dict-based DAG).

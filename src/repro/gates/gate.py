@@ -21,7 +21,7 @@ recur millions of times across a benchmark suite (every ``cx``, every
 Every interned (and every explicit) matrix is frozen
 (``writeable=False``), so a cached array can never be corrupted in place by
 a pass or simulator — callers that need a scratch copy must ``.copy()``.
-:func:`matrix_cache_stats` exposes hit/miss counters for the perf harness,
+:func:`matrix_cache_stats` exposes hit/miss counters for the benchmark,
 both in aggregate and per gate family (per name), so the batch collectors in
 :mod:`repro.kernels` can report what fraction of their inputs were interned
 and the FIFO pool bound can be sized against real workloads.
@@ -76,7 +76,7 @@ def matrix_cache_stats() -> Dict[str, Any]:
 
     ``families`` maps each gate name that resolved a matrix since the last
     reset to its own ``{"hits", "misses", "hit_rate"}`` record, so callers
-    (the perf harness, the batch collectors) can see *which* gate families
+    (the benchmark, the batch collectors) can see *which* gate families
     benefit from interning rather than one aggregate number.
     """
     families: Dict[str, Dict[str, Any]] = {}
@@ -98,7 +98,7 @@ def matrix_cache_stats() -> Dict[str, Any]:
 
 
 def reset_matrix_cache_stats() -> None:
-    """Zero the hit/miss counters (the perf harness brackets runs with this)."""
+    """Zero the hit/miss counters (the benchmark brackets runs with this)."""
     global _CACHE_HITS, _CACHE_MISSES
     _CACHE_HITS = 0
     _CACHE_MISSES = 0

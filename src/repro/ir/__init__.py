@@ -9,8 +9,8 @@ object, so a pipeline threads one shared structure end-to-end instead of
 marshalling a flat gate list at every pass boundary.
 
 :func:`conversion_stats` exposes the marshalling counters (``from_circuit`` /
-``to_circuit`` / ``dag_builds``) that the ``repro perf`` ``ir`` benchmark
-family records; a full ReQISC compile performs exactly two circuit<->IR
+``to_circuit`` / ``dag_builds``) that the benchmark reports as
+``ir.conversions``; a full ReQISC compile performs exactly two circuit<->IR
 conversions (one in, one out).
 """
 

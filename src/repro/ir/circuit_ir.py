@@ -25,8 +25,8 @@ Design
   mutation, so repeated reads between mutations are free.
 * **Conversion accounting.**  :meth:`from_circuit` / :meth:`to_circuit` (the
   representation-marshalling boundary) and dependency-graph builds bump
-  module-level counters exposed by :func:`conversion_stats` — the metric the
-  ``repro perf`` ``ir`` family tracks.
+  module-level counters exposed by :func:`conversion_stats` — the
+  benchmark's ``ir.conversions`` metric.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def conversion_stats() -> Dict[str, int]:
 
 
 def reset_conversion_stats() -> None:
-    """Zero the conversion counters (the perf harness brackets runs with this)."""
+    """Zero the conversion counters (the benchmark brackets runs with this)."""
     for key in _CONVERSIONS:
         _CONVERSIONS[key] = 0
 

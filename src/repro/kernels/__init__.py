@@ -124,7 +124,7 @@ def select_backend(override: Optional[str] = None) -> str:
 
 
 def backend_info() -> Dict[str, Any]:
-    """Introspection of the kernel layer for tooling and the perf harness."""
+    """Introspection of the kernel layer for tooling and the benchmark."""
     requested = os.environ.get(_ENV_VAR, "auto").strip().lower() or "auto"
     available = _native_available()
     module, error = _NATIVE if _NATIVE is not None else (None, None)

@@ -17,7 +17,7 @@ Two properties make the batch path safe to wire into the compiler:
 * **Exact-bytes interning.**  Inputs are deduplicated on their exact matrix
   bytes before any numerics run (identical fused blocks recur heavily across
   benchmark programs), and the per-family interning statistics are exposed
-  through :func:`batch_stats` for the perf harness.
+  through :func:`batch_stats` for the benchmark.
 
 The per-item arithmetic mirrors the scalar ``kak_decompose`` step for step
 (same mixing angle, same residue fix, same canonicalization), and the two
@@ -72,7 +72,7 @@ def batch_stats() -> Dict[str, int]:
 
 
 def reset_batch_stats() -> None:
-    """Zero the batch counters (the perf harness brackets runs with this)."""
+    """Zero the batch counters (the benchmark brackets runs with this)."""
     for key in _STATS:
         _STATS[key] = 0
 

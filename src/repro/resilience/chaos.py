@@ -1,7 +1,6 @@
 """Chaos soak: drive a live daemon under a seeded :class:`FaultPlan`.
 
-:func:`run_chaos` is the engine behind ``repro chaos`` and the perf
-harness's ``chaos`` family.  One soak:
+:func:`run_chaos` is the engine behind ``repro chaos``.  One soak:
 
 1. compiles every suite program *sequentially, fault-free, in process* to
    establish the byte-exact expected output for each job;

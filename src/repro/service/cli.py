@@ -55,13 +55,6 @@ registered compilers (``reqisc-full`` / ``reqisc-eff`` / baselines, see
     every injected corruption.  Exits non-zero on any violation (see
     ``docs/resilience.md``).
 
-``perf``
-    Run the :mod:`repro.perf` microbenchmark harness (compile / route /
-    synthesize / simulate) and write a schema-stable ``BENCH_*.json``
-    report with wall times, gates/sec and cache hit rates — the routing
-    measurement is anchored to the frozen pre-optimization SABRE baseline
-    and asserted bit-identical to it (see ``docs/performance.md``).
-
 Every compiling subcommand takes ``--target <preset-or-json-file>`` — a
 preset name (``xy-line``, ``heavy-hex``, ``all-to-all``, optionally suffixed
 with a qubit count like ``xy-line-16``; size-less presets are sized per
@@ -510,43 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the full JSON report to PATH",
     )
     chaos_parser.add_argument("--json", action="store_true", help="print the full report as JSON")
-
-    perf_parser = subparsers.add_parser(
-        "perf",
-        help="run the performance microbenchmark suite and write BENCH_*.json",
-        description=(
-            "Times the compile/route/synthesize/simulate hot paths plus the "
-            "synth.batch kernel family (batched KAK, apply_gate_sequence) "
-            "over deterministic workloads, anchors the routing measurement "
-            "to the frozen pre-optimization SABRE baseline, and writes a "
-            "schema-stable BENCH_*.json report (see docs/performance.md)."
-        ),
-    )
-    perf_parser.add_argument(
-        "--quick", action="store_true", help="CI smoke mode: fewer repeats, smaller workloads"
-    )
-    perf_parser.add_argument(
-        "--only",
-        metavar="KIND",
-        action="append",
-        choices=(
-            "compile", "route", "ir", "qasm", "serve", "chaos",
-            "synthesize", "synth_batch", "simulate", "fidelity",
-        ),
-        help="restrict to one benchmark kind (repeatable; default: all)",
-    )
-    perf_parser.add_argument("--seed", type=int, default=42, help="workload seed (default: 42)")
-    perf_parser.add_argument(
-        "--repeats", type=int, default=None, metavar="N",
-        help="timing repeats per benchmark (default: 3, or 1 with --quick)",
-    )
-    perf_parser.add_argument(
-        "--output",
-        metavar="PATH",
-        default="BENCH_perf.json",
-        help="report path (default: BENCH_perf.json)",
-    )
-    perf_parser.add_argument("--json", action="store_true", help="also print the report on stdout")
 
     return parser
 
@@ -1234,120 +1190,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from repro.perf.harness import run_perf, write_report
-
-    report = run_perf(
-        quick=args.quick,
-        seed=args.seed,
-        repeats=args.repeats,
-        kinds=args.only,
-    )
-    write_report(report, args.output)
-    if args.json:
-        print(json.dumps(report, indent=2, default=_json_default))
-    else:
-        rows = [
-            {
-                "benchmark": record["name"],
-                "kind": record["kind"],
-                "wall_s": f"{record['wall_seconds']:.4f}",
-                "gates": record["gates"],
-                "gates_per_s": f"{record['gates_per_second']:.0f}",
-            }
-            for record in report["benchmarks"]
-        ]
-        from repro.experiments.common import format_rows
-
-        print(format_rows(rows, title=f"repro perf ({'quick' if args.quick else 'full'} mode)"))
-        routing = report.get("routing")
-        if routing:
-            print(
-                "routing: {speedup:.2f}x over pre-optimization baseline "
-                "({baseline_seconds:.3f}s -> {fast_seconds:.3f}s), "
-                "bit_identical={bit_identical}".format(**routing)
-            )
-        equivalence = report.get("equivalence")
-        if equivalence:
-            print(
-                "equivalence: {cases} suite programs at scale={scale}, "
-                "bit_identical={bit_identical}".format(**equivalence)
-            )
-        qasm_section = report.get("qasm")
-        if qasm_section:
-            print(
-                "qasm: {cases} programs at scale={scale}, "
-                "dump {dump_gates_per_second:.0f} gates/s, "
-                "load {load_gates_per_second:.0f} gates/s, "
-                "bit_identical={bit_identical}".format(**qasm_section)
-            )
-        serve_section = report.get("serve")
-        if serve_section:
-            print(
-                "serve: {throughput_jobs_per_second:.1f} jobs/s sustained "
-                "({completed}/{requests} jobs, {clients} clients, {workers} workers), "
-                "p50={latency_p50_ms:.1f}ms p99={latency_p99_ms:.1f}ms, "
-                "bit_identical={bit_identical}".format(**serve_section)
-            )
-        chaos_section = report.get("chaos")
-        if chaos_section:
-            print(
-                "chaos: ok={ok} — {completed}/{jobs} jobs under "
-                "{faults_fired_total}/{faults_scheduled} fired faults, "
-                "retries={retries}, {quarantined} segment(s) quarantined, "
-                "bit_identical={bit_identical}".format(
-                    retries=chaos_section["resilience"]["retries"],
-                    quarantined=chaos_section["scrub"].get("segments_quarantined", 0),
-                    **chaos_section,
-                )
-            )
-        ir_section = report.get("ir")
-        if ir_section:
-            print(
-                "ir: {conversions_per_compile:.1f} circuit<->IR conversions per "
-                "compile (legacy {legacy_conversions_per_compile:.1f}), "
-                "{speedup:.2f}x over per-pass marshalling, "
-                "bit_identical={bit_identical}".format(**ir_section)
-            )
-        synth_batch = report.get("synth_batch")
-        if synth_batch:
-            print(
-                "synth.batch: {speedup:.2f}x batched KAK over one-at-a-time "
-                "({scalar_seconds:.4f}s -> {batch_seconds:.4f}s, {count} unitaries, "
-                "{interned_fraction:.0%} interned), "
-                "apply-sequence {apply_speedup:.2f}x, "
-                "bit_identical={bit_identical}".format(**synth_batch)
-            )
-        fidelity_section = report.get("fidelity")
-        if fidelity_section:
-            print(
-                "fidelity: noise-aware routing {geomean_improvement:.3f}x geomean "
-                "estimated-fidelity gain over distance-only "
-                "({wins} wins, {ties} ties, {regressions} regressions over "
-                "{rows} rows), uniform bit_identical={bit_identical}".format(
-                    regressions=len(fidelity_section["regressions"]),
-                    rows=len(fidelity_section["rows"]),
-                    **{
-                        k: v
-                        for k, v in fidelity_section.items()
-                        if k not in ("regressions", "rows")
-                    },
-                )
-            )
-        kernels = report.get("kernels")
-        if kernels:
-            print(
-                "kernels: backend={backend} (requested={requested}, "
-                "native_available={native_available})".format(**kernels)
-            )
-        gate_cache = report["cache"]["gate_matrix"]
-        print(
-            "gate-matrix cache: hits={hits} misses={misses}".format(**gate_cache)
-        )
-    print(f"wrote {args.output}", file=sys.stderr)
-    return 0
-
-
 _COMMANDS = {
     "compile": _cmd_compile,
     "bench": _cmd_bench,
@@ -1358,7 +1200,6 @@ _COMMANDS = {
     "submit": _cmd_submit,
     "cache": _cmd_cache,
     "chaos": _cmd_chaos,
-    "perf": _cmd_perf,
 }
 
 

@@ -255,7 +255,7 @@ class WorkerPool:
             return sum(len(slot.backlog) + (1 if slot.running else 0) for slot in self._slots)
 
     def stats(self) -> Dict[str, Any]:
-        """Counter snapshot for the ``stats`` op and the perf harness."""
+        """Counter snapshot for the ``stats`` op."""
         with self._lock:
             return {
                 "workers": self.workers,

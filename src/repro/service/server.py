@@ -30,8 +30,9 @@ the worker is respawned — proven by the fault-injection suite in
 Determinism contract: a daemon response is bit-identical to
 ``BatchCompiler`` output and to an in-process ``compile()`` with the same
 compiler/seed/target, because job identity hashes exact circuit content
-and the synthesis cache keys on exact matrix bytes (gated continuously by
-``BENCH_serve.json``'s bit-identity check).
+and the synthesis cache keys on exact matrix bytes (gated by
+``tests/test_service_server.py``, which checks every answer under concurrent
+load against the sequential compile).
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ import networkx as nx
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.dag import circuit_to_dag, dag_to_circuit, front_layer, layers
 from repro.circuits.depgraph import DependencyGraph
-from repro.perf.harness import random_two_qubit_circuit
+
+from circuit_helpers import random_two_qubit_circuit
 
 
 def _reference_nx_dag(circuit):

@@ -317,18 +317,23 @@ def test_pass_manager_accepts_prebuilt_ir():
     assert bit_identical(via_ir_input, manager.run(lowered))
 
 
-def test_force_circuit_boundaries_is_bit_identical():
+def test_circuit_adapters_chain_bit_identical_to_shared_ir():
     from repro.compiler.passes.decompose import decompose_to_cnot
+    from repro.target.properties import PropertySet
 
     lowered = decompose_to_cnot(random_standard_circuit(4, 30, seed=2))
     passes = [PeepholeOptimizationPass(consolidate=False), Fuse2QBlocksPass()]
+    assert all(compiler_pass.consumes == "ir" for compiler_pass in passes)
     shared = PassManager(list(passes)).run(lowered)
     reset_conversion_stats()
-    forced = PassManager(list(passes), force_circuit_boundaries=True).run(lowered)
+    chained = lowered
+    properties = PropertySet()
+    for compiler_pass in passes:
+        chained = compiler_pass.run(chained, properties)
     stats = conversion_stats()
-    assert bit_identical(shared, forced)
-    # Legacy mode pays one circuit<->IR round-trip per IR-native pass.
-    assert stats["from_circuit"] == 2 and stats["to_circuit"] == 2
+    assert bit_identical(shared, chained)
+    # Each run() adapter pays one circuit<->IR round trip per IR-native pass.
+    assert stats["from_circuit"] == len(passes) and stats["to_circuit"] == len(passes)
 
 
 def test_pass_records_carry_depth_and_written_properties():

@@ -29,9 +29,10 @@ from repro.kernels import (
 )
 from repro.linalg.random import haar_random_su4
 from repro.linalg.weyl import kak_decompose
-from repro.perf.harness import circuits_bit_identical, random_two_qubit_circuit
 from repro.simulators.statevector import apply_gate, apply_gate_sequence
 from repro.target.target import resolve_target
+
+from circuit_helpers import circuits_bit_identical, random_two_qubit_circuit
 
 NATIVE_AVAILABLE = backend_info()["native_available"]
 

@@ -21,10 +21,13 @@ from repro.compiler.routing.noise import (
     compare_routing_strategies,
 )
 from repro.compiler.routing.sabre import SabreRouter
+from repro.experiments.common import reference_cnot_circuit
 from repro.kernels import backend_info
 from repro.microarch.calibration import CalibrationData, CalibrationError, EdgeCalibration
-from repro.perf.harness import circuits_bit_identical, random_two_qubit_circuit
 from repro.target.target import Target, resolve_target, target_preset_info
+from repro.workloads.suite import benchmark_suite
+
+from circuit_helpers import circuits_bit_identical, random_two_qubit_circuit
 
 NATIVE_AVAILABLE = backend_info()["native_available"]
 
@@ -196,6 +199,27 @@ def test_portfolio_never_scores_worse_than_distance(preset):
     )
     kept = target.calibration.estimated_log_fidelity(comparison.chosen.circuit)
     assert kept == pytest.approx(chosen_log)
+
+
+@pytest.mark.parametrize("preset", ["xy-line-cal", "xy-grid-cal", "heavy-hex-cal"])
+def test_suite_rows_never_worse_and_uniform_matches_distance(preset):
+    """Per ``tiny`` suite program on a seeded calibrated device: the portfolio
+    keeps fidelity >= distance-only, and a uniform calibration routes
+    bit-identically to distance-only."""
+    for case in benchmark_suite(scale="tiny"):
+        lowered = reference_cnot_circuit(case.circuit)
+        graph = DependencyGraph.from_circuit(lowered)
+        target = resolve_target(preset, lowered.num_qubits)
+        comparison = compare_routing_strategies(graph, target, seed=0, name=case.name)
+        assert comparison.improvement >= 1.0, case.name
+        uniform = build_noise_model(target.coupling_map, CalibrationData.uniform(target.coupling_map))
+        router = SabreRouter(target.coupling_map, noise_model=uniform, mirroring=True, seed=0)
+        routed = router.run_graph(graph, name=case.name)
+        distance = comparison.distance_result
+        assert circuits_bit_identical(routed.circuit, distance.circuit), case.name
+        assert routed.final_layout == distance.final_layout, case.name
+        assert routed.inserted_swaps == distance.inserted_swaps, case.name
+        assert routed.absorbed_swaps == distance.absorbed_swaps, case.name
 
 
 def test_uniform_portfolio_reports_noise_tie():

@@ -15,9 +15,10 @@ import pytest
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.linalg.random import haar_random_unitary
-from repro.perf.harness import circuits_bit_identical
 from repro.qasm import QasmError, dump, dumps, load, loads, parse
 from repro.workloads.suite import benchmark_suite
+
+from circuit_helpers import circuits_bit_identical
 
 # ---------------------------------------------------------------------------
 # Corpus round-trip identity (the acceptance-criterion property test).

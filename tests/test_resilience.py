@@ -629,6 +629,9 @@ def test_mini_chaos_soak_recovers_everything():
     assert report["unrecovered"] == []
     assert report["hung_clients"] == 0
     assert report["faults_scheduled"] == 4
+    # Every scheduled worker and socket fault really fired.  Cache faults
+    # fire inside the worker processes and are not counted here.
+    assert report["faults_fired"] == {"worker.raise": 1, "socket.reset": 1, "socket.delay": 1}
     # Post-soak scrub must leave a clean store.
     assert report["disk_after_scrub"]["corrupt_records"] == 0
     assert report["health"].get("status") in ("ok", "degraded", "impaired")

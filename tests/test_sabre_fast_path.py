@@ -8,8 +8,9 @@ from repro.compiler.routing.coupling_map import CouplingMap
 from repro.compiler.routing.sabre import SabreRouter
 from repro.compiler.routing.sabre_reference import ReferenceSabreRouter
 from repro.experiments.common import reference_cnot_circuit
-from repro.perf.harness import circuits_bit_identical, random_two_qubit_circuit
-from repro.workloads.suite import benchmark_suite
+from repro.workloads.suite import benchmark_suite, suite_categories
+
+from circuit_helpers import circuits_bit_identical, random_two_qubit_circuit
 
 
 def _assert_identical(fast, reference):
@@ -43,9 +44,20 @@ def test_fast_path_bit_identical_with_initial_layout():
     _assert_identical(fast, reference)
 
 
-@pytest.mark.parametrize("category", ["qft", "tof", "ripple_add"])
+def test_fast_path_bit_identical_at_64q_2000g():
+    """The routing stress shape: 64 qubits, 2000 gates, mirroring on."""
+    coupling_map = CouplingMap.grid_for(64)
+    circuit = random_two_qubit_circuit(64, 2000, seed=42)
+    fast = SabreRouter(coupling_map, mirroring=True).run(circuit)
+    reference = ReferenceSabreRouter(coupling_map, mirroring=True).run(circuit)
+    assert fast.inserted_swaps > 0 and fast.absorbed_swaps > 0
+    _assert_identical(fast, reference)
+
+
+@pytest.mark.parametrize("category", suite_categories())
 def test_fast_path_bit_identical_on_workloads(category):
-    case = benchmark_suite(scale="tiny", categories=[category])[0]
+    """Every ``small`` suite program, lowered to CNOT, on its near-square grid."""
+    case = benchmark_suite(scale="small", categories=[category])[0]
     lowered = reference_cnot_circuit(case.circuit)
     for mirroring in (False, True):
         coupling_map = CouplingMap.grid_for(lowered.num_qubits)

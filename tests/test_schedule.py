@@ -13,9 +13,10 @@ import pytest
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.compiler.passes.schedule import SchedulingPass, asap_schedule
-from repro.perf.harness import random_two_qubit_circuit
 from repro.target.api import compile as target_compile
 from repro.target.target import resolve_target
+
+from circuit_helpers import random_two_qubit_circuit
 
 
 def _assert_valid_schedule(circuit, schedule):

@@ -176,6 +176,40 @@ def test_removed_memo_flags_are_usage_errors(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def _run_removed_perf_subcommand():
+    main(["perf", "--quick"])
+
+
+def _read_removed_perf_export():
+    import repro
+
+    return repro.run_perf
+
+
+def _build_removed_boundary_option():
+    from repro.compiler.passes.base import PassManager
+
+    return PassManager(force_circuit_boundaries=True)
+
+
+@pytest.mark.parametrize(
+    "use, error",
+    [
+        (_run_removed_perf_subcommand, SystemExit),
+        (_read_removed_perf_export, AttributeError),
+        (_build_removed_boundary_option, TypeError),
+    ],
+    ids=["cli-perf", "repro.run_perf", "force_circuit_boundaries"],
+)
+def test_removed_perf_harness_surfaces_fail_loudly(use, error, capsys):
+    # The old timing harness is gone; its entry points must not linger.
+    with pytest.raises(error) as excinfo:
+        use()
+    if error is SystemExit:
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'perf'" in capsys.readouterr().err
+
+
 _BELL_QASM = """OPENQASM 2.0;
 include "qelib1.inc";
 qreg q[2];

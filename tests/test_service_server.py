@@ -172,6 +172,44 @@ def test_daemon_matches_batch_compiler_and_sequential(client):
     assert daemon_qasm == sequential_qasm == batch_qasm
 
 
+def test_concurrent_suite_load_matches_sequential(server):
+    # Four clients share one round-robin schedule of every tiny suite
+    # program twice, so identical submissions meet in the dedup layers;
+    # every single answer must be the sequential compile, byte for byte.
+    from repro.workloads.suite import benchmark_suite
+
+    cases = benchmark_suite(scale="tiny")
+    expected = {case.name: _sequential_qasm(case.circuit) for case in cases}
+    schedule = [(case.name, dumps(case.circuit)) for case in cases] * 2
+    cursor = iter(schedule)
+    lock = threading.Lock()
+    answers, failures = [], []
+
+    def run_client():
+        try:
+            with ServeClient(server.config.address) as client:
+                while True:
+                    with lock:
+                        item = next(cursor, None)
+                    if item is None:
+                        return
+                    name, qasm = item
+                    answers.append((name, client.compile(qasm)["qasm"]))
+        except Exception as exc:  # noqa: BLE001 — surfaced via `failures`
+            failures.append(repr(exc))
+
+    threads = [threading.Thread(target=run_client) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120.0)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert len(answers) == len(schedule)
+    for name, qasm in answers:
+        assert qasm == expected[name], name
+
+
 # ---------------------------------------------------------------------------
 # Fault injection: each failure mode fails alone, the pool self-heals.
 # ---------------------------------------------------------------------------

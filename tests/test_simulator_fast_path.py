@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.perf.harness import random_two_qubit_circuit
 from repro.simulators.statevector import apply_gate, simulate_statevector
 from repro.simulators.unitary import circuit_unitary, permutation_unitary
 from repro.workloads.algorithms import qft_circuit
+
+from circuit_helpers import random_two_qubit_circuit
 
 
 def _reference_apply_gate(state, matrix, qubits, num_qubits):

@@ -5,6 +5,7 @@ threshold ``m_th`` as the key design choices of the hierarchical pass
 (Section 5.1.2); this bench sweeps both on a dense Toffoli-chain workload.
 """
 
+from repro.compiler.passes.base import PassManager
 from repro.compiler.passes.hierarchical import HierarchicalSynthesisPass
 from repro.compiler.passes.template_synthesis import TemplateSynthesisPass
 from repro.experiments.common import format_rows
@@ -13,7 +14,7 @@ from repro.workloads.reversible import toffoli_chain
 
 
 def _sweep():
-    base = TemplateSynthesisPass().run(toffoli_chain(5), {})
+    base = PassManager([TemplateSynthesisPass()]).run(toffoli_chain(5))
     rows = []
     for block_size in (2, 3):
         for threshold in (4, 6):
@@ -26,7 +27,7 @@ def _sweep():
                 enable_dag_compacting=False,
                 max_synthesis_blocks=2,
             )
-            result = hierarchical.run(base, {})
+            result = PassManager([hierarchical]).run(base)
             rows.append(
                 {
                     "block_size_w": block_size,

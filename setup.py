@@ -3,7 +3,9 @@
 Installs the ``repro`` package from ``src/`` and exposes the batch
 compilation CLI both as ``python -m repro`` and as the ``repro`` console
 script.  The package needs numpy, scipy and networkx at runtime
-(``repro.circuits`` and the QAOA workloads import networkx); the ``test``
+(networkx backs ``CouplingMap`` and its heavy-hex lattice, the QAOA
+workload's random regular graph, ``DependencyGraph.to_networkx`` and the
+frozen reference router in ``routing/sabre_reference.py``); the ``test``
 extra adds pytest, hypothesis and pytest-benchmark (the figure benchmarks
 under ``benchmarks/`` use its ``benchmark`` fixture).
 

@@ -13,9 +13,8 @@ and sub-packages can be used independently::
     from repro import QuantumCircuit, Target, compile, CouplingHamiltonian
     from repro import GenAshNScheme, weyl_coordinates
 
-The preferred compilation entry point is ``compile(circuit, target=...,
-spec=...)`` (see :mod:`repro.target`); the compiler classes are deprecated
-shims over it.
+The compilation entry point is ``compile(circuit, target=..., spec=...)``
+(see :mod:`repro.target`).
 """
 
 from repro._lazy import lazy_exports
@@ -49,10 +48,7 @@ _LAZY_EXPORTS = {
     "CouplingHamiltonian": "repro.microarch.hamiltonian:CouplingHamiltonian",
     "GenAshNScheme": "repro.microarch.scheme:GenAshNScheme",
     "PulseProgram": "repro.microarch.scheme:PulseProgram",
-    "ReQISCCompiler": "repro.compiler.reqisc:ReQISCCompiler",
     "CompilationResult": "repro.compiler.result:CompilationResult",
-    "CnotBaselineCompiler": "repro.compiler.baselines:CnotBaselineCompiler",
-    "Su4FusionBaselineCompiler": "repro.compiler.baselines:Su4FusionBaselineCompiler",
     "BatchCompiler": "repro.service.batch:BatchCompiler",
     "BatchResult": "repro.service.batch:BatchResult",
     "SynthesisCache": "repro.service.cache:SynthesisCache",

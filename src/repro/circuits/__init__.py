@@ -1,8 +1,7 @@
-"""Circuit intermediate representation: instructions, circuits, DAGs, metrics."""
+"""Circuit representation: instructions, circuits, dependency graphs, metrics."""
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.instruction import Instruction
-from repro.circuits.dag import circuit_to_dag, dag_to_circuit, layers
 from repro.circuits.depgraph import DependencyGraph
 from repro.circuits.metrics import (
     circuit_duration,
@@ -15,9 +14,6 @@ __all__ = [
     "QuantumCircuit",
     "Instruction",
     "DependencyGraph",
-    "circuit_to_dag",
-    "dag_to_circuit",
-    "layers",
     "circuit_duration",
     "count_distinct_two_qubit_gates",
     "count_two_qubit_gates",

@@ -1,7 +1,7 @@
 """Array-based (CSR) dependency graph of a circuit — the compile-time hot path.
 
-The historical representation of gate dependencies was a ``networkx.DiGraph``
-(:func:`repro.circuits.dag.circuit_to_dag`).  That is convenient but slow on
+The historical representation of gate dependencies was a ``networkx.DiGraph``.
+That is convenient but slow on
 the compile hot path: every routing call paid dict-of-dict node/edge storage,
 per-node attribute lookups and Python-level successor iteration.
 
@@ -9,8 +9,7 @@ per-node attribute lookups and Python-level successor iteration.
 direction (CSR adjacency): ``indptr``/``indices`` pairs for successors and
 predecessors plus an in-degree vector.  Construction is a single O(gates)
 scan; successor lookup is an array slice.  The networkx view is still
-available through :meth:`DependencyGraph.to_networkx` (and the compatibility
-converter :func:`repro.circuits.dag.circuit_to_dag`), so analysis code can
+available through :meth:`DependencyGraph.to_networkx`, so analysis code can
 keep using networkx while the hot passes consume the arrays directly.
 
 Edge semantics are identical to the historical DAG: a directed edge

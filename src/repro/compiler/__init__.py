@@ -1,17 +1,10 @@
 """The Regulus compiler: SU(4)-native compilation framework of ReQISC.
 
-The public API is the declarative one in :mod:`repro.target` (``Target`` +
-``PipelineSpec`` + ``compile``); the compiler classes re-exported here are
-deprecated shims kept for backward compatibility.
+Compilation runs through the declarative API in :mod:`repro.target`
+(``Target`` + ``PipelineSpec`` + ``compile``); this package holds the passes,
+the router and the :class:`CompilationResult` they produce.
 """
 
 from repro.compiler.result import CompilationResult
-from repro.compiler.reqisc import ReQISCCompiler
-from repro.compiler.baselines import CnotBaselineCompiler, Su4FusionBaselineCompiler
 
-__all__ = [
-    "CompilationResult",
-    "ReQISCCompiler",
-    "CnotBaselineCompiler",
-    "Su4FusionBaselineCompiler",
-]
+__all__ = ["CompilationResult"]

@@ -2,22 +2,12 @@
 pipelines are :class:`PassManager` instances (mirroring the staged design of
 Figure 2: program-aware, program-agnostic, hardware-aware).
 
-Representation contract
------------------------
-Every pass declares which program representation it ``consumes`` and
-``produces``: ``"circuit"`` (a flat :class:`QuantumCircuit`) or ``"ir"`` (the
-shared mutable :class:`repro.ir.CircuitIR`).  The :class:`PassManager`
-converts between the two **at most once per representation change** — a run
-of consecutive IR passes threads one ``CircuitIR`` object through all of
-them, so a full ReQISC pipeline performs exactly two circuit<->IR
-conversions (in and out) instead of re-marshalling a flat gate list at every
-pass boundary.
-
-The historical circuit-in/circuit-out signature keeps working in both
-directions: a legacy pass that only implements :meth:`CompilerPass.run` is a
-``consumes = "circuit"`` pass, and an IR-native pass can still be called
-through :meth:`run` — the base class adapts by wrapping the circuit into a
-throwaway ``CircuitIR``.
+Every pass has one method, :meth:`CompilerPass.run`, which mutates the shared
+:class:`repro.ir.CircuitIR` in place.  The :class:`PassManager` converts the
+input circuit to an IR once on entry (a pre-built ``CircuitIR`` goes straight
+in), threads that one object through every pass, and flattens it back to a
+circuit once on exit: a compile performs exactly two circuit<->IR
+conversions, whatever the pipeline.
 """
 
 from __future__ import annotations
@@ -31,44 +21,21 @@ from repro.ir import CircuitIR
 
 __all__ = ["CompilerPass", "PassManager", "PassRecord"]
 
-#: A program travelling through the pipeline, in either representation.
-Program = Union[QuantumCircuit, CircuitIR]
-
 
 class CompilerPass:
-    """Base class for circuit transformations.
+    """Base class for program transformations.
 
-    Subclasses implement :meth:`run` (flat-circuit passes) or :meth:`run_ir`
-    (IR-native passes, with ``consumes``/``produces`` set to ``"ir"``) and
-    may read/write the shared ``properties`` mapping (e.g. the qubit
-    permutation produced by gate mirroring, or the layout produced by
-    routing).
+    Subclasses implement :meth:`run` and may read/write the shared
+    ``properties`` mapping (e.g. the qubit permutation produced by gate
+    mirroring, or the layout produced by routing).
     """
 
     #: Human-readable pass name (defaults to the class name).
     name: str = ""
-    #: Representation the pass reads: ``"circuit"`` or ``"ir"``.
-    consumes: str = "circuit"
-    #: Representation the pass returns: ``"circuit"`` or ``"ir"``.
-    produces: str = "circuit"
-    def run(self, circuit: QuantumCircuit, properties: Dict[str, Any]) -> QuantumCircuit:
-        """Transform ``circuit`` and return the new circuit.
 
-        For IR-native passes this is the compatibility adapter: the circuit
-        is wrapped into a fresh :class:`~repro.ir.CircuitIR`, transformed via
-        :meth:`run_ir` and flattened back.
-        """
-        if self.consumes == "ir":
-            transformed = self.run_ir(CircuitIR.from_circuit(circuit), properties)
-            return transformed.to_circuit()
+    def run(self, ir: CircuitIR, properties: Dict[str, Any]) -> None:
+        """Transform ``ir`` in place."""
         raise NotImplementedError
-
-    def run_ir(self, ir: CircuitIR, properties: Dict[str, Any]) -> CircuitIR:
-        """Transform the shared IR in place and return it (IR-native passes)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} is a circuit-level pass; call run() "
-            "or let the PassManager convert the representation"
-        )
 
     def __repr__(self) -> str:
         return self.name or type(self).__name__
@@ -91,22 +58,9 @@ class PassRecord:
     properties_written: List[str] = field(default_factory=list)
 
 
-def _coerce(program: Program, wants: str) -> Program:
-    """Convert ``program`` to the ``wants`` representation (no-op when equal)."""
-    if wants == "ir":
-        if isinstance(program, CircuitIR):
-            return program
-        return CircuitIR.from_circuit(program)
-    if isinstance(program, CircuitIR):
-        return program.to_circuit()
-    return program
-
-
-def _measure(program: Program) -> Tuple[int, int, int]:
-    """(gates, two-qubit gates, depth) of either representation."""
-    if isinstance(program, CircuitIR):
-        return len(program), program.two_qubit_count(), program.depth()
-    return len(program), program.count_two_qubit_gates(), program.depth()
+def _measure(ir: CircuitIR) -> Tuple[int, int, int]:
+    """(gates, two-qubit gates, depth) of the program."""
+    return len(ir), ir.two_qubit_count(), ir.depth()
 
 
 def _written_keys(before: Mapping[str, Any], after: Mapping[str, Any]) -> List[str]:
@@ -143,7 +97,7 @@ class PassManager:
 
     def run(
         self,
-        circuit: Program,
+        circuit: Union[QuantumCircuit, CircuitIR],
         properties: Optional[MutableMapping[str, Any]] = None,
     ) -> QuantumCircuit:
         """Execute the pipeline on ``circuit`` (a circuit or a ``CircuitIR``).
@@ -162,7 +116,7 @@ class PassManager:
 
     def run_with_records(
         self,
-        circuit: Program,
+        circuit: Union[QuantumCircuit, CircuitIR],
         properties: Optional[MutableMapping[str, Any]] = None,
     ) -> Tuple[QuantumCircuit, List[PassRecord]]:
         """Like :meth:`run`, but also return this run's own records list.
@@ -175,19 +129,14 @@ class PassManager:
 
             properties = PropertySet()
         records: List[PassRecord] = []
-        current: Program = circuit
+        ir = circuit if isinstance(circuit, CircuitIR) else CircuitIR.from_circuit(circuit)
         for compiler_pass in self.passes:
-            wants = getattr(compiler_pass, "consumes", "circuit")
-            current = _coerce(current, wants)
-            gates_before, two_qubit_before, depth_before = _measure(current)
+            gates_before, two_qubit_before, depth_before = _measure(ir)
             snapshot = dict(properties.items())
             start = time.perf_counter()
-            if wants == "ir":
-                current = compiler_pass.run_ir(current, properties)
-            else:
-                current = compiler_pass.run(current, properties)
+            compiler_pass.run(ir, properties)
             seconds = time.perf_counter() - start
-            gates_after, two_qubit_after, depth_after = _measure(current)
+            gates_after, two_qubit_after, depth_after = _measure(ir)
             records.append(
                 PassRecord(
                     name=repr(compiler_pass),
@@ -201,6 +150,6 @@ class PassManager:
                     properties_written=_written_keys(snapshot, properties),
                 )
             )
-        compiled = _coerce(current, "circuit")
+        compiled = ir.to_circuit()
         self.records = records
         return compiled, records

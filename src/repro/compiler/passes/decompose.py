@@ -8,38 +8,18 @@ CNOT-based baselines and used to characterize the benchmark suite (Table 1).
 
 from __future__ import annotations
 
-import math
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence, Union
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.compiler.passes.base import CompilerPass
-from repro.gates.gate import UnitaryGate
+from repro.ir import CircuitIR
 from repro.synthesis.mcx import expand_mcx_gates
 
 __all__ = ["lower_high_level_gates", "decompose_to_cnot", "DecomposeToCnotPass"]
 
-#: 1Q gate names that are already in the CNOT-ISA gate set.
-_ONE_QUBIT_PASSTHROUGH = {
-    "id",
-    "x",
-    "y",
-    "z",
-    "h",
-    "s",
-    "sdg",
-    "t",
-    "tdg",
-    "sx",
-    "rx",
-    "ry",
-    "rz",
-    "p",
-    "u3",
-}
-
 
 def lower_high_level_gates(
-    circuit: QuantumCircuit, ancillas: Optional[Sequence[int]] = None
+    circuit: Union[QuantumCircuit, CircuitIR], ancillas: Optional[Sequence[int]] = None
 ) -> QuantumCircuit:
     """Expand MCX gates into CCX gates (CCX-level IR for type-1 programs)."""
     return expand_mcx_gates(circuit, ancillas=ancillas)
@@ -64,7 +44,7 @@ def _append_ccx_cnot(circuit: QuantumCircuit, a: int, b: int, t: int) -> None:
     circuit.cx(a, b)
 
 
-def decompose_to_cnot(circuit: QuantumCircuit) -> QuantumCircuit:
+def decompose_to_cnot(circuit: Union[QuantumCircuit, CircuitIR]) -> QuantumCircuit:
     """Lower a circuit to the conventional ``{CX, 1Q}`` ISA.
 
     Multi-controlled gates are expanded first; every remaining non-CX
@@ -78,13 +58,7 @@ def decompose_to_cnot(circuit: QuantumCircuit) -> QuantumCircuit:
     for instruction in lowered:
         gate = instruction.gate
         qubits = instruction.qubits
-        if gate.num_qubits == 1:
-            if gate.name in _ONE_QUBIT_PASSTHROUGH or isinstance(gate, UnitaryGate):
-                result.append(gate, qubits)
-            else:
-                result.append(gate, qubits)
-            continue
-        if gate.name == "cx":
+        if gate.num_qubits == 1 or gate.name == "cx":
             result.append(gate, qubits)
             continue
         if gate.name == "ccx":
@@ -116,5 +90,5 @@ class DecomposeToCnotPass(CompilerPass):
 
     name = "decompose_to_cnot"
 
-    def run(self, circuit: QuantumCircuit, properties: Dict[str, Any]) -> QuantumCircuit:
-        return decompose_to_cnot(circuit)
+    def run(self, ir: CircuitIR, properties: Dict[str, Any]) -> None:
+        ir.rewrite(decompose_to_cnot(ir).instructions)

@@ -31,7 +31,7 @@ def _needs_synthesis(gate) -> bool:
 class FinalizeToCanPass(CompilerPass):
     """Convert fused unitary blocks to ``{Can, U3}`` and drop trivial gates.
 
-    IR-native, as one forward scan over the program:
+    One forward scan over the program:
 
     * every block awaiting synthesis is decomposed up front in a single
       batched KAK call (:func:`repro.linalg.weyl.kak_decompose_batch`) over
@@ -53,13 +53,11 @@ class FinalizeToCanPass(CompilerPass):
     """
 
     name = "finalize_to_can"
-    consumes = "ir"
-    produces = "ir"
 
     def __init__(self, merge_single_qubit: bool = True) -> None:
         self.merge_single_qubit = merge_single_qubit
 
-    def run_ir(self, ir: CircuitIR, properties: Dict[str, Any]) -> CircuitIR:
+    def run(self, ir: CircuitIR, properties: Dict[str, Any]) -> None:
         program = list(ir.instructions())
         block_keys: Dict[int, bytes] = {}
         unique: Dict[bytes, Any] = {}
@@ -140,4 +138,3 @@ class FinalizeToCanPass(CompilerPass):
             for entry in emitted
             if not isinstance(entry, int) or u3s[entry] is not None
         )
-        return ir

@@ -18,26 +18,20 @@ class Fuse2QBlocksPass(CompilerPass):
     (``"unitary"``, default — kept opaque so later passes can keep fusing) or
     ``{Can, U3}`` (``"can"``).
 
-    IR-native: operates on the shared :class:`~repro.ir.CircuitIR` in place
-    (each maximal run collapses onto its first node via ``replace_block``);
-    the circuit-level :meth:`run` entry keeps working through the base-class
-    adapter.
+    Each maximal run collapses onto its first node via ``replace_block``.
     """
 
     name = "fuse_2q_blocks"
-    consumes = "ir"
-    produces = "ir"
 
     def __init__(self, form: str = "unitary") -> None:
         if form not in ("unitary", "can"):
             raise ValueError("form must be 'unitary' or 'can'")
         self.form = form
 
-    def run_ir(self, ir: CircuitIR, properties: Dict[str, Any]) -> CircuitIR:
+    def run(self, ir: CircuitIR, properties: Dict[str, Any]) -> None:
         if ir.max_gate_arity() > 2:
             raise ValueError(
                 "Fuse2QBlocksPass expects a circuit with only 1Q/2Q gates; "
                 "lower high-level gates first"
             )
         consolidate_blocks_ir(ir, form=self.form)
-        return ir

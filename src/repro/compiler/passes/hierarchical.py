@@ -21,7 +21,7 @@ import numpy as np
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.instruction import Instruction
 from repro.compiler.passes.base import CompilerPass
-from repro.gates.gate import UnitaryGate
+from repro.ir import CircuitIR
 from repro.service.cache import SynthesisCache, unitary_fingerprint
 from repro.simulators.statevector import apply_gate, apply_gate_sequence
 from repro.synthesis.approximate import INSTANTIATION_VERSION, ApproximateSynthesizer
@@ -231,8 +231,8 @@ class HierarchicalSynthesisPass(CompilerPass):
         self.cache = cache
 
     # ------------------------------------------------------------------
-    def run(self, circuit: QuantumCircuit, properties: Dict[str, Any]) -> QuantumCircuit:
-        fused = consolidate_blocks(circuit, form="unitary")
+    def run(self, ir: CircuitIR, properties: Dict[str, Any]) -> None:
+        fused = consolidate_blocks(ir, form="unitary")
         if self.enable_dag_compacting:
             fused = dag_compacting(
                 fused, block_size=self.block_size, threshold=self.threshold
@@ -257,12 +257,12 @@ class HierarchicalSynthesisPass(CompilerPass):
                     synthesized_count += 1
             emissions.setdefault(block.start_position, []).extend(replacement)
 
-        result = QuantumCircuit(circuit.num_qubits, circuit.name)
+        result = QuantumCircuit(ir.num_qubits, ir.name)
         for position in range(len(fused)):
             for instruction in emissions.get(position, []):
                 result.append(instruction.gate, instruction.qubits)
         # Fuse any newly adjacent same-pair gates created by block rewrites.
-        return consolidate_blocks(result, form="unitary")
+        ir.rewrite(consolidate_blocks(result, form="unitary").instructions)
 
     # ------------------------------------------------------------------
     def _resynthesize(self, block: MultiQubitBlock) -> Optional[List[Instruction]]:

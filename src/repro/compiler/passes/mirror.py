@@ -32,22 +32,19 @@ _SWAP = standard.swap_gate().matrix
 class MirrorNearIdentityPass(CompilerPass):
     """Replace near-identity 2Q gates with their SWAP-composed mirrors.
 
-    IR-native: the near-identity decision is made once per unique
+    The near-identity decision is made once per unique
     explicit-matrix 2Q gate, in one batched KAK call, before the permutation
     scan; each affected node is then rewritten in place with
     ``substitute_node`` (mirrored gate, or the same gate on permuted wires);
-    untouched gates keep their node.  The circuit-level :meth:`run` entry
-    keeps working through the base-class adapter.
+    untouched gates keep their node.
     """
 
     name = "mirror_near_identity"
-    consumes = "ir"
-    produces = "ir"
 
     def __init__(self, threshold: float = 0.15) -> None:
         self.threshold = threshold
 
-    def run_ir(self, ir: CircuitIR, properties: Dict[str, Any]) -> CircuitIR:
+    def run(self, ir: CircuitIR, properties: Dict[str, Any]) -> None:
         nodes = list(ir.nodes())
         decisions = self._decide([ir.instruction(node).gate for node in nodes])
         permutation: List[int] = list(range(ir.num_qubits))
@@ -69,7 +66,6 @@ class MirrorNearIdentityPass(CompilerPass):
                 ir.substitute_node(node, Instruction(gate, wires))
         properties["mirror_permutation"] = list(permutation)
         properties["mirrored_gate_count"] = mirrored_count
-        return ir
 
     def _decide(self, gates: List[Any]) -> List[bool]:
         """Near-identity decision per gate (``False`` for non-2Q gates).

@@ -308,21 +308,17 @@ def peephole_optimize(
 
 
 class PeepholeOptimizationPass(CompilerPass):
-    """IR-native pass wrapper around :func:`peephole_optimize_ir`.
+    """Pass wrapper around :func:`peephole_optimize_ir`.
 
-    Consumes and produces the shared :class:`~repro.ir.CircuitIR`; the
-    circuit-level :meth:`run` entry keeps working through the base-class
-    adapter and stays bit-identical to :func:`peephole_optimize`.
+    Rewrites the shared :class:`~repro.ir.CircuitIR` in place, bit-identical
+    to :func:`peephole_optimize` on the flat circuit.
     """
 
     name = "peephole"
-    consumes = "ir"
-    produces = "ir"
 
     def __init__(self, consolidate: bool = True, max_rounds: int = 4) -> None:
         self.consolidate = consolidate
         self.max_rounds = max_rounds
 
-    def run_ir(self, ir: CircuitIR, properties: Dict[str, Any]) -> CircuitIR:
+    def run(self, ir: CircuitIR, properties: Dict[str, Any]) -> None:
         peephole_optimize_ir(ir, consolidate=self.consolidate, max_rounds=self.max_rounds)
-        return ir

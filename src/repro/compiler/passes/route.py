@@ -7,8 +7,7 @@ hand between two pass-manager runs).  Wrapping it as a
 :class:`~repro.target.pipeline.PipelineSpec` stages express the whole
 pipeline — including hardware-aware stages — as one ordered list.
 
-The pass is IR-native: it consumes the shared
-:class:`~repro.ir.CircuitIR`, hands its cached CSR
+The pass hands the shared :class:`~repro.ir.CircuitIR`'s cached CSR
 :class:`~repro.circuits.depgraph.DependencyGraph` straight to
 :meth:`SabreRouter.run_graph` (no re-derivation from a flat gate list), and
 adopts the routed program back into the same IR object.
@@ -35,8 +34,6 @@ class SabreRoutingPass(CompilerPass):
     """
 
     name = "sabre_route"
-    consumes = "ir"
-    produces = "ir"
 
     def __init__(
         self,
@@ -64,11 +61,12 @@ class SabreRoutingPass(CompilerPass):
         if noise_aware and calibration is None:
             raise ValueError("noise_aware routing needs a calibrated target")
 
-    def run_ir(self, ir: CircuitIR, properties: Dict[str, Any]) -> CircuitIR:
+    def run(self, ir: CircuitIR, properties: Dict[str, Any]) -> None:
         if self.coupling_map is None:
-            return ir
+            return
         if self.noise_aware:
-            return self._run_noise_aware(ir, properties)
+            self._run_noise_aware(ir, properties)
+            return
         router = SabreRouter(
             self.coupling_map,
             mirroring=self.mirroring,
@@ -82,9 +80,8 @@ class SabreRoutingPass(CompilerPass):
         properties["inserted_swaps"] = routing.inserted_swaps
         properties["absorbed_swaps"] = routing.absorbed_swaps
         ir.adopt(routing.circuit)
-        return ir
 
-    def _run_noise_aware(self, ir: CircuitIR, properties: Dict[str, Any]) -> CircuitIR:
+    def _run_noise_aware(self, ir: CircuitIR, properties: Dict[str, Any]) -> None:
         model = self.calibration.routing_model(self.coupling_map)
         common = dict(
             mirroring=self.mirroring,
@@ -119,4 +116,3 @@ class SabreRoutingPass(CompilerPass):
         properties["noise_log_fidelity"] = noise_log
         properties["distance_log_fidelity"] = distance_log
         ir.adopt(routing.circuit)
-        return ir

@@ -19,11 +19,12 @@ physical wires, so edge lookups are meaningful).  See ``docs/noise.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.instruction import Instruction
 from repro.compiler.passes.base import CompilerPass
+from repro.ir import CircuitIR
 
 __all__ = ["GateSlot", "Schedule", "SchedulingPass", "asap_schedule"]
 
@@ -67,7 +68,7 @@ class Schedule:
 
 
 def asap_schedule(
-    circuit: QuantumCircuit,
+    circuit: Union[QuantumCircuit, CircuitIR],
     duration_of: Callable[[Instruction], float],
 ) -> Schedule:
     """Earliest-start schedule of ``circuit`` under ``duration_of``.
@@ -80,7 +81,7 @@ def asap_schedule(
     ready: Dict[int, float] = {}
     slots: List[GateSlot] = []
     makespan = 0.0
-    for index, instruction in enumerate(circuit.instructions):
+    for index, instruction in enumerate(circuit):
         qubits = tuple(instruction.qubits)
         start = max((ready.get(q, 0.0) for q in qubits), default=0.0)
         duration = float(duration_of(instruction))
@@ -124,21 +125,18 @@ def _calibrated_duration_model(
 class SchedulingPass(CompilerPass):
     """Attach an ASAP schedule + makespan to the property set.
 
-    The circuit itself is untouched (identity on gates), so the pass can be
+    The program itself is untouched (identity on gates), so the pass can be
     appended to any pipeline without disturbing downstream stages.
     """
 
     name = "schedule"
-    consumes = "circuit"
-    produces = "circuit"
 
     def __init__(self, target, isa: Optional[str] = None) -> None:
         self.target = target
         self.isa = isa
 
-    def run(self, circuit: QuantumCircuit, properties: Dict[str, Any]) -> QuantumCircuit:
+    def run(self, ir: CircuitIR, properties: Dict[str, Any]) -> None:
         duration_of = _calibrated_duration_model(self.target, self.isa)
-        schedule = asap_schedule(circuit, duration_of)
+        schedule = asap_schedule(ir, duration_of)
         properties["schedule"] = schedule
         properties["makespan"] = schedule.makespan
-        return circuit

@@ -23,6 +23,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.instruction import Instruction
 from repro.compiler.passes.base import CompilerPass
+from repro.ir import CircuitIR
 from repro.service.cache import SynthesisCache, circuit_fingerprint
 from repro.synthesis.blocks import consolidate_blocks
 from repro.synthesis.mcx import expand_mcx_gates
@@ -36,8 +37,12 @@ _TEMPLATED_GATES = ("ccx", "ccz", "cswap")
 class TemplateSynthesisPass(CompilerPass):
     """Replace 3-qubit IR patterns with pre-synthesized SU(4) templates.
 
+    Selective assembly and output fusion always run; the cache key still
+    names both settings (``selective=True``, ``fuse=True``) so entries written
+    by earlier releases keep hitting.
+
     When a :class:`~repro.service.cache.SynthesisCache` is supplied, the whole
-    pass output is memoized per input-circuit content: re-compiling the same
+    pass output is memoized per input-program content: re-compiling the same
     program (a suite re-run, or the same circuit under both ``reqisc-eff`` and
     ``reqisc-full``) assembles its templates exactly once.
     """
@@ -47,32 +52,29 @@ class TemplateSynthesisPass(CompilerPass):
     def __init__(
         self,
         library: Optional[TemplateLibrary] = None,
-        selective_assembly: bool = True,
-        fuse_output: bool = True,
         cache: Optional[SynthesisCache] = None,
     ) -> None:
         self.library = library or default_template_library()
-        self.selective_assembly = selective_assembly
-        self.fuse_output = fuse_output
         self.cache = cache
         self._library_key: Optional[str] = None
 
     # ------------------------------------------------------------------
-    def run(self, circuit: QuantumCircuit, properties: Dict[str, Any]) -> QuantumCircuit:
-        if self.cache is not None:
+    def run(self, ir: CircuitIR, properties: Dict[str, Any]) -> None:
+        if self.cache is None:
+            result = self._transform(ir)
+        else:
             key = circuit_fingerprint(
-                circuit,
+                ir,
                 "template_synthesis",
                 self._library_fingerprint(),
-                f"selective={self.selective_assembly}",
-                f"fuse={self.fuse_output}",
+                "selective=True",
+                "fuse=True",
             )
-            # ``copy()`` guards the cached instruction list against in-place
-            # mutation by downstream passes (instructions stay shared); the
-            # name is restored since it is deliberately not part of the key.
-            cached = self.cache.get_or_compute(key, lambda: self._transform(circuit))
-            return cached.copy(circuit.name)
-        return self._transform(circuit)
+            # The name is deliberately not part of the key; ``rewrite``
+            # copies the instruction list, so the cached circuit is never
+            # mutated by downstream passes.
+            result = self.cache.get_or_compute(key, lambda: self._transform(ir))
+        ir.rewrite(result.instructions)
 
     def _library_fingerprint(self) -> str:
         """Content key of the template library (templates change the output)."""
@@ -85,9 +87,9 @@ class TemplateSynthesisPass(CompilerPass):
             self._library_key = "library:" + ",".join(parts)
         return self._library_key
 
-    def _transform(self, circuit: QuantumCircuit) -> QuantumCircuit:
-        expanded = expand_mcx_gates(circuit)
-        result = QuantumCircuit(expanded.num_qubits, circuit.name)
+    def _transform(self, ir: CircuitIR) -> QuantumCircuit:
+        expanded = expand_mcx_gates(ir)
+        result = QuantumCircuit(expanded.num_qubits, ir.name)
         # Last pending 2Q pair per qubit (used by selective assembly to pick
         # the template variant that fuses best with already-emitted gates).
         last_pair_for_qubit: Dict[int, Optional[Tuple[int, int]]] = {}
@@ -105,9 +107,7 @@ class TemplateSynthesisPass(CompilerPass):
                 result.append(instruction.gate, instruction.qubits)
                 self._track(Instruction(instruction.gate, instruction.qubits), last_pair_for_qubit)
 
-        if self.fuse_output:
-            result = consolidate_blocks(result, form="unitary")
-        return result
+        return consolidate_blocks(result, form="unitary")
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -126,7 +126,7 @@ class TemplateSynthesisPass(CompilerPass):
         qubits: Tuple[int, ...],
         last_pair_for_qubit: Dict[int, Optional[Tuple[int, int]]],
     ) -> QuantumCircuit:
-        variants = self.library.variants(name) if self.selective_assembly else [self.library.realization(name)]
+        variants = self.library.variants(name)
         if len(variants) == 1:
             return variants[0]
         mapping = {local: phys for local, phys in enumerate(qubits)}

@@ -1,17 +1,16 @@
 """Compilation results: the compiled circuit plus evaluation metadata.
 
-:class:`CompilationResult` is produced by :func:`repro.target.api.compile`
-(and by the deprecated compiler-class shims that delegate to it).  All of the
-paper's headline metrics — #2Q, Depth2Q, the distinct-gate calibration proxy,
-the genAshN pulse duration and the inserted-SWAP routing overhead — are
-derived here, costed against the :class:`~repro.target.target.Target` the
-circuit was compiled for.
+:class:`CompilationResult` is produced by :func:`repro.target.api.compile`.
+All of the paper's headline metrics — #2Q, Depth2Q, the distinct-gate
+calibration proxy, the genAshN pulse duration and the inserted-SWAP routing
+overhead — are derived here, costed against the
+:class:`~repro.target.target.Target` the circuit was compiled for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.metrics import (
@@ -21,20 +20,8 @@ from repro.circuits.metrics import (
     two_qubit_depth,
 )
 from repro.compiler.passes.base import PassRecord
-from repro.microarch.hamiltonian import CouplingHamiltonian
 
 __all__ = ["CompilationResult"]
-
-
-def _coerce_target(coupling: Union[None, CouplingHamiltonian, "Target"]) -> Optional["Target"]:
-    """Normalize a legacy ``coupling`` argument into a (cached) Target."""
-    if coupling is None:
-        return None
-    from repro.target.target import Target
-
-    if isinstance(coupling, Target):
-        return coupling
-    return Target.for_coupling(coupling)
 
 
 @dataclass
@@ -74,9 +61,7 @@ class CompilationResult:
         """Number of distinct 2Q gates (calibration overhead proxy)."""
         return count_distinct_two_qubit_gates(self.circuit)
 
-    def duration(
-        self, target: Union[None, CouplingHamiltonian, "Target"] = None
-    ) -> float:
+    def duration(self, target: Optional["Target"] = None) -> float:
         """Pulse duration of the compiled circuit.
 
         SU(4)-ISA results are costed with the genAshN duration model;
@@ -84,8 +69,7 @@ class CompilationResult:
         with the conventional CNOT pulse, matching the paper's Table 2
         convention.
 
-        ``target`` may be a :class:`~repro.target.target.Target`, a bare
-        :class:`CouplingHamiltonian` (legacy calling convention) or ``None``
+        ``target`` may be a :class:`~repro.target.target.Target` or ``None``
         (use the result's own target, falling back to the cached default XY
         device).  The per-gate duration model is memoized on the target, so
         repeated calls — e.g. ``summary()`` over a whole suite — reuse one
@@ -93,7 +77,7 @@ class CompilationResult:
         """
         from repro.target.target import Target
 
-        resolved = _coerce_target(target) or self.target or Target.default()
+        resolved = target or self.target or Target.default()
         isa = "cnot" if self.properties.get("isa") == "cnot" else "su4"
         return circuit_duration(self.circuit, resolved.duration_model(isa))
 

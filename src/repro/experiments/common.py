@@ -12,7 +12,6 @@ from repro.circuits.metrics import (
     two_qubit_depth,
 )
 from repro.compiler.passes.decompose import decompose_to_cnot
-from repro.compiler.routing.coupling_map import CouplingMap
 from repro.microarch.durations import su4_duration_model
 from repro.microarch.hamiltonian import CouplingHamiltonian
 from repro.synthesis.approximate import ApproximateSynthesizer
@@ -59,7 +58,6 @@ def su4_metrics(circuit: QuantumCircuit, coupling: CouplingHamiltonian) -> Dict[
 
 def build_compilers(
     which: Sequence[str],
-    coupling_map: Optional[CouplingMap] = None,
     full_synthesis_budget: Optional[int] = 2,
     synthesis_tolerance: float = 1e-5,
     seed: int = 0,
@@ -75,22 +73,14 @@ def build_compilers(
 
     Each entry is a :class:`~repro.target.api.PipelineCompiler` — a named
     :class:`~repro.target.pipeline.PipelineSpec` bound to the requested
-    ``target`` (or, when only the legacy ``coupling_map`` kwarg is given, a
-    target derived from it).  ``target`` may also be a preset name such as
-    ``"xy-line"``, resolved per circuit at compile time.
+    ``target``.  ``target`` may also be a preset name such as ``"xy-line"``,
+    resolved per circuit at compile time; a bare topology compiles on
+    ``Target(coupling_map=...)``.
 
     ``synthesis_cache`` (a :class:`~repro.service.cache.SynthesisCache`) is
     forwarded to every ReQISC compiler so suite-level runs share synthesis
     results across programs.
     """
-    if coupling_map is not None:
-        if target is not None:
-            raise ValueError(
-                "pass either target= or the legacy coupling_map=, not both "
-                "(use Target.from_device(coupling_map=...) to combine them)"
-            )
-        target = Target.from_device(coupling_map=coupling_map)
-
     def fast_synthesizer() -> ApproximateSynthesizer:
         return ApproximateSynthesizer(
             tolerance=synthesis_tolerance, restarts=1, seed=seed, max_iterations=200

@@ -30,6 +30,7 @@ from repro.simulators.fidelity import hellinger_fidelity
 from repro.simulators.noise import duration_scaled_noise_model, simulate_noisy_probabilities
 from repro.simulators.statevector import probabilities
 from repro.simulators.unitary import permutation_unitary
+from repro.target.target import Target
 from repro.workloads.suite import benchmark_suite
 
 __all__ = [
@@ -143,7 +144,8 @@ def fig12_routing_overhead(
             else:
                 coupling_map = CouplingMap.grid_for(num_qubits)
             routed_registry = build_compilers(
-                ["tket-like", "reqisc-sabre", "reqisc-eff"], coupling_map=coupling_map
+                ["tket-like", "reqisc-sabre", "reqisc-eff"],
+                target=Target(coupling_map=coupling_map),
             )
             cnot_routed = routed_registry["tket-like"].compile(case.circuit)
             su4_sabre = routed_registry["reqisc-sabre"].compile(case.circuit)
@@ -232,7 +234,9 @@ def fig15_fidelity(
                 coupling_map = CouplingMap.line(case.num_qubits)
             elif topology == "grid":
                 coupling_map = CouplingMap.grid_for(case.num_qubits)
-            registry = build_compilers(["tket-like", "reqisc-eff"], coupling_map=coupling_map)
+            registry = build_compilers(
+                ["tket-like", "reqisc-eff"], target=Target(coupling_map=coupling_map)
+            )
             for label, name in (("baseline", "tket-like"), ("reqisc", "reqisc-eff")):
                 result = registry[name].compile(case.circuit)
                 circuit = result.circuit

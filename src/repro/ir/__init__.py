@@ -3,14 +3,14 @@
 :class:`CircuitIR` is the canonical in-flight representation of a program
 inside the compiler: a mutable instruction graph built on the same CSR
 dependency structure as :class:`repro.circuits.depgraph.DependencyGraph`,
-with transactional rewrite primitives and O(1) metric views.  Passes that
-declare ``consumes = "ir"`` receive (and return) the *same* ``CircuitIR``
-object, so a pipeline threads one shared structure end-to-end instead of
-marshalling a flat gate list at every pass boundary.
+with transactional rewrite primitives and O(1) metric views.  Every pass's
+``run(ir, properties)`` mutates the *same* ``CircuitIR`` object, so a
+pipeline threads one shared structure end-to-end instead of marshalling a
+flat gate list at every pass boundary.
 
 :func:`conversion_stats` exposes the marshalling counters (``from_circuit`` /
 ``to_circuit`` / ``dag_builds``) that the benchmark reports as
-``ir.conversions``; a full ReQISC compile performs exactly two circuit<->IR
+``ir.conversions``; every compile performs exactly two circuit<->IR
 conversions (one in, one out).
 """
 

@@ -4,9 +4,9 @@ Historically every compiler pass consumed a flat :class:`QuantumCircuit` and
 re-emitted a new one, so a full pipeline re-marshalled the program (and the
 router re-derived its dependency DAG) once per pass.  ``CircuitIR`` is the
 shared, incrementally-updated alternative: one IR object is built from the
-input circuit at the first IR-consuming pass, mutated in place by every
-subsequent pass through transactional rewrite primitives, and serialized back
-to a circuit exactly once at the end of the pipeline.
+input circuit when the pipeline starts, mutated in place by every pass through
+transactional rewrite primitives, and serialized back to a circuit exactly
+once at the end of the pipeline.
 
 Design
 ------
@@ -406,8 +406,8 @@ class CircuitIR:
         """Wholesale replacement of the program with ``instructions``.
 
         The bulk primitive behind pass kernels that rebuild the whole
-        sequence (e.g. routing adoption); validates every instruction before
-        clearing the current program.
+        sequence (synthesis, lowering, finalization, routing adoption);
+        validates every instruction before clearing the current program.
         """
         instructions = list(instructions)
         for instruction in instructions:

@@ -1,7 +1,6 @@
 """The :class:`QasmError` exception.
 
-Subclasses :class:`ValueError` so callers that used the pre-package
-``repro.circuits.qasm`` helpers (which raised plain ``ValueError``) keep
+Subclasses :class:`ValueError`, so callers that catch ``ValueError`` keep
 working, while new code can catch ``QasmError`` and read the structured
 ``line``/``column`` attributes.
 """

@@ -16,7 +16,11 @@
    :meth:`~repro.service.cache.SynthesisCache.scrub` — injected disk
    corruption must be detected and quarantined, never silently served;
 5. verdicts: the soak *passes* only if every completed job is bit-identical
-   to its fault-free compile, no job was unrecoverable, and no client hung.
+   to its fault-free compile, no job was unrecoverable, no client hung, and
+   -- when the plan scheduled worker, clock or socket faults -- at least one
+   of them fired.  A soak whose jobs end before its schedule window reaches
+   a fault has exercised nothing and fails rather than reporting a clean
+   pass.
 
 The report is plain JSON-serializable data; ``ok`` is the single verdict
 bit CI gates on.
@@ -35,6 +39,10 @@ from repro.resilience.faultplan import FaultPlan
 from repro.resilience.retry import RetryPolicy, RetryStats
 
 __all__ = ["run_chaos"]
+
+#: Layers whose faults fire in the daemon process and show in ``faults_fired``
+#: (``cache`` faults fire inside workers; the scrub report is their evidence).
+_RUNTIME_LAYERS = ("worker", "clock", "socket")
 
 #: Extra read-timeout slack over the server's own job timeout, so a client
 #: never gives up before the daemon has had a fair chance to answer.
@@ -188,7 +196,20 @@ def run_chaos(
         if qasm != expected[schedule[index][0]]
     ]
     completed = len(responses)
-    ok = not mismatches and not unrecovered and hung == 0 and completed + len(unrecovered) == len(schedule)
+    runtime_scheduled = sum(
+        count for name, count in plan.counts.items() if name.partition(".")[0] in _RUNTIME_LAYERS
+    )
+    runtime_fired = sum(
+        count for name, count in fired.items() if name.partition(".")[0] in _RUNTIME_LAYERS
+    )
+    exercised = runtime_scheduled == 0 or runtime_fired > 0
+    ok = (
+        not mismatches
+        and not unrecovered
+        and hung == 0
+        and completed + len(unrecovered) == len(schedule)
+        and exercised
+    )
 
     return {
         "ok": ok,
@@ -197,6 +218,7 @@ def run_chaos(
         "faults_scheduled": plan.total_faults(),
         "faults_fired": fired,
         "faults_fired_total": sum(fired.values()),
+        "faults_exercised": exercised,
         "scale": scale,
         "compiler": compiler,
         "seed": seed,

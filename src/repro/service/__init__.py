@@ -1,6 +1,6 @@
 """Batch compilation service layer.
 
-This package turns the one-circuit-at-a-time :class:`~repro.compiler.reqisc.ReQISCCompiler`
+This package turns the one-circuit-at-a-time :func:`repro.target.api.compile`
 into a throughput-oriented engine, following the decoupled request/completion
 structure of the paper's evaluation harness:
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.compiler.reqisc import CompilationResult
+from repro.compiler.result import CompilationResult
 from repro.service.cache import CacheStats, SynthesisCache
 
 __all__ = ["BatchCompiler", "BatchItem", "BatchResult", "CompileJob"]

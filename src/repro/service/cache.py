@@ -38,8 +38,7 @@ hammer one cache directory from many processes at once):
   readers tail-scan segments past their high-water marks, so a stale or
   missing index costs a re-scan, not a lost entry.
 * **Compaction.**  :meth:`SynthesisCache.compact` folds every live record
-  (including legacy one-pickle-per-entry files from older caches) into a
-  single fresh segment and swaps the index — run it offline (no concurrent
+  into a single fresh segment and swaps the index — run it offline (no concurrent
   writers); concurrent readers degrade to misses, never to corrupt reads.
 
 Usage::
@@ -169,7 +168,8 @@ def circuit_fingerprint(circuit, *context: str) -> str:
     """Content fingerprint of a :class:`~repro.circuits.circuit.QuantumCircuit`.
 
     Hashes the qubit count and, per instruction, the gate identity and qubit
-    tuple.  Named gates are identified by name + exact parameter bytes;
+    tuple, so a :class:`~repro.ir.CircuitIR` holding the same program gets
+    the same key.  Named gates are identified by name + exact parameter bytes;
     explicit-matrix gates (fused ``su4`` blocks) by their matrix bytes, so two
     fused blocks with the same label but different unitaries never collide.
     """
@@ -246,9 +246,7 @@ class SynthesisCache:
     directory:
         When given, every entry is additionally appended to this process's
         own segment file under ``directory/segments/`` and in-memory misses
-        fall back to the disk store (segments first, then legacy
-        ``directory/<k0k1>/<key>.pkl`` files written by older versions).
-        The directory is created on first write.  The disk tier is safe
+        fall back to the segment store.  The directory is created on first write.  The disk tier is safe
         under concurrent multi-process readers and writers — see the module
         docstring for the concurrency model.
 
@@ -351,27 +349,23 @@ class SynthesisCache:
     def compact(self) -> Dict[str, int]:
         """Fold every live disk record into one fresh segment.
 
-        Rewrites the newest record per key (including entries from the
-        legacy one-pickle-per-entry layout) into a single segment, swaps the
-        index atomically, then removes the superseded segment files and
-        legacy entries.  Intended as an offline maintenance step: run it
+        Rewrites the newest record per key into a single segment, swaps the
+        index atomically, then removes the superseded segment files.
+        Intended as an offline maintenance step: run it
         without concurrent *writers*; concurrent readers fall back to a
         miss-and-recompute if a segment vanishes underneath them.
 
-        Returns ``{"entries": ..., "segments_removed": ..., "legacy_removed": ...}``.
+        Returns ``{"entries": ..., "segments_removed": ...}``.
         """
         with self._lock:
             if self.directory is None:
-                return {"entries": 0, "segments_removed": 0, "legacy_removed": 0}
+                return {"entries": 0, "segments_removed": 0}
             self._refresh_segments()
             live: Dict[str, bytes] = {}
             for key, location in self._seg_index.items():
                 payload = self._read_segment_payload(key, location)
                 if payload is not None:
                     live[key] = payload
-            legacy = self._scan_legacy_entries()
-            for key, payload in legacy.items():
-                live.setdefault(key, payload)
 
             segment_dir = os.path.join(self.directory, _SEGMENT_DIR)
             os.makedirs(segment_dir, exist_ok=True)
@@ -415,12 +409,7 @@ class SynthesisCache:
                     removed += 1
                 except OSError:
                     pass
-            legacy_removed = self._remove_legacy_entries()
-            return {
-                "entries": len(live),
-                "segments_removed": removed,
-                "legacy_removed": legacy_removed,
-            }
+            return {"entries": len(live), "segments_removed": removed}
 
     def scrub(self) -> Dict[str, Any]:
         """CRC-verify every disk record; quarantine and salvage corruption.
@@ -694,12 +683,10 @@ class SynthesisCache:
         """Disk-tier inventory plus health: entries, segments, bytes, damage.
 
         Refreshes the segment view first, so the numbers include records
-        appended by other processes since this cache was opened.  Legacy
-        one-pickle-per-entry files are not counted (``compact`` folds them
-        into the segment store).  Beyond the inventory, the health fields
-        report what the tail scan has seen: ``partial_tails`` (truncated
-        records at a segment tail — a killed writer or an append raced
-        mid-write), ``corrupt_records`` (bad magic or CRC mismatch — real
+        appended by other processes since this cache was opened.  Beyond the
+        inventory, the health fields report what the tail scan has seen:
+        ``partial_tails`` (truncated records at a segment tail — a killed
+        writer or an append raced mid-write), ``corrupt_records`` (bad magic or CRC mismatch — real
         damage only :meth:`scrub` repairs), ``quarantined_segments`` (files
         scrub moved aside), and ``last_scrub_age_seconds`` (``None`` if the
         store was never scrubbed).
@@ -1021,66 +1008,6 @@ class SynthesisCache:
             except OSError:
                 pass
 
-    # -- legacy one-pickle-per-entry layout (read-only fallback) -------
-
-    def _disk_path(self, key: str) -> Optional[str]:
-        if self.directory is None:
-            return None
-        return os.path.join(self.directory, key[:2], f"{key}.pkl")
-
-    def _scan_legacy_entries(self) -> Dict[str, bytes]:
-        """Raw pickle payloads of every legacy per-entry file (for compaction)."""
-        found: Dict[str, bytes] = {}
-        if self.directory is None:
-            return found
-        try:
-            shards = [
-                entry.name
-                for entry in os.scandir(self.directory)
-                if entry.is_dir() and len(entry.name) == 2 and entry.name != _SEGMENT_DIR
-            ]
-        except OSError:
-            return found
-        for shard in shards:
-            try:
-                names = os.listdir(os.path.join(self.directory, shard))
-            except OSError:
-                continue
-            for filename in names:
-                if not filename.endswith(".pkl"):
-                    continue
-                key = filename[: -len(".pkl")]
-                try:
-                    with open(os.path.join(self.directory, shard, filename), "rb") as handle:
-                        found[key] = handle.read()
-                except OSError:
-                    continue
-        return found
-
-    def _remove_legacy_entries(self) -> int:
-        removed = 0
-        if self.directory is None:
-            return removed
-        try:
-            shards = [
-                entry.name
-                for entry in os.scandir(self.directory)
-                if entry.is_dir() and len(entry.name) == 2 and entry.name != _SEGMENT_DIR
-            ]
-        except OSError:
-            return removed
-        for shard in shards:
-            shard_path = os.path.join(self.directory, shard)
-            try:
-                for filename in os.listdir(shard_path):
-                    if filename.endswith(".pkl"):
-                        os.unlink(os.path.join(shard_path, filename))
-                        removed += 1
-                os.rmdir(shard_path)
-            except OSError:
-                pass
-        return removed
-
     # -- read / write entry points -------------------------------------
 
     def _disk_path_exists(self, key: str) -> bool:
@@ -1089,10 +1016,7 @@ class SynthesisCache:
         if key in self._seg_index:
             return True
         self._refresh_segments()
-        if key in self._seg_index:
-            return True
-        path = self._disk_path(key)
-        return path is not None and os.path.exists(path)
+        return key in self._seg_index
 
     def _disk_read(self, key: str) -> Any:
         if self.directory is None:
@@ -1113,18 +1037,9 @@ class SynthesisCache:
                 except (pickle.PickleError, EOFError, AttributeError, ValueError):
                     pass
             # The record vanished (compaction) or failed validation: drop
-            # the stale index entry and fall through to the legacy tier.
+            # the stale index entry; the value is recomputed.
             self._seg_index.pop(key, None)
-        path = self._disk_path(key)
-        if path is None or not os.path.exists(path):
-            return _MISS
-        try:
-            with open(path, "rb") as handle:
-                return pickle.load(handle)
-        except (OSError, pickle.PickleError, EOFError, AttributeError):
-            # A corrupt or unreadable entry behaves like a miss; it will be
-            # overwritten by the recomputed value.
-            return _MISS
+        return _MISS
 
     def _disk_write(self, key: str, value: Any) -> None:
         if self.directory is None:

@@ -1109,8 +1109,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     else:
         print(
             "compacted {cache_dir}: {entries} live entries kept, "
-            "{segments_removed} segment file(s) removed, "
-            "{legacy_removed} legacy file(s) removed".format(**payload)
+            "{segments_removed} segment file(s) removed".format(**payload)
         )
     return 0
 
@@ -1183,6 +1182,12 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             )
         for item in report["unrecovered"]:
             print("ERROR job {job} ({name}): {error}".format(**item), file=sys.stderr)
+        if not report["faults_exercised"]:
+            print(
+                "ERROR no worker, clock or socket fault fired: the jobs ended before "
+                "the schedule window reached one (lower --window or raise the load)",
+                file=sys.stderr,
+            )
     if report["ok"]:
         print("chaos: PASS", file=sys.stderr)
         return 0

@@ -200,7 +200,8 @@ def consolidate_blocks(
     ``UnitaryGate`` (``"unitary"``), a ``{Can, U3}`` synthesis (``"can"``) or a
     minimal-CNOT synthesis (``"cx"``).  With ``only_if_fewer_gates`` the
     original run is kept whenever re-synthesis would not reduce its 2Q count
-    (used by the CNOT baselines).
+    (used by the CNOT baselines).  ``circuit`` may also be a
+    :class:`~repro.ir.CircuitIR`; the result is always a new circuit.
     """
     blocks, leftovers = collect_two_qubit_blocks(circuit)
     emissions: Dict[int, List[Instruction]] = {}

@@ -80,7 +80,8 @@ def expand_mcx_gates(
     circuit qubit not touched by the particular ``mcx`` instruction is used.
     The caller is responsible for those qubits being in ``|0>`` whenever the
     ``mcx`` executes (the workload generators guarantee this by reserving
-    dedicated ancilla lines).
+    dedicated ancilla lines).  ``circuit`` may also be a
+    :class:`~repro.ir.CircuitIR`; the result is always a new circuit.
     """
     expanded = QuantumCircuit(circuit.num_qubits, circuit.name)
     for instruction in circuit:

@@ -12,8 +12,7 @@ This package is the public face of the compiler stack:
 * :class:`~repro.target.properties.PropertySet` — the typed property set
   threaded through the pass manager.
 * :func:`~repro.target.api.compile` — the one entry point everything else
-  (CLI, batch service, experiment harness, deprecated compiler classes)
-  funnels through.
+  (CLI, batch service, experiment harness) funnels through.
 
 Exports resolve lazily so that ``import repro.target`` stays cheap and the
 lower compiler layers can import the submodules without cycles.

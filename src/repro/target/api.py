@@ -1,7 +1,7 @@
 """The shared ``compile()`` entry point of the whole compiler stack.
 
-Every way of compiling a circuit — the deprecated compiler classes, the
-experiment harness registry, the batch service and the CLI — funnels through
+Every way of compiling a circuit — the experiment harness registry, the
+batch service, the daemon and the CLI — funnels through
 :func:`compile`, parameterized by a :class:`~repro.target.target.Target` and
 a :class:`~repro.target.pipeline.PipelineSpec`::
 
@@ -43,8 +43,8 @@ def compile(
     ----------
     circuit:
         The program to compile: a flat :class:`QuantumCircuit`, or a
-        pre-built :class:`~repro.ir.CircuitIR` (handed to the first
-        IR-consuming pass without an extra conversion).
+        pre-built :class:`~repro.ir.CircuitIR` (handed to the passes without
+        an entry conversion; the passes mutate it in place).
     target:
         A :class:`Target`, a preset name (``"xy-line"``, ``"heavy-hex"``,
         ...), a ``Target.to_dict()`` payload, a path to a JSON target file,
@@ -115,11 +115,11 @@ def compile(
 class PipelineCompiler:
     """A pipeline spec bound to a target — the new-API compiler handle.
 
-    Exposes the historical ``.name`` / ``.compile(circuit)`` interface, so
-    registries (``build_compilers``), the batch service and the experiment
-    harness can hold ready-to-run compilers without touching the deprecated
-    classes.  ``target`` may be a concrete :class:`Target`, a preset name
-    resolved per circuit, or ``None`` for the default device.
+    Exposes a ``.name`` / ``.compile(circuit)`` interface, so registries
+    (``build_compilers``), the batch service and the experiment harness can
+    hold ready-to-run compilers.  ``target`` may be a concrete
+    :class:`Target`, a preset name resolved per circuit, or ``None`` for the
+    default device.
     """
 
     spec: PipelineSpec

@@ -4,21 +4,17 @@ A :class:`PipelineSpec` is a named, ordered list of ``(pass_id, config)``
 stages — pure data, buildable from dicts/JSON — and :data:`PASS_REGISTRY`
 maps each pass id to a factory that instantiates the concrete
 :class:`~repro.compiler.passes.base.CompilerPass` for a given
-:class:`PassContext` (target + seed + synthesis cache).  The previous
-compiler classes (``ReQISCCompiler`` and the baselines) are now thin named
-specs over this machinery; see :func:`named_pipeline`.
+:class:`PassContext` (target + seed + synthesis cache).  The ReQISC
+compilers and the baselines are named specs; see :func:`named_pipeline`.
 
 Stage configs may hold arbitrary Python objects (e.g. a pre-built
 ``ApproximateSynthesizer``) for programmatic use; specs built from the named
 presets are JSON-serializable.
 
-Representation contract: a factory may return either a flat-circuit pass or
-an IR-native one (``consumes = produces = "ir"``, operating on the shared
-:class:`repro.ir.CircuitIR`) — the :class:`~repro.compiler.passes.base.PassManager`
-reads each pass's declaration and converts at most once per representation
-change, so declarative specs mix both kinds freely (the built-in ReQISC
-specs run ``peephole``/``fuse_2q``/``mirror``/``route``/``finalize``
-IR-natively and the synthesis stages at circuit level).
+Every factory returns a :class:`~repro.compiler.passes.base.CompilerPass`,
+whose ``run(ir, properties)`` mutates the shared :class:`repro.ir.CircuitIR`;
+the :class:`~repro.compiler.passes.base.PassManager` converts the program
+once on entry and once on exit.
 """
 
 from __future__ import annotations
@@ -212,12 +208,7 @@ class PipelineSpec:
 def _make_template_synthesis(config: Mapping[str, Any], context: PassContext) -> CompilerPass:
     from repro.compiler.passes.template_synthesis import TemplateSynthesisPass
 
-    return TemplateSynthesisPass(
-        library=config.get("library"),
-        selective_assembly=config.get("selective_assembly", True),
-        fuse_output=config.get("fuse_output", True),
-        cache=context.synthesis_cache,
-    )
+    return TemplateSynthesisPass(library=config.get("library"), cache=context.synthesis_cache)
 
 
 @PASS_REGISTRY.register(
@@ -343,8 +334,9 @@ def reqisc_pipeline(
 ) -> PipelineSpec:
     """The end-to-end ReQISC (Regulus) pipeline of Section 5.4.1.
 
-    ``mode="full"`` runs hierarchical synthesis; ``mode="eff"`` replaces it
-    with plain SU(4) fusion to keep the distinct-gate count minimal.
+    ``mode="full"`` runs hierarchical synthesis; ``mode="eff"`` skips it to
+    keep the distinct-gate count minimal (template synthesis already fuses
+    its output into SU(4) blocks, so no separate fusion stage runs).
     ``noise_aware=True`` switches routing to the calibration-weighted
     portfolio (needs a calibrated target; see docs/noise.md) — the default
     keeps the stage config unchanged.
@@ -368,8 +360,6 @@ def reqisc_pipeline(
                 },
             )
         )
-    else:
-        stages.append(PipelineStage("fuse_2q", {"form": "unitary"}))
     stages.append(PipelineStage("mirror", {"threshold": mirror_threshold}))
     route_config: Dict[str, Any] = {"mirroring": use_mirroring_sabre}
     if noise_aware:

@@ -139,42 +139,12 @@ class Target:
 
     # -- constructors ----------------------------------------------------------
     @classmethod
-    def from_device(
-        cls,
-        coupling: Optional[CouplingHamiltonian] = None,
-        coupling_map: Optional[CouplingMap] = None,
-        isa: str = "su4",
-    ) -> "Target":
-        """Target from the legacy ``(coupling, coupling_map)`` kwargs pair."""
-        return cls(
-            coupling=coupling or CouplingHamiltonian.xy(1.0),
-            coupling_map=coupling_map,
-            isa=isa,
-        )
-
-    @classmethod
     def default(cls) -> "Target":
         """The cached default device: XY coupling, no topology constraint."""
         global _DEFAULT_TARGET
         if _DEFAULT_TARGET is None:
             _DEFAULT_TARGET = cls()
         return _DEFAULT_TARGET
-
-    @classmethod
-    def for_coupling(cls, coupling: CouplingHamiltonian) -> "Target":
-        """Cached logical target for a bare coupling Hamiltonian.
-
-        Durations depend only on the canonical coefficients, so targets are
-        shared by ``(label, a, b, c)`` — the legacy
-        ``CompilationResult.duration(coupling)`` path hits this cache instead
-        of rebuilding a duration model per call.
-        """
-        key = (coupling.label, coupling.a, coupling.b, coupling.c)
-        target = _COUPLING_TARGETS.get(key)
-        if target is None:
-            target = cls(coupling=coupling)
-            _COUPLING_TARGETS[key] = target
-        return target
 
     @classmethod
     def xy_line(cls, num_qubits: int, strength: float = 1.0) -> "Target":
@@ -269,7 +239,6 @@ class Target:
 
 
 _DEFAULT_TARGET: Optional[Target] = None
-_COUPLING_TARGETS: Dict[Tuple[str, float, float, float], Target] = {}
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Shared test helpers: a seeded random circuit and gate-for-gate equality.
+"""Shared test helpers: a seeded random circuit, gate-for-gate equality and a
+one-pass runner for flat circuits.
 
 Test modules import these directly (``from circuit_helpers import ...``);
 pytest puts ``tests/`` on ``sys.path`` because the directory is not a package.
@@ -7,6 +8,7 @@ pytest puts ``tests/`` on ``sys.path`` because the directory is not a package.
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
+from repro.ir import CircuitIR
 
 
 def random_two_qubit_circuit(
@@ -40,3 +42,14 @@ def circuits_bit_identical(a: QuantumCircuit, b: QuantumCircuit) -> bool:
     bytes), so fused SU(4) blocks must match bit for bit.
     """
     return a.num_qubits == b.num_qubits and a.instructions == b.instructions
+
+
+def run_pass(compiler_pass, circuit: QuantumCircuit, properties=None) -> QuantumCircuit:
+    """Run one pass on a flat circuit: wrap it in a ``CircuitIR``, run, flatten.
+
+    Costs one circuit->IR and one IR->circuit conversion.  ``properties``
+    defaults to a fresh dict; pass one in to read what the pass wrote.
+    """
+    ir = CircuitIR.from_circuit(circuit)
+    compiler_pass.run(ir, {} if properties is None else properties)
+    return ir.to_circuit()

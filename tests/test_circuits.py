@@ -1,4 +1,4 @@
-"""Tests for the circuit IR, DAG conversion, metrics and QASM round-trip."""
+"""Tests for circuits, dependency graphs, metrics and the QASM round trip."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.dag import circuit_to_dag, dag_to_circuit, front_layer, layers
+from repro.circuits.depgraph import DependencyGraph
 from repro.circuits.instruction import Instruction
 from repro.circuits.metrics import (
     BASELINE_CNOT_DURATION,
@@ -16,8 +16,8 @@ from repro.circuits.metrics import (
     count_two_qubit_gates,
     two_qubit_depth,
 )
-from repro.circuits.qasm import circuit_to_qasm, qasm_to_circuit
 from repro.gates import standard
+from repro.qasm import dumps, loads
 from repro.linalg.predicates import allclose_up_to_global_phase
 from repro.linalg.random import haar_random_unitary
 
@@ -150,9 +150,7 @@ def test_compute_metrics_bundle():
 def test_dag_roundtrip_preserves_unitary():
     circuit = QuantumCircuit(3)
     circuit.h(0).cx(0, 1).rz(0.4, 1).cx(1, 2).h(2).cx(0, 2)
-    with pytest.deprecated_call():
-        dag = circuit_to_dag(circuit)
-    rebuilt = dag_to_circuit(dag)
+    rebuilt = DependencyGraph.from_circuit(circuit).to_circuit()
     assert np.allclose(circuit.to_unitary(), rebuilt.to_unitary())
     assert len(rebuilt) == len(circuit)
 
@@ -160,17 +158,15 @@ def test_dag_roundtrip_preserves_unitary():
 def test_dag_front_layer():
     circuit = QuantumCircuit(4)
     circuit.cx(0, 1).cx(2, 3).cx(1, 2)
-    with pytest.deprecated_call():
-        dag = circuit_to_dag(circuit)
-    front = front_layer(dag)
+    front = DependencyGraph.from_circuit(circuit).front_layer()
     assert set(front) == {0, 1}
 
 
 def test_layers_partition():
     circuit = QuantumCircuit(4)
     circuit.cx(0, 1).cx(2, 3).cx(1, 2).h(0)
-    with pytest.deprecated_call():
-        layering = layers(circuit)
+    graph = DependencyGraph.from_circuit(circuit)
+    layering = [[graph.instructions[node] for node in layer] for layer in graph.topological_layers()]
     assert len(layering) == 2
     assert len(layering[0]) == 2
     names = sorted(instr.gate.name for instr in layering[1])
@@ -181,9 +177,9 @@ def test_qasm_roundtrip():
     circuit = QuantumCircuit(3)
     circuit.h(0).cx(0, 1).rz(0.25, 1).ccx(0, 1, 2).can(0.3, 0.2, -0.1, 1, 2)
     circuit.u3(0.1, 0.2, 0.3, 0)
-    text = circuit_to_qasm(circuit)
+    text = dumps(circuit)
     assert "OPENQASM 2.0" in text
-    parsed = qasm_to_circuit(text)
+    parsed = loads(text)
     assert parsed.num_qubits == 3
     assert np.allclose(parsed.to_unitary(), circuit.to_unitary(), atol=1e-9)
 
@@ -197,7 +193,7 @@ def test_qasm_parser_handles_pi_expressions():
     cx q[0],q[1];
     rx(-pi/4) q[1];
     """
-    circuit = qasm_to_circuit(text)
+    circuit = loads(text)
     assert len(circuit) == 3
     assert circuit[0].gate.params[0] == pytest.approx(math.pi / 2)
 
@@ -207,12 +203,12 @@ def test_qasm_unitary_blocks_roundtrip_bit_exact():
     # back bit-identical (same label, exact matrix bytes).
     circuit = QuantumCircuit(2)
     circuit.unitary(haar_random_unitary(4, 5), [0, 1], label="su4")
-    text = circuit_to_qasm(circuit)
+    text = dumps(circuit)
     assert "repro.unitary" in text
-    parsed = qasm_to_circuit(text)
+    parsed = loads(text)
     assert parsed.instructions == circuit.instructions
 
 
 def test_qasm_rejects_unknown_gate():
     with pytest.raises(ValueError):
-        qasm_to_circuit("qreg q[1];\nfoo q[0];")
+        loads("qreg q[1];\nfoo q[0];")

@@ -20,8 +20,13 @@ from repro.compiler.passes.mirror import MirrorNearIdentityPass
 from repro.compiler.passes.peephole import peephole_optimize
 from repro.compiler.passes.template_synthesis import TemplateSynthesisPass
 from repro.gates import standard
+from repro.ir import CircuitIR
 from repro.linalg.predicates import allclose_up_to_global_phase
 from repro.simulators.unitary import embed_unitary
+
+from repro.workloads.suite import benchmark_suite
+
+from circuit_helpers import circuits_bit_identical, random_two_qubit_circuit, run_pass
 
 PI_4 = math.pi / 4.0
 
@@ -50,9 +55,8 @@ def test_pass_manager_records():
     class NoOp(CompilerPass):
         name = "noop"
 
-        def run(self, circuit, properties):
+        def run(self, ir, properties):
             properties["ran"] = True
-            return circuit
 
     circuit = QuantumCircuit(2)
     circuit.cx(0, 1)
@@ -67,7 +71,7 @@ def test_pass_manager_records():
 
 def test_base_pass_requires_override():
     with pytest.raises(NotImplementedError):
-        CompilerPass().run(QuantumCircuit(1), {})
+        CompilerPass().run(CircuitIR(1), {})
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +156,7 @@ def test_fuse_pass_requires_low_level_circuit():
     circuit = QuantumCircuit(3)
     circuit.ccx(0, 1, 2)
     with pytest.raises(ValueError):
-        Fuse2QBlocksPass().run(circuit, {})
+        run_pass(Fuse2QBlocksPass(), circuit)
     with pytest.raises(ValueError):
         Fuse2QBlocksPass(form="nope")
 
@@ -160,7 +164,7 @@ def test_fuse_pass_requires_low_level_circuit():
 def test_fuse_pass_reduces_gate_objects():
     circuit = QuantumCircuit(3)
     circuit.cx(0, 1).t(1).cx(0, 1).cx(1, 2)
-    fused = Fuse2QBlocksPass().run(circuit, {})
+    fused = run_pass(Fuse2QBlocksPass(), circuit)
     assert fused.count_two_qubit_gates() == 2
     assert allclose_up_to_global_phase(fused.to_unitary(), circuit.to_unitary(), atol=1e-7)
 
@@ -222,7 +226,7 @@ def test_hierarchical_synthesis_reduces_dense_blocks():
     hierarchical = HierarchicalSynthesisPass(
         threshold=4, tolerance=1e-6, enable_dag_compacting=False
     )
-    result = hierarchical.run(circuit, {})
+    result = run_pass(hierarchical, circuit)
     assert result.count_two_qubit_gates() < circuit.count_two_qubit_gates()
     assert allclose_up_to_global_phase(result.to_unitary(), original, atol=1e-5)
 
@@ -231,7 +235,7 @@ def test_hierarchical_synthesis_keeps_sparse_blocks():
     circuit = QuantumCircuit(4)
     circuit.cx(0, 1).cx(2, 3)
     hierarchical = HierarchicalSynthesisPass(threshold=4)
-    result = hierarchical.run(circuit, {})
+    result = run_pass(hierarchical, circuit)
     assert result.count_two_qubit_gates() == 2
 
 
@@ -243,7 +247,7 @@ def test_hierarchical_synthesis_keeps_sparse_blocks():
 def test_template_synthesis_replaces_ccx():
     circuit = QuantumCircuit(3)
     circuit.ccx(0, 1, 2)
-    result = TemplateSynthesisPass().run(circuit, {})
+    result = run_pass(TemplateSynthesisPass(), circuit)
     assert result.max_gate_arity() == 2
     assert result.count_two_qubit_gates() <= 5
     assert allclose_up_to_global_phase(result.to_unitary(), circuit.to_unitary(), atol=1e-6)
@@ -253,7 +257,7 @@ def test_template_synthesis_consecutive_toffolis_fuse():
     circuit = QuantumCircuit(3)
     circuit.ccx(0, 1, 2)
     circuit.ccx(0, 1, 2)
-    result = TemplateSynthesisPass().run(circuit, {})
+    result = run_pass(TemplateSynthesisPass(), circuit)
     # Two back-to-back Toffolis share boundary gates; selective assembly plus
     # fusion must do better than 2 x 5 gates.
     assert result.count_two_qubit_gates() <= 9
@@ -263,9 +267,34 @@ def test_template_synthesis_consecutive_toffolis_fuse():
 def test_template_synthesis_handles_generic_gates():
     circuit = QuantumCircuit(4)
     circuit.h(0).cx(0, 1).ccx(1, 2, 3).rz(0.2, 3).cswap(0, 1, 2)
-    result = TemplateSynthesisPass().run(circuit, {})
+    result = run_pass(TemplateSynthesisPass(), circuit)
     assert result.max_gate_arity() == 2
     assert allclose_up_to_global_phase(result.to_unitary(), circuit.to_unitary(), atol=1e-6)
+
+
+def _seeded_24q_program():
+    """24q random U3/CX program (same-pair runs included) with Toffolis mixed in."""
+    rng = np.random.default_rng(24)
+    circuit = random_two_qubit_circuit(24, 1500, seed=24)
+    for _ in range(40):
+        a, b, c = (int(q) for q in rng.choice(24, size=3, replace=False))
+        circuit.ccx(a, b, c)
+    circuit.extend(random_two_qubit_circuit(24, 1500, seed=25).instructions)
+    return circuit
+
+
+_FIXED_POINT_PROGRAMS = [(case.name, case.circuit) for case in benchmark_suite(scale="small")]
+_FIXED_POINT_PROGRAMS.append(("random_24q", _seeded_24q_program()))
+
+
+@pytest.mark.parametrize(
+    "program", [p for _, p in _FIXED_POINT_PROGRAMS], ids=[n for n, _ in _FIXED_POINT_PROGRAMS]
+)
+def test_template_output_is_a_fuse_fixed_point(program):
+    # reqisc-eff runs no fusion stage after template synthesis: the pass
+    # already fuses its output, so fusing again must change nothing.
+    templated = run_pass(TemplateSynthesisPass(), program)
+    assert circuits_bit_identical(run_pass(Fuse2QBlocksPass(), templated), templated)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +307,7 @@ def test_mirror_pass_replaces_near_identity_gates():
     circuit.can(0.02, 0.01, 0.0, 0, 1)
     circuit.can(PI_4, 0.0, 0.0, 1, 2)
     properties = {}
-    result = MirrorNearIdentityPass(threshold=0.15).run(circuit, properties)
+    result = run_pass(MirrorNearIdentityPass(threshold=0.15), circuit, properties)
     assert properties["mirrored_gate_count"] == 1
     assert result.count_two_qubit_gates() == 2
     permutation = properties["mirror_permutation"]
@@ -295,7 +324,7 @@ def test_mirror_pass_qft_like_leaves_far_gates_alone():
     circuit = QuantumCircuit(2)
     circuit.can(PI_4, 0.0, 0.0, 0, 1)
     properties = {}
-    result = MirrorNearIdentityPass().run(circuit, properties)
+    result = run_pass(MirrorNearIdentityPass(), circuit, properties)
     assert properties["mirrored_gate_count"] == 0
     assert properties["mirror_permutation"] == [0, 1]
     assert allclose_up_to_global_phase(result.to_unitary(), circuit.to_unitary(), atol=1e-9)
@@ -306,7 +335,7 @@ def test_finalize_pass_outputs_can_u3_only():
     circuit.cx(0, 1)
     circuit.unitary(standard.swap_gate().matrix, [1, 2], label="su4")
     circuit.h(0)
-    result = FinalizeToCanPass().run(circuit, {})
+    result = run_pass(FinalizeToCanPass(), circuit)
     names = set(result.count_by_name())
     assert names <= {"can", "u3"}
     assert allclose_up_to_global_phase(result.to_unitary(), circuit.to_unitary(), atol=1e-6)

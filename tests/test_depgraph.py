@@ -6,7 +6,6 @@ import pytest
 import networkx as nx
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.dag import circuit_to_dag, dag_to_circuit, front_layer, layers
 from repro.circuits.depgraph import DependencyGraph
 
 from circuit_helpers import random_two_qubit_circuit
@@ -74,19 +73,6 @@ def test_depgraph_topological_layers_match_peeling(seed):
     assert graph.topological_layers() == expected
 
 
-def test_circuit_to_dag_is_depgraph_view():
-    circuit = QuantumCircuit(3).h(0).cx(0, 1).cx(1, 2).cx(0, 1)
-    with pytest.deprecated_call():
-        dag = circuit_to_dag(circuit)
-    graph = DependencyGraph.from_circuit(circuit)
-    assert dag.graph["num_qubits"] == 3
-    assert set(dag.edges()) == set(graph.edges())
-    assert front_layer(dag) == graph.front_layer() == [0]
-    rebuilt = dag_to_circuit(dag)
-    assert [i.gate.name for i in rebuilt] == [i.gate.name for i in circuit]
-    assert [i.qubits for i in rebuilt] == [i.qubits for i in circuit]
-
-
 def test_depgraph_round_trip_and_networkx_export():
     circuit = random_two_qubit_circuit(5, 30, seed=9)
     graph = DependencyGraph.from_circuit(circuit)
@@ -118,6 +104,6 @@ def test_layers_match_greedy_qubit_frontier():
             expected[level].append(instruction)
             for qubit in instruction.qubits:
                 frontier[qubit] = level + 1
-        with pytest.deprecated_call():
-            layering = layers(circuit)
+        graph = DependencyGraph.from_circuit(circuit)
+        layering = [[graph.instructions[node] for node in layer] for layer in graph.topological_layers()]
         assert layering == expected

@@ -30,6 +30,8 @@ from repro.simulators.unitary import permutation_unitary
 from repro.target.api import compile as target_compile
 from repro.target.pipeline import named_pipeline
 
+from circuit_helpers import run_pass
+
 
 def _edge_cases():
     """Diagonal, anti-diagonal, +-I, e^{i phi} I and near-identity 2x2 unitaries."""
@@ -212,7 +214,7 @@ def test_mirror_falls_back_per_gate_when_the_batch_raises():
     circuit.append(UnitaryGate(2.0 * np.eye(4), label="su4"), [1, 2])  # |det| != 1
     circuit.append(UnitaryGate(canonical_gate(math.pi / 4, 0.0, 0.0), label="su4"), [0, 2])
     properties = {}
-    result = MirrorNearIdentityPass(threshold=0.15).run(circuit, properties)
+    result = run_pass(MirrorNearIdentityPass(threshold=0.15), circuit, properties)
     # The malformed block is left alone; the healthy near-identity one is mirrored.
     assert properties["mirrored_gate_count"] == 1
     assert len(result) == 3

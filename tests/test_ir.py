@@ -11,6 +11,9 @@ from repro.compiler.passes.peephole import PeepholeOptimizationPass, peephole_op
 from repro.gates import standard
 from repro.ir import CircuitIR, ExecutionFront, conversion_stats, reset_conversion_stats
 from repro.synthesis.blocks import consolidate_blocks
+from repro.target.pipeline import pipeline_names
+
+from circuit_helpers import run_pass
 
 
 def random_standard_circuit(num_qubits, num_gates, seed):
@@ -223,6 +226,17 @@ def test_reqisc_pipeline_converts_at_most_twice():
         assert stats["dag_builds"] <= 1
 
 
+@pytest.mark.parametrize("name", pipeline_names())
+def test_every_named_pipeline_converts_once_in_and_once_out(name):
+    from repro.target.api import compile as compile_circuit
+
+    circuit = random_standard_circuit(4, 25, seed=5)
+    target = "xy-line-cal" if name == "reqisc-noise" else "xy-line"
+    result = compile_circuit(circuit, target=target, spec=name, seed=0)
+    assert result.conversions["from_circuit"] == 1
+    assert result.conversions["to_circuit"] == 1
+
+
 # ---------------------------------------------------------------------------
 # IR-native passes: equivalence with the flat kernels and manager contracts.
 # ---------------------------------------------------------------------------
@@ -235,7 +249,7 @@ def test_ir_peephole_matches_flat_kernel(seed):
     lowered = decompose_to_cnot(random_standard_circuit(5, 40, seed))
     for consolidate in (False, True):
         flat = peephole_optimize(lowered, consolidate=consolidate)
-        via_ir = PeepholeOptimizationPass(consolidate=consolidate).run(lowered, {})
+        via_ir = run_pass(PeepholeOptimizationPass(consolidate=consolidate), lowered)
         assert bit_identical(flat, via_ir)
 
 
@@ -245,7 +259,7 @@ def test_ir_fuse_matches_flat_kernel(seed):
 
     lowered = decompose_to_cnot(random_standard_circuit(5, 40, seed))
     flat = consolidate_blocks(lowered, form="unitary")
-    via_ir = Fuse2QBlocksPass().run(lowered, {})
+    via_ir = run_pass(Fuse2QBlocksPass(), lowered)
     assert bit_identical(flat, via_ir)
 
 
@@ -256,8 +270,8 @@ def test_peephole_is_idempotent(seed):
     lowered = decompose_to_cnot(random_standard_circuit(5, 45, seed))
     for consolidate in (False, True):
         pass_ = PeepholeOptimizationPass(consolidate=consolidate)
-        once = pass_.run(lowered, {})
-        twice = pass_.run(once, {})
+        once = run_pass(pass_, lowered)
+        twice = run_pass(pass_, once)
         assert structurally_idempotent(once, twice)
         assert once.count_two_qubit_gates() == twice.count_two_qubit_gates()
 
@@ -268,38 +282,32 @@ def test_fuse_is_idempotent(seed):
 
     lowered = decompose_to_cnot(random_standard_circuit(5, 45, seed))
     pass_ = Fuse2QBlocksPass()
-    once = pass_.run(lowered, {})
-    twice = pass_.run(once, {})
+    once = run_pass(pass_, lowered)
+    twice = run_pass(pass_, once)
     assert bit_identical(once, twice)
 
 
 def test_pass_manager_converts_once_per_representation_change():
-    conversions = []
+    seen = []
 
-    class CircuitPass(CompilerPass):
-        name = "flat"
+    class Probe(CompilerPass):
+        name = "probe"
 
-        def run(self, circuit, properties):
-            conversions.append(type(circuit).__name__)
-            return circuit
+        def run(self, ir, properties):
+            seen.append(ir)
 
-    class IrPass(CompilerPass):
-        name = "native"
-        consumes = "ir"
-        produces = "ir"
+    from repro.compiler.passes.decompose import decompose_to_cnot
 
-        def run_ir(self, ir, properties):
-            conversions.append(type(ir).__name__)
-            return ir
-
-    circuit = random_standard_circuit(3, 10, seed=0)
-    manager = PassManager([CircuitPass(), IrPass(), IrPass(), IrPass(), CircuitPass()])
+    circuit = decompose_to_cnot(random_standard_circuit(3, 10, seed=0))
+    manager = PassManager([Probe(), PeepholeOptimizationPass(consolidate=False), Probe(), Probe()])
     reset_conversion_stats()
     result = manager.run(circuit)
     stats = conversion_stats()
-    assert conversions == ["QuantumCircuit", "CircuitIR", "CircuitIR", "CircuitIR", "QuantumCircuit"]
+    # One IR object threads through every pass: one conversion in, one out.
+    assert len(seen) == 3 and all(ir is seen[0] for ir in seen)
+    assert isinstance(seen[0], CircuitIR)
     assert stats["from_circuit"] == 1 and stats["to_circuit"] == 1
-    assert bit_identical(result, circuit)
+    assert bit_identical(result, peephole_optimize(circuit, consolidate=False))
 
 
 def test_pass_manager_accepts_prebuilt_ir():
@@ -323,16 +331,15 @@ def test_circuit_adapters_chain_bit_identical_to_shared_ir():
 
     lowered = decompose_to_cnot(random_standard_circuit(4, 30, seed=2))
     passes = [PeepholeOptimizationPass(consolidate=False), Fuse2QBlocksPass()]
-    assert all(compiler_pass.consumes == "ir" for compiler_pass in passes)
     shared = PassManager(list(passes)).run(lowered)
     reset_conversion_stats()
     chained = lowered
     properties = PropertySet()
     for compiler_pass in passes:
-        chained = compiler_pass.run(chained, properties)
+        chained = run_pass(compiler_pass, chained, properties)
     stats = conversion_stats()
     assert bit_identical(shared, chained)
-    # Each run() adapter pays one circuit<->IR round trip per IR-native pass.
+    # Running each pass on a flat circuit pays one round trip per pass.
     assert stats["from_circuit"] == len(passes) and stats["to_circuit"] == len(passes)
 
 
@@ -364,9 +371,8 @@ def test_routing_pass_uses_prebuilt_dependency_graph():
     graph_before = ir.dependency_graph()
     reset_conversion_stats()
     properties = {}
-    routed = pass_.run_ir(ir, properties)
+    pass_.run(ir, properties)
     stats = conversion_stats()
-    assert routed is ir  # same shared object, reloaded in place
     assert stats["from_circuit"] == 0 and stats["to_circuit"] == 0
     assert stats["dag_builds"] == 0  # the cached graph was handed over
     assert properties["inserted_swaps"] >= 1

@@ -20,7 +20,6 @@ from repro.compiler.routing.coupling_map import CouplingMap
 from repro.compiler.routing.noise import NoiseRoutingModel
 from repro.compiler.routing.sabre import SabreRouter
 from repro.compiler.routing.sabre_reference import ReferenceSabreRouter
-from repro.ir import CircuitIR
 from repro.kernels import (
     backend_info,
     kak_decompose_batch,
@@ -32,7 +31,7 @@ from repro.linalg.weyl import kak_decompose
 from repro.simulators.statevector import apply_gate, apply_gate_sequence
 from repro.target.target import resolve_target
 
-from circuit_helpers import circuits_bit_identical, random_two_qubit_circuit
+from circuit_helpers import circuits_bit_identical, random_two_qubit_circuit, run_pass
 
 NATIVE_AVAILABLE = backend_info()["native_available"]
 
@@ -146,8 +145,7 @@ def test_noise_aware_routing_pass_native_vs_py(monkeypatch):
             target.coupling_map, noise_aware=True, calibration=target.calibration
         )
         properties = {}
-        ir = routing_pass.run_ir(CircuitIR.from_circuit(circuit), properties)
-        outcomes[backend] = (ir.to_circuit(), properties)
+        outcomes[backend] = (run_pass(routing_pass, circuit, properties), properties)
     (native_circuit, native_props), (py_circuit, py_props) = outcomes["native"], outcomes["py"]
     assert circuits_bit_identical(native_circuit, py_circuit)
     assert native_props == py_props

@@ -637,6 +637,25 @@ def test_mini_chaos_soak_recovers_everything():
     assert report["health"].get("status") in ("ok", "degraded", "impaired")
 
 
+def test_chaos_soak_fails_when_no_scheduled_runtime_fault_fires():
+    # 17 jobs never reach the first worker, clock or socket fault of a
+    # window-200 schedule: the soak exercised nothing and must not pass.
+    report = run_chaos(
+        FaultPlan.balanced(seed=42, faults=10),
+        scale="tiny",
+        clients=2,
+        workers=2,
+        requests_per_circuit=1,
+        job_timeout=20.0,
+        wall_deadline=120.0,
+    )
+    assert report["completed"] == report["jobs"] == 17
+    assert report["bit_identical"] is True
+    assert report["faults_fired"] == {}
+    assert report["faults_exercised"] is False
+    assert report["ok"] is False
+
+
 def test_chaos_report_is_json_serializable():
     import json
 

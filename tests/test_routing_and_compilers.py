@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.compiler.baselines import CnotBaselineCompiler, Su4FusionBaselineCompiler
-from repro.compiler.reqisc import ReQISCCompiler
 from repro.compiler.routing.coupling_map import CouplingMap
 from repro.compiler.routing.sabre import SabreRouter
 from repro.linalg.predicates import allclose_up_to_global_phase
 from repro.microarch.hamiltonian import CouplingHamiltonian
 from repro.simulators.unitary import permutation_unitary
+from repro.target.api import compile as target_compile
+from repro.target.pipeline import reqisc_pipeline, su4_fusion_pipeline
+from repro.target.target import Target
 
 PI_4 = math.pi / 4.0
 
@@ -147,7 +148,7 @@ def _compiled_equivalent(original, result):
 
 def test_cnot_baseline_compiler_correctness():
     circuit = _toffoli_workload()
-    result = CnotBaselineCompiler(name="qiskit-like").compile(circuit)
+    result = target_compile(circuit, spec="qiskit-like")
     assert set(result.circuit.count_by_name()) <= {"cx", "u3", "h", "t", "tdg", "x"}
     assert _compiled_equivalent(circuit, result)
     assert result.num_two_qubit_gates <= 20
@@ -160,7 +161,7 @@ def test_cnot_baseline_with_pauli_simp_merges_trotter_steps():
     for _ in range(3):
         circuit.rzz(0.1, 0, 1)
         circuit.rzz(0.2, 1, 2)
-    result = CnotBaselineCompiler(name="tket-like", pauli_simp=True).compile(circuit)
+    result = target_compile(circuit, spec="tket-like")
     # Adjacent commuting ZZ rotations merge: 2 distinct pairs -> 2x2 CNOTs.
     assert result.num_two_qubit_gates <= 6
     assert _compiled_equivalent(circuit, result)
@@ -168,8 +169,8 @@ def test_cnot_baseline_with_pauli_simp_merges_trotter_steps():
 
 def test_reqisc_eff_compiler_beats_baseline_on_2q_count():
     circuit = _toffoli_workload()
-    baseline = CnotBaselineCompiler().compile(circuit)
-    reqisc = ReQISCCompiler(mode="eff").compile(circuit)
+    baseline = target_compile(circuit, spec="qiskit-like")
+    reqisc = target_compile(circuit, spec="reqisc-eff")
     assert set(reqisc.circuit.count_by_name()) <= {"can", "u3"}
     assert reqisc.num_two_qubit_gates < baseline.num_two_qubit_gates
     assert _compiled_equivalent(circuit, reqisc)
@@ -177,14 +178,14 @@ def test_reqisc_eff_compiler_beats_baseline_on_2q_count():
 
 def test_reqisc_eff_has_few_distinct_gates():
     circuit = _toffoli_workload()
-    reqisc = ReQISCCompiler(mode="eff").compile(circuit)
+    reqisc = target_compile(circuit, spec="reqisc-eff")
     assert reqisc.distinct_two_qubit_gates <= 10
 
 
 def test_reqisc_full_compiler_correctness_and_reduction():
     circuit = _toffoli_workload()
-    eff = ReQISCCompiler(mode="eff").compile(circuit)
-    full = ReQISCCompiler(mode="full", synthesis_tolerance=1e-6).compile(circuit)
+    eff = target_compile(circuit, spec="reqisc-eff")
+    full = target_compile(circuit, spec=reqisc_pipeline(mode="full", synthesis_tolerance=1e-6))
     assert _compiled_equivalent(circuit, full)
     assert full.num_two_qubit_gates <= eff.num_two_qubit_gates
 
@@ -194,15 +195,15 @@ def test_reqisc_duration_improves_over_baseline():
 
     circuit = _toffoli_workload()
     coupling = CouplingHamiltonian.xy(1.0)
-    baseline = CnotBaselineCompiler().compile(circuit)
-    reqisc = ReQISCCompiler(mode="eff", coupling=coupling).compile(circuit)
-    assert reqisc.duration(coupling) < circuit_duration(baseline.circuit)
+    baseline = target_compile(circuit, spec="qiskit-like")
+    reqisc = target_compile(circuit, target=Target(coupling=coupling), spec="reqisc-eff")
+    assert reqisc.duration() < circuit_duration(baseline.circuit)
 
 
 def test_reqisc_with_routing_on_chain():
     circuit = _toffoli_workload()
     chain = CouplingMap.line(4)
-    result = ReQISCCompiler(mode="eff", coupling_map=chain).compile(circuit)
+    result = target_compile(circuit, target=Target(coupling_map=chain), spec="reqisc-eff")
     for instruction in result.circuit:
         if instruction.is_two_qubit:
             assert chain.is_connected(*instruction.qubits)
@@ -212,28 +213,28 @@ def test_reqisc_with_routing_on_chain():
 
 def test_reqisc_rejects_bad_mode():
     with pytest.raises(ValueError):
-        ReQISCCompiler(mode="fast")
+        reqisc_pipeline(mode="fast")
 
 
 def test_su4_fusion_baselines():
     circuit = _toffoli_workload()
-    qiskit_su4 = Su4FusionBaselineCompiler(variant="qiskit-su4").compile(circuit)
+    qiskit_su4 = target_compile(circuit, spec="qiskit-su4")
     assert set(qiskit_su4.circuit.count_by_name()) <= {"can", "u3"}
     assert _compiled_equivalent(circuit, qiskit_su4)
-    reqisc = ReQISCCompiler(mode="eff").compile(circuit)
+    reqisc = target_compile(circuit, spec="reqisc-eff")
     # On a tiny workload the naive fusion can be competitive on raw #2Q; the
     # co-designed pipeline must stay within reach here (the suite-level
     # comparison is exercised by the experiment harness / Figure 14 bench).
     assert reqisc.num_two_qubit_gates <= qiskit_su4.num_two_qubit_gates + 2
     with pytest.raises(ValueError):
-        Su4FusionBaselineCompiler(variant="other")
+        su4_fusion_pipeline(variant="other")
 
 
 def test_mirroring_applies_to_near_identity_programs():
     circuit = QuantumCircuit(3, "near_identity")
     circuit.can(0.03, 0.01, 0.0, 0, 1)
     circuit.can(0.02, 0.02, 0.01, 1, 2)
-    result = ReQISCCompiler(mode="eff").compile(circuit)
+    result = target_compile(circuit, spec="reqisc-eff")
     assert result.properties.get("mirrored_gate_count", 0) >= 1
     assert sorted(result.final_permutation) == list(range(3))
     assert _compiled_equivalent(circuit, result)

@@ -16,7 +16,7 @@ from repro.compiler.passes.schedule import SchedulingPass, asap_schedule
 from repro.target.api import compile as target_compile
 from repro.target.target import resolve_target
 
-from circuit_helpers import random_two_qubit_circuit
+from circuit_helpers import circuits_bit_identical, random_two_qubit_circuit, run_pass
 
 
 def _assert_valid_schedule(circuit, schedule):
@@ -84,8 +84,8 @@ def test_scheduling_pass_writes_properties_and_keeps_circuit():
     schedule_pass = SchedulingPass(target)
     circuit = random_two_qubit_circuit(4, 40, seed=1)
     properties = {}
-    out = schedule_pass.run(circuit, properties)
-    assert out is circuit  # identity on gates
+    out = run_pass(schedule_pass, circuit, properties)
+    assert circuits_bit_identical(out, circuit)  # identity on gates
     _assert_valid_schedule(circuit, properties["schedule"])
     assert properties["makespan"] == properties["schedule"].makespan
 
@@ -99,8 +99,8 @@ def test_calibrated_edge_durations_override_analytic_model():
     calibrated = SchedulingPass(target)
     analytic = SchedulingPass(plain)
     cal_props, plain_props = {}, {}
-    calibrated.run(circuit, cal_props)
-    analytic.run(circuit, plain_props)
+    run_pass(calibrated, circuit, cal_props)
+    run_pass(analytic, circuit, plain_props)
     # The seeded calibration's heterogeneous edge durations must show up:
     # slot durations follow edge(q0, q1).duration * cnot_duration, not the
     # uniform analytic value.

@@ -8,7 +8,10 @@ from repro.compiler.passes.hierarchical import HierarchicalSynthesisPass, partit
 from repro.compiler.passes.template_synthesis import TemplateSynthesisPass
 from repro.service.batch import BatchCompiler
 from repro.service.cache import SynthesisCache
+from repro.target.api import compile as target_compile
 from repro.workloads.suite import benchmark_suite
+
+from circuit_helpers import run_pass
 
 
 def _circuits_identical(first, second):
@@ -86,8 +89,6 @@ def test_batch_summaries_carry_headline_metrics():
 
 def test_summary_duration_is_isa_aware():
     from repro.circuits.metrics import circuit_duration, cnot_isa_duration_model
-    from repro.compiler.baselines import CnotBaselineCompiler
-    from repro.compiler.reqisc import ReQISCCompiler
     from repro.microarch.durations import su4_duration_model
     from repro.microarch.hamiltonian import CouplingHamiltonian
 
@@ -95,12 +96,12 @@ def test_summary_duration_is_isa_aware():
     circuit.h(0)
     circuit.ccx(0, 1, 2)
 
-    cnot = CnotBaselineCompiler(name="qiskit-like").compile(circuit)
+    cnot = target_compile(circuit, spec="qiskit-like")
     assert cnot.properties["isa"] == "cnot"
     expected = circuit_duration(cnot.circuit, cnot_isa_duration_model())
     assert cnot.summary()["duration"] == pytest.approx(expected)
 
-    su4 = ReQISCCompiler(mode="eff").compile(circuit)
+    su4 = target_compile(circuit, spec="reqisc-eff")
     assert su4.properties["isa"] == "su4"
     coupling = CouplingHamiltonian.xy(1.0)
     expected = circuit_duration(su4.circuit, su4_duration_model(coupling))
@@ -197,19 +198,19 @@ def test_template_pass_memoizes_whole_output():
     pass_ = TemplateSynthesisPass(cache=cache)
     circuit = QuantumCircuit(3, "ccx_once")
     circuit.ccx(0, 1, 2)
-    first = pass_.run(circuit, {})
+    first = run_pass(pass_, circuit)
     assert cache.stats.misses == 1
-    second = pass_.run(circuit, {})
+    second = run_pass(pass_, circuit)
     assert cache.stats.hits == 1
     assert _circuits_identical(first, second)
-    # The cached circuit is copied on return: mutating one must not leak.
+    # The cached circuit is never handed out: mutating an output must not leak.
     second.h(0)
-    third = pass_.run(circuit, {})
+    third = run_pass(pass_, circuit)
     assert len(third) == len(first)
     # A content-identical circuit under a different name hits the cache but
     # keeps its own name.
     renamed = circuit.copy("other_name")
-    fourth = pass_.run(renamed, {})
+    fourth = run_pass(pass_, renamed)
     assert cache.stats.hits >= 2
     assert fourth.name == "other_name"
 

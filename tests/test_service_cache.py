@@ -260,11 +260,12 @@ def test_compaction_folds_segments_and_preserves_entries(tmp_path):
         assert fresh.get(f"key-{i}") == i * i
 
 
-def test_legacy_per_entry_files_are_readable_and_compacted(tmp_path):
+def test_stray_legacy_pickle_reads_as_a_miss_and_stays_on_disk(tmp_path):
     import os
     import pickle
 
-    # Simulate a cache directory written by the pre-segment layout.
+    # A file in the retired one-pickle-per-entry layout is not part of the
+    # store: it is neither read, nor compacted, nor deleted.
     directory = str(tmp_path / "store")
     key = "abcdef0123456789"
     legacy_path = os.path.join(directory, key[:2], f"{key}.pkl")
@@ -273,14 +274,11 @@ def test_legacy_per_entry_files_are_readable_and_compacted(tmp_path):
         pickle.dump({"legacy": True}, handle)
 
     reader = SynthesisCache(directory=directory)
-    assert reader.get(key) == {"legacy": True}
-    assert key in reader
-
-    outcome = reader.compact()
-    assert outcome["legacy_removed"] == 1
-    assert not os.path.exists(legacy_path)
-    fresh = SynthesisCache(directory=directory)
-    assert fresh.get(key) == {"legacy": True}
+    assert key not in reader
+    assert reader.get(key, "missing") == "missing"
+    assert reader.stats.misses == 1 and reader.stats.hits == 0
+    assert reader.compact() == {"entries": 0, "segments_removed": 0}
+    assert os.path.exists(legacy_path)
 
 
 def test_cache_stats_snapshot_and_delta():

@@ -49,12 +49,6 @@ def _circuits_identical(first, second):
     return True
 
 
-def _summary_without_wall_clock(result):
-    summary = result.summary()
-    summary.pop("compile_seconds")
-    return summary
-
-
 # ---------------------------------------------------------------------------
 # Target construction, presets and serialization.
 # ---------------------------------------------------------------------------
@@ -150,8 +144,11 @@ def test_duration_model_memoized_per_target_and_coupling_cache():
     target = Target.xy_line(4)
     assert target.duration_model() is target.duration_model()
     assert target.duration_model("cnot") is target.duration_model("cnot")
-    coupling = CouplingHamiltonian.xy(1.0)
-    assert Target.for_coupling(coupling) is Target.for_coupling(coupling)
+    # A logical result without its own target is priced on the one cached
+    # default device, so its duration model is built once.
+    assert Target.default() is Target.default()
+    result = target_compile(_toffoli_workload(), spec="reqisc-eff")
+    assert result.duration() == result.duration(Target.default())
 
 
 def test_target_pickles_without_models(tmp_path):
@@ -309,7 +306,8 @@ def test_spec_from_dict_compiles_like_the_named_pipeline():
 def test_build_compilers_rejects_target_and_coupling_map_together():
     from repro.experiments.common import build_compilers
 
-    with pytest.raises(ValueError):
+    # The ``coupling_map=`` keyword is gone: a topology goes in a Target.
+    with pytest.raises(TypeError):
         build_compilers(
             ["reqisc-eff"], coupling_map=CouplingMap.line(4), target=Target.xy_line(4)
         )
@@ -334,67 +332,38 @@ def test_topology_stages_skipped_on_logical_target():
 
 
 # ---------------------------------------------------------------------------
-# Deprecated shims compile bit-identically through the new entry point.
+# Durations are priced on the compile target; removed surfaces fail loudly.
 # ---------------------------------------------------------------------------
 
 
-def test_reqisc_shim_matches_target_compile():
-    from repro.compiler.reqisc import ReQISCCompiler
-
-    circuit = _toffoli_workload()
-    target = Target.xy_line(4)
-    modern = target_compile(circuit, target=target, spec="reqisc-full", seed=0)
-    with pytest.warns(DeprecationWarning):
-        legacy = ReQISCCompiler(
-            mode="full", coupling_map=CouplingMap.line(4), seed=0
-        )
-    legacy_result = legacy.compile(circuit)
-    assert _circuits_identical(modern.circuit, legacy_result.circuit)
-    assert _summary_without_wall_clock(modern) == _summary_without_wall_clock(legacy_result)
-    assert modern.properties["final_layout"] == legacy_result.properties["final_layout"]
-
-
-def test_cnot_baseline_shim_matches_target_compile():
-    from repro.compiler.baselines import CnotBaselineCompiler
-
-    circuit = _toffoli_workload()
-    target = Target.from_device(coupling_map=CouplingMap.line(4), isa="cnot")
-    modern = target_compile(circuit, target=target, spec="qiskit-like", seed=0)
-    with pytest.warns(DeprecationWarning):
-        legacy = CnotBaselineCompiler(name="qiskit-like", coupling_map=CouplingMap.line(4))
-    legacy_result = legacy.compile(circuit)
-    assert _circuits_identical(modern.circuit, legacy_result.circuit)
-    assert _summary_without_wall_clock(modern) == _summary_without_wall_clock(legacy_result)
-
-
-def test_su4_fusion_shim_matches_target_compile():
-    from repro.compiler.baselines import Su4FusionBaselineCompiler
-
-    circuit = _toffoli_workload()
-    modern = target_compile(circuit, spec="qiskit-su4", seed=0)
-    with pytest.warns(DeprecationWarning):
-        legacy = Su4FusionBaselineCompiler(variant="qiskit-su4")
-    legacy_result = legacy.compile(circuit)
-    assert _circuits_identical(modern.circuit, legacy_result.circuit)
-    assert _summary_without_wall_clock(modern) == _summary_without_wall_clock(legacy_result)
-
-
-def test_reqisc_shim_prices_durations_with_its_own_coupling():
-    # Deliberate v1.2 metric fix: the old implementation stored ``coupling=``
-    # but silently priced summaries with the default XY model.
-    from repro.compiler.reqisc import ReQISCCompiler
-
+def test_compile_prices_durations_with_the_target_coupling():
     circuit = _toffoli_workload()
     coupling = CouplingHamiltonian.heisenberg(1.0)
-    with pytest.warns(DeprecationWarning):
-        legacy = ReQISCCompiler(mode="eff", coupling=coupling)
-    legacy_result = legacy.compile(circuit)
-    modern = target_compile(circuit, target=Target(coupling=coupling), spec="reqisc-eff")
-    assert _summary_without_wall_clock(legacy_result) == _summary_without_wall_clock(modern)
+    heisenberg = target_compile(circuit, target=Target(coupling=coupling), spec="reqisc-eff")
     xy_result = target_compile(circuit, spec="reqisc-eff")
-    assert legacy_result.summary()["duration"] != pytest.approx(
-        xy_result.summary()["duration"]
-    )
+    assert _circuits_identical(heisenberg.circuit, xy_result.circuit)
+    assert heisenberg.summary()["duration"] != pytest.approx(xy_result.summary()["duration"])
+    assert heisenberg.duration() == pytest.approx(xy_result.duration(Target(coupling=coupling)))
+
+
+def test_removed_compile_surfaces_fail_loudly():
+    import importlib
+
+    import repro
+    import repro.compiler
+    from repro.experiments.common import build_compilers
+
+    for module in ("compiler.reqisc", "compiler.baselines", "circuits.dag", "circuits.qasm"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(f"repro.{module}")
+    for name in ("ReQISCCompiler", "CnotBaselineCompiler", "Su4FusionBaselineCompiler"):
+        with pytest.raises(AttributeError):
+            getattr(repro, name)
+        assert not hasattr(repro.compiler, name)
+    for name in ("from_device", "for_coupling"):
+        assert not hasattr(Target, name)
+    with pytest.raises(TypeError):
+        build_compilers(["reqisc-eff"], coupling_map=CouplingMap.line(4))
 
 
 def test_summary_reports_target_name():
@@ -404,12 +373,11 @@ def test_summary_reports_target_name():
     assert result.properties["target"] == result.summary()["target"]
 
 
-def test_legacy_duration_signature_still_accepts_coupling():
+def test_duration_takes_a_target_or_none():
     circuit = _toffoli_workload()
     result = target_compile(circuit, spec="reqisc-eff")
-    coupling = CouplingHamiltonian.xy(1.0)
-    assert result.duration(coupling) == pytest.approx(result.duration())
-    heisenberg = CouplingHamiltonian.heisenberg(1.0)
+    assert result.duration(Target()) == pytest.approx(result.duration())
+    heisenberg = Target(coupling=CouplingHamiltonian.heisenberg(1.0))
     assert result.duration(heisenberg) != pytest.approx(result.duration())
 
 

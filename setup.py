@@ -2,12 +2,10 @@
 
 Installs the ``repro`` package from ``src/`` and exposes the batch
 compilation CLI both as ``python -m repro`` and as the ``repro`` console
-script.  The package needs numpy, scipy and networkx at runtime
-(networkx backs ``CouplingMap`` and its heavy-hex lattice, the QAOA
-workload's random regular graph, ``DependencyGraph.to_networkx`` and the
-frozen reference router in ``routing/sabre_reference.py``); the ``test``
-extra adds pytest, hypothesis and pytest-benchmark (the figure benchmarks
-under ``benchmarks/`` use its ``benchmark`` fixture).
+script.  The package needs only numpy and scipy at runtime; the ``test``
+extra adds pytest, hypothesis, pytest-benchmark (the figure benchmarks
+under ``benchmarks/`` use its ``benchmark`` fixture) and networkx, which
+the tests use as an oracle for the stdlib graph code.
 
 The native SABRE routing loop (``repro.kernels._sabre_loop``: the whole
 step loop, one call per routing run) is built opportunistically: when a C
@@ -89,10 +87,9 @@ setup(
     install_requires=[
         "numpy>=1.21",
         "scipy>=1.7",
-        "networkx",
     ],
     extras_require={
-        "test": ["pytest", "hypothesis", "pytest-benchmark"],
+        "test": ["pytest", "hypothesis", "pytest-benchmark", "networkx"],
     },
     entry_points={
         "console_scripts": [

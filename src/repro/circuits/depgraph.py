@@ -1,20 +1,13 @@
 """Array-based (CSR) dependency graph of a circuit — the compile-time hot path.
 
-The historical representation of gate dependencies was a ``networkx.DiGraph``.
-That is convenient but slow on
-the compile hot path: every routing call paid dict-of-dict node/edge storage,
-per-node attribute lookups and Python-level successor iteration.
+:class:`DependencyGraph` stores the gate-dependency DAG in three flat numpy
+arrays per direction (CSR adjacency): ``indptr``/``indices`` pairs for
+successors and predecessors plus an in-degree vector.  Construction is a
+single O(gates) scan; successor lookup is an array slice.
 
-:class:`DependencyGraph` stores the same DAG in three flat numpy arrays per
-direction (CSR adjacency): ``indptr``/``indices`` pairs for successors and
-predecessors plus an in-degree vector.  Construction is a single O(gates)
-scan; successor lookup is an array slice.  The networkx view is still
-available through :meth:`DependencyGraph.to_networkx`, so analysis code can
-keep using networkx while the hot passes consume the arrays directly.
-
-Edge semantics are identical to the historical DAG: a directed edge
-``i -> j`` exists when instruction ``j`` is the next instruction after ``i``
-on at least one shared qubit (parallel edges collapse).
+A directed edge ``i -> j`` exists when instruction ``j`` is the next
+instruction after ``i`` on at least one shared qubit (parallel edges
+collapse).
 """
 
 from __future__ import annotations
@@ -33,8 +26,7 @@ class DependencyGraph:
     """CSR-encoded dependency DAG of a :class:`QuantumCircuit`.
 
     Nodes are instruction indices ``0..len(circuit)-1`` in program order.
-    The per-node successor (and predecessor) lists are stored ascending, the
-    same order ``networkx`` reports them for the historical DAG.
+    The per-node successor (and predecessor) lists are stored ascending.
     """
 
     __slots__ = (
@@ -187,19 +179,6 @@ class DependencyGraph:
         for instruction in self.instructions:
             circuit.append(instruction.gate, instruction.qubits)
         return circuit
-
-    def to_networkx(self):
-        """The historical ``networkx.DiGraph`` view of this graph."""
-        import networkx as nx
-
-        dag = nx.DiGraph()
-        dag.graph["num_qubits"] = self.num_qubits
-        for node, instruction in enumerate(self.instructions):
-            dag.add_node(node, instruction=instruction)
-        for node in range(self.num_nodes):
-            for successor in self.successors(node):
-                dag.add_edge(node, int(successor))
-        return dag
 
     def __repr__(self) -> str:
         return (

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
-import networkx as nx
 import numpy as np
 
 __all__ = ["CouplingMap"]
@@ -19,14 +18,23 @@ class CouplingMap:
     """
 
     def __init__(self, edges: Iterable[Tuple[int, int]], num_qubits: int = None, name: str = "custom") -> None:
-        self.graph = nx.Graph()
         edges = [(int(a), int(b)) for a, b in edges]
         if num_qubits is None:
             num_qubits = max((max(edge) for edge in edges), default=-1) + 1
         self.num_qubits = int(num_qubits)
-        self.graph.add_nodes_from(range(self.num_qubits))
-        self.graph.add_edges_from(edges)
         self.name = name
+        # The one store: each qubit's neighbours in first-insertion order (a
+        # dict collapses duplicate and reversed edges).  Every view derives
+        # from it.
+        self._neighbors: List[Dict[int, None]] = [{} for _ in range(self.num_qubits)]
+        for a, b in edges:
+            if a == b or not (0 <= a < self.num_qubits and 0 <= b < self.num_qubits):
+                raise ValueError(
+                    f"coupling edge {(a, b)} is not a pair of distinct qubits "
+                    f"in [0, {self.num_qubits})"
+                )
+            self._neighbors[a][b] = None
+            self._neighbors[b][a] = None
         # Lazily built, shared per map instance: every consumer (routing,
         # Target duration models, benchmark) sees the same arrays instead
         # of re-deriving them per call.
@@ -79,14 +87,21 @@ class CouplingMap:
 
         The heavy-hex graph is the hexagonal lattice with every edge
         subdivided once, so qubits sit on both the vertices and the edges of
-        the hexagons and the maximum degree is 3.
+        the hexagons and the maximum degree is 3.  The hexagonal lattice is
+        a brick wall of ``columns + 1`` vertex columns and ``2 * rows + 2``
+        vertex rows, less the two corner vertices left with one edge.
         """
-        lattice = nx.hexagonal_lattice_graph(rows, columns)
-        vertices = sorted(lattice.nodes())
+        height = 2 * rows + 2
+        corners = {(0, height - 1), (columns, (height - 1) * (columns % 2))}
+        vertices = sorted({(i, j) for i in range(columns + 1) for j in range(height)} - corners)
+        lattice_edges = [((i, j), (i, j + 1)) for i in range(columns + 1) for j in range(height - 1)]
+        lattice_edges += [
+            ((i, j), (i + 1, j)) for i in range(columns) for j in range(height) if i % 2 == j % 2
+        ]
         index = {node: i for i, node in enumerate(vertices)}
         edges: List[Tuple[int, int]] = []
         next_qubit = len(vertices)
-        for u, v in sorted(tuple(sorted(edge)) for edge in lattice.edges()):
+        for u, v in sorted(edge for edge in lattice_edges if not corners.intersection(edge)):
             midpoint = next_qubit
             next_qubit += 1
             edges.append((index[u], midpoint))
@@ -124,18 +139,18 @@ class CouplingMap:
     # -- queries ---------------------------------------------------------------
     @property
     def edges(self) -> List[Tuple[int, int]]:
-        """List of undirected edges."""
-        return [tuple(sorted(edge)) for edge in self.graph.edges]
+        """Undirected ``(low, high)`` edges, node-major in neighbour insertion order."""
+        return [(a, b) for a, entries in enumerate(self._neighbors) for b in entries if b > a]
 
     def is_connected(self, qubit_a: int, qubit_b: int) -> bool:
         """True when the two physical qubits are adjacent."""
-        return self.graph.has_edge(qubit_a, qubit_b)
+        return 0 <= qubit_a < self.num_qubits and qubit_b in self._neighbors[qubit_a]
 
     def adjacency_matrix(self) -> np.ndarray:
         """Boolean adjacency matrix (cached, read-only)."""
         if self._adjacency is None:
             matrix = np.zeros((self.num_qubits, self.num_qubits), dtype=bool)
-            for a, b in self.graph.edges:
+            for a, b in self.edges:
                 matrix[a, b] = True
                 matrix[b, a] = True
             matrix.setflags(write=False)
@@ -146,16 +161,10 @@ class CouplingMap:
         """Sorted neighbour list per physical qubit (cached).
 
         ``neighbor_lists()[q]`` equals ``neighbors(q)``; the precomputed form
-        avoids a networkx adjacency walk + sort per hot-path query.
+        avoids a sort per hot-path query.
         """
         if self._neighbor_lists is None:
-            lists: List[List[int]] = [[] for _ in range(self.num_qubits)]
-            for a, b in self.graph.edges:
-                lists[a].append(b)
-                lists[b].append(a)
-            for entries in lists:
-                entries.sort()
-            self._neighbor_lists = lists
+            self._neighbor_lists = [sorted(entries) for entries in self._neighbors]
         return self._neighbor_lists
 
     def edge_tuples(self) -> List[Tuple[int, int]]:
@@ -166,7 +175,7 @@ class CouplingMap:
         back to a lexicographically sorted list of edges.
         """
         if self._edge_tuples is None:
-            self._edge_tuples = sorted(tuple(sorted(edge)) for edge in self.graph.edges)
+            self._edge_tuples = sorted(self.edges)
         return self._edge_tuples
 
     def edge_array(self) -> np.ndarray:

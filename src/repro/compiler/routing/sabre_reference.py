@@ -1,6 +1,6 @@
 """Frozen pre-optimization SABRE implementation (baseline oracle).
 
-This module preserves, verbatim in behaviour, the original list-and-networkx
+This module preserves, verbatim in behaviour, the original list-based
 implementation of (mirroring-)SABRE that shipped before the array-based fast
 path in :mod:`repro.compiler.routing.sabre`.  It exists for two reasons:
 
@@ -13,7 +13,8 @@ path in :mod:`repro.compiler.routing.sabre`.  It exists for two reasons:
   2000-gate circuit through both).
 
 Do not optimize this module; it is intentionally the slow O(n·front) loop
-(``front.remove``, per-candidate Python heuristic sums, dict-based DAG).
+(``front.remove``, per-candidate Python heuristic sums, dict-based
+in-degrees over the :class:`DependencyGraph` arrays).
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ class ReferenceSabreRouter:
             layout = list(initial_layout)
         distance = self.coupling_map.distance_matrix()
 
-        dag = DependencyGraph.from_circuit(circuit).to_networkx()
-        indegree = {node: dag.in_degree(node) for node in dag.nodes}
+        dag = DependencyGraph.from_circuit(circuit)
+        indegree = dict(enumerate(dag.indegree_vector().tolist()))
         front: List[int] = [node for node, degree in indegree.items() if degree == 0]
 
         output = QuantumCircuit(num_physical, circuit.name)
@@ -95,7 +96,7 @@ class ReferenceSabreRouter:
                 last_touch[qubit] = position
 
         def release(node: int) -> None:
-            for successor in dag.successors(node):
+            for successor in dag.successors(node).tolist():
                 indegree[successor] -= 1
                 if indegree[successor] == 0:
                     front.append(successor)
@@ -110,7 +111,7 @@ class ReferenceSabreRouter:
             while progressed and front:
                 progressed = False
                 for node in list(front):
-                    instruction: Instruction = dag.nodes[node]["instruction"]
+                    instruction: Instruction = dag.instructions[node]
                     physical = tuple(layout[q] for q in instruction.qubits)
                     if instruction.num_qubits == 1 or self.coupling_map.is_connected(*physical):
                         emit(instruction, physical)
@@ -120,11 +121,7 @@ class ReferenceSabreRouter:
             if not front:
                 break
 
-            front_2q = [
-                dag.nodes[node]["instruction"]
-                for node in front
-                if dag.nodes[node]["instruction"].num_qubits == 2
-            ]
+            front_2q = [dag.instructions[node] for node in front if dag.instructions[node].num_qubits == 2]
             extended = self._extended_set(dag, front, indegree)
             candidates = self._swap_candidates(front_2q, layout)
             if not candidates:
@@ -212,11 +209,11 @@ class ReferenceSabreRouter:
         visited: Set[int] = set(front)
         while frontier and len(extended) < self.lookahead_size:
             node = frontier.pop(0)
-            for successor in dag.successors(node):
+            for successor in dag.successors(node).tolist():
                 if successor in visited:
                     continue
                 visited.add(successor)
-                instruction = dag.nodes[successor]["instruction"]
+                instruction = dag.instructions[successor]
                 if instruction.num_qubits == 2:
                     extended.append(instruction)
                 frontier.append(successor)

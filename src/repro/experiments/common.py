@@ -77,6 +77,11 @@ def build_compilers(
     resolved per circuit at compile time; a bare topology compiles on
     ``Target(coupling_map=...)``.
 
+    ``reqisc-full``/``reqisc-nc`` cap hierarchical synthesis: at most
+    ``full_synthesis_budget`` (2) blocks at ``synthesis_tolerance`` (1e-5),
+    1 restart of 200 iterations.  The CLI, batch engine and daemon build
+    here, so their output can differ from ``compile(spec="reqisc-full")``.
+
     ``synthesis_cache`` (a :class:`~repro.service.cache.SynthesisCache`) is
     forwarded to every ReQISC compiler so suite-level runs share synthesis
     results across programs.

@@ -8,9 +8,9 @@ pipeline ingests after high-level Pauli-level optimization.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+import random
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
@@ -76,6 +76,51 @@ def grover_circuit(num_qubits: int = 4, iterations: int = 1, marked: int = None)
     return circuit
 
 
+def random_regular_edges(degree: int, num_nodes: int, seed: int) -> Set[Tuple[int, int]]:
+    """``(low, high)`` edges of a random ``degree``-regular graph on ``num_nodes`` nodes.
+
+    A stdlib port of networkx's ``random_regular_graph`` (Steger-Wormald
+    stub pairing, restarted until it succeeds).  It draws from
+    ``random.Random(seed)`` in the same order, so a seed gives the same graph.
+    """
+    if (num_nodes * degree) % 2 or not 0 <= degree < num_nodes:
+        raise ValueError("need an even num_nodes * degree and 0 <= degree < num_nodes")
+    rng = random.Random(seed)
+
+    def suitable(edges, potential_edges):
+        # Is an unused pair left among the failed stubs?  As in networkx, the
+        # swap rebinds the outer s1 for the rest of the inner loop.
+        for s1 in potential_edges:
+            for s2 in potential_edges:
+                if s1 == s2:
+                    break
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if (s1, s2) not in edges:
+                    return True
+        return not potential_edges
+
+    while True:  # each pass is one pairing attempt; a dead end starts over
+        edges: Set[Tuple[int, int]] = set()
+        stubs = list(range(num_nodes)) * degree
+        while stubs:
+            potential_edges: Dict[int, int] = {}
+            rng.shuffle(stubs)
+            stubiter = iter(stubs)
+            for s1, s2 in zip(stubiter, stubiter):
+                s1, s2 = min(s1, s2), max(s1, s2)
+                if s1 != s2 and (s1, s2) not in edges:
+                    edges.add((s1, s2))
+                else:
+                    potential_edges[s1] = potential_edges.get(s1, 0) + 1
+                    potential_edges[s2] = potential_edges.get(s2, 0) + 1
+            if not suitable(edges, potential_edges):
+                break
+            stubs = [node for node, count in potential_edges.items() for _ in range(count)]
+        else:
+            return edges
+
+
 def qaoa_maxcut(
     num_qubits: int = 6,
     layers: int = 2,
@@ -87,7 +132,7 @@ def qaoa_maxcut(
     degree = min(degree, num_qubits - 1)
     if (num_qubits * degree) % 2:
         degree -= 1
-    graph = nx.random_regular_graph(max(degree, 1), num_qubits, seed=seed)
+    edges = random_regular_edges(max(degree, 1), num_qubits, seed=seed)
     rng = np.random.default_rng(seed)
     circuit = QuantumCircuit(num_qubits, f"qaoa_{num_qubits}")
     for qubit in range(num_qubits):
@@ -97,8 +142,8 @@ def qaoa_maxcut(
             gamma, beta = parameters[layer]
         else:
             gamma, beta = rng.uniform(0.1, 1.0, size=2)
-        for a, b in sorted(graph.edges):
-            circuit.rzz(2.0 * gamma, int(a), int(b))
+        for a, b in sorted(edges):
+            circuit.rzz(2.0 * gamma, a, b)
         for qubit in range(num_qubits):
             circuit.rx(2.0 * beta, qubit)
     return circuit

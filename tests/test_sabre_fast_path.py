@@ -113,7 +113,7 @@ def test_distance_matrix_bfs_matches_networkx_on_high_degree_graph():
         edges.append((mid, far))
     coupling_map = CouplingMap(edges)
     matrix = coupling_map.distance_matrix()
-    lengths = dict(nx.all_pairs_shortest_path_length(coupling_map.graph))
+    lengths = dict(nx.all_pairs_shortest_path_length(nx.Graph(coupling_map.edges)))
     assert matrix[0, far] == lengths[0][far] == 3
     for source, targets in lengths.items():
         for target, hops in targets.items():

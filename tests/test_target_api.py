@@ -69,7 +69,7 @@ def test_target_heavy_hex_topology():
     lattice = target.coupling_map
     # One hexagonal cell: 6 vertices + 6 edge qubits, max degree 3.
     assert lattice.num_qubits == 12
-    assert max(dict(lattice.graph.degree).values()) <= 3
+    assert max(len(entries) for entries in lattice.neighbor_lists()) <= 3
     assert all(lattice.distance(0, q) < np.inf for q in range(lattice.num_qubits))
 
 
@@ -417,3 +417,16 @@ def test_cli_rejects_unknown_target(capsys):
             "suite", "--compiler", "reqisc-eff", "--workload", "qft",
             "--scale", "tiny", "--target", "warp-drive", "--no-cache",
         ])
+
+
+def test_cli_rejects_target_with_unroutable_edges(tmp_path):
+    from repro.service.cli import main
+
+    payload = resolve_target("xy-line-3").to_dict()
+    payload["coupling_map"]["edges"] = [[0, 1], [0, -1]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="distinct qubits"):
+        Target.from_file(str(path))
+    with pytest.raises(SystemExit, match="invalid --target"):
+        main(["compile", "--workload", "qft", "--scale", "tiny", "--target", str(path), "--no-cache"])

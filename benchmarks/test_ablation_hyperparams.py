@@ -25,7 +25,6 @@ def _sweep():
                 tolerance=1e-5,
                 synthesizer=synthesizer,
                 enable_dag_compacting=False,
-                max_synthesis_blocks=2,
             )
             result = PassManager([hierarchical]).run(base)
             rows.append(

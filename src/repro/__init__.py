@@ -28,7 +28,6 @@ _LAZY_EXPORTS = {
     "resolve_target": "repro.target.target:resolve_target",
     "target_presets": "repro.target.target:target_presets",
     "compile": "repro.target.api:compile",
-    "PipelineCompiler": "repro.target.api:PipelineCompiler",
     "PipelineSpec": "repro.target.pipeline:PipelineSpec",
     "PipelineStage": "repro.target.pipeline:PipelineStage",
     "PassRegistry": "repro.target.pipeline:PassRegistry",

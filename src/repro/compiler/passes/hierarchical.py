@@ -217,7 +217,6 @@ class HierarchicalSynthesisPass(CompilerPass):
         tolerance: float = 1e-6,
         enable_dag_compacting: bool = True,
         synthesizer: Optional[ApproximateSynthesizer] = None,
-        max_synthesis_blocks: Optional[int] = None,
         cache: Optional[SynthesisCache] = None,
     ) -> None:
         self.block_size = block_size
@@ -227,7 +226,6 @@ class HierarchicalSynthesisPass(CompilerPass):
         self.synthesizer = synthesizer or ApproximateSynthesizer(
             tolerance=tolerance, restarts=2, seed=2026, max_iterations=300
         )
-        self.max_synthesis_blocks = max_synthesis_blocks
         self.cache = cache
 
     # ------------------------------------------------------------------
@@ -243,18 +241,12 @@ class HierarchicalSynthesisPass(CompilerPass):
         for position, instruction in leftovers:
             emissions.setdefault(position, []).append(instruction)
 
-        synthesized_count = 0
         for block in blocks:
             replacement = list(block.instructions)
-            budget_ok = (
-                self.max_synthesis_blocks is None
-                or synthesized_count < self.max_synthesis_blocks
-            )
-            if block.num_two_qubit_gates > self.threshold and len(block.qubits) >= 2 and budget_ok:
+            if block.num_two_qubit_gates > self.threshold and len(block.qubits) >= 2:
                 new_instructions = self._resynthesize(block)
                 if new_instructions is not None:
                     replacement = new_instructions
-                    synthesized_count += 1
             emissions.setdefault(block.start_position, []).extend(replacement)
 
         result = QuantumCircuit(ir.num_qubits, ir.name)

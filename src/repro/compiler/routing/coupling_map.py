@@ -161,7 +161,9 @@ class CouplingMap:
         """Sorted neighbour list per physical qubit (cached).
 
         ``neighbor_lists()[q]`` equals ``neighbors(q)``; the precomputed form
-        avoids a sort per hot-path query.
+        avoids a sort per hot-path query.  It is a plain list, so it does not
+        check its index: only valid qubits ``0 <= q < num_qubits`` may index
+        it (a negative ``q`` would silently answer for ``q + num_qubits``).
         """
         if self._neighbor_lists is None:
             self._neighbor_lists = [sorted(entries) for entries in self._neighbors]
@@ -226,8 +228,13 @@ class CouplingMap:
             self._neighbor_sets = [frozenset(entries) for entries in self.neighbor_lists()]
         return self._neighbor_sets
 
+    def _check_qubit(self, qubit: int) -> None:
+        if not 0 <= qubit < self.num_qubits:
+            raise ValueError(f"qubit {qubit} is outside [0, {self.num_qubits})")
+
     def neighbors(self, qubit: int) -> List[int]:
         """Neighbouring physical qubits (sorted; fresh list per call)."""
+        self._check_qubit(qubit)
         return list(self.neighbor_lists()[qubit])
 
     def distance_matrix(self) -> np.ndarray:
@@ -273,6 +280,8 @@ class CouplingMap:
 
     def distance(self, qubit_a: int, qubit_b: int) -> float:
         """Shortest-path distance between two physical qubits (inf if unreachable)."""
+        self._check_qubit(qubit_a)
+        self._check_qubit(qubit_b)
         hops = int(self.distance_matrix()[qubit_a, qubit_b])
         return float(hops) if hops >= 0 else math.inf
 

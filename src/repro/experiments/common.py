@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.metrics import (
@@ -14,16 +14,11 @@ from repro.circuits.metrics import (
 from repro.compiler.passes.decompose import decompose_to_cnot
 from repro.microarch.durations import su4_duration_model
 from repro.microarch.hamiltonian import CouplingHamiltonian
-from repro.synthesis.approximate import ApproximateSynthesizer
-from repro.target.api import PipelineCompiler
-from repro.target.pipeline import named_pipeline, pipeline_names
-from repro.target.target import Target
 
 __all__ = [
     "reference_cnot_circuit",
     "reference_metrics",
     "su4_metrics",
-    "build_compilers",
     "reduction_percent",
     "format_rows",
 ]
@@ -54,61 +49,6 @@ def su4_metrics(circuit: QuantumCircuit, coupling: CouplingHamiltonian) -> Dict[
         "depth_2q": two_qubit_depth(circuit),
         "duration": circuit_duration(circuit, su4_duration_model(coupling)),
     }
-
-
-def build_compilers(
-    which: Sequence[str],
-    full_synthesis_budget: Optional[int] = 2,
-    synthesis_tolerance: float = 1e-5,
-    seed: int = 0,
-    synthesis_cache: Optional[Any] = None,
-    target: Union[None, str, Target] = None,
-) -> Dict[str, "PipelineCompiler"]:
-    """Construct the compilers used across the experiments by name.
-
-    Recognized names: ``qiskit-like``, ``tket-like``, ``qiskit-su4``,
-    ``tket-su4``, ``bqskit-su4``, ``reqisc-eff``, ``reqisc-full``,
-    ``reqisc-nc`` (Full without DAG compacting) and ``reqisc-sabre``
-    (Full/Eff with plain SABRE instead of mirroring-SABRE).
-
-    Each entry is a :class:`~repro.target.api.PipelineCompiler` — a named
-    :class:`~repro.target.pipeline.PipelineSpec` bound to the requested
-    ``target``.  ``target`` may also be a preset name such as ``"xy-line"``,
-    resolved per circuit at compile time; a bare topology compiles on
-    ``Target(coupling_map=...)``.
-
-    ``reqisc-full``/``reqisc-nc`` cap hierarchical synthesis: at most
-    ``full_synthesis_budget`` (2) blocks at ``synthesis_tolerance`` (1e-5),
-    1 restart of 200 iterations.  The CLI, batch engine and daemon build
-    here, so their output can differ from ``compile(spec="reqisc-full")``.
-
-    ``synthesis_cache`` (a :class:`~repro.service.cache.SynthesisCache`) is
-    forwarded to every ReQISC compiler so suite-level runs share synthesis
-    results across programs.
-    """
-    def fast_synthesizer() -> ApproximateSynthesizer:
-        return ApproximateSynthesizer(
-            tolerance=synthesis_tolerance, restarts=1, seed=seed, max_iterations=200
-        )
-
-    registry: Dict[str, PipelineCompiler] = {}
-    for name in which:
-        if name in ("reqisc-full", "reqisc-nc"):
-            spec = named_pipeline(
-                name,
-                synthesis_tolerance=synthesis_tolerance,
-                synthesizer=fast_synthesizer(),
-                max_synthesis_blocks=full_synthesis_budget,
-            )
-        elif name in pipeline_names():
-            spec = named_pipeline(name)
-        else:
-            raise KeyError(f"unknown compiler name {name!r}")
-        cache = synthesis_cache if name.startswith("reqisc") else None
-        registry[name] = PipelineCompiler(
-            spec=spec, target=target, seed=seed, synthesis_cache=cache
-        )
-    return registry
 
 
 def reduction_percent(reference: float, value: float) -> float:

@@ -13,7 +13,6 @@ import numpy as np
 from repro.circuits.metrics import cnot_isa_duration_model
 from repro.compiler.routing.coupling_map import CouplingMap
 from repro.experiments.common import (
-    build_compilers,
     reduction_percent,
     reference_cnot_circuit,
     reference_metrics,
@@ -30,6 +29,7 @@ from repro.simulators.fidelity import hellinger_fidelity
 from repro.simulators.noise import duration_scaled_noise_model, simulate_noisy_probabilities
 from repro.simulators.statevector import probabilities
 from repro.simulators.unitary import permutation_unitary
+from repro.target.api import compile as target_compile
 from repro.target.target import Target
 from repro.workloads.suite import benchmark_suite
 
@@ -129,9 +129,8 @@ def fig12_routing_overhead(
     rows: List[Dict] = []
     for case in benchmark_suite(scale=scale, categories=categories):
         num_qubits = case.num_qubits
-        logical_registry = build_compilers(["tket-like", "reqisc-eff"])
-        cnot_logical = logical_registry["tket-like"].compile(case.circuit)
-        su4_logical = logical_registry["reqisc-eff"].compile(case.circuit)
+        cnot_logical = target_compile(case.circuit, spec="tket-like")
+        su4_logical = target_compile(case.circuit, spec="reqisc-eff")
         row: Dict = {
             "category": case.category,
             "benchmark": case.name,
@@ -143,13 +142,10 @@ def fig12_routing_overhead(
                 coupling_map = CouplingMap.line(num_qubits)
             else:
                 coupling_map = CouplingMap.grid_for(num_qubits)
-            routed_registry = build_compilers(
-                ["tket-like", "reqisc-sabre", "reqisc-eff"],
-                target=Target(coupling_map=coupling_map),
-            )
-            cnot_routed = routed_registry["tket-like"].compile(case.circuit)
-            su4_sabre = routed_registry["reqisc-sabre"].compile(case.circuit)
-            su4_mirroring = routed_registry["reqisc-eff"].compile(case.circuit)
+            target = Target(coupling_map=coupling_map)
+            cnot_routed = target_compile(case.circuit, target=target, spec="tket-like")
+            su4_sabre = target_compile(case.circuit, target=target, spec="reqisc-sabre")
+            su4_mirroring = target_compile(case.circuit, target=target, spec="reqisc-eff")
             row[f"{topology}_cnot_routed_2q"] = cnot_routed.num_two_qubit_gates
             row[f"{topology}_su4_sabre_2q"] = su4_sabre.num_two_qubit_gates
             row[f"{topology}_su4_mirroring_2q"] = su4_mirroring.num_two_qubit_gates
@@ -167,11 +163,10 @@ def fig13_calibration(
     scale: str = "small", categories: Optional[Sequence[str]] = None
 ) -> List[Dict]:
     """Figure 13: distinct SU(4) counts of ReQISC-Eff vs ReQISC-Full."""
-    registry = build_compilers(["reqisc-eff", "reqisc-full"])
     rows: List[Dict] = []
     for case in benchmark_suite(scale=scale, categories=categories):
-        eff = registry["reqisc-eff"].compile(case.circuit)
-        full = registry["reqisc-full"].compile(case.circuit)
+        eff = target_compile(case.circuit, spec="reqisc-eff")
+        full = target_compile(case.circuit, spec="reqisc-full")
         rows.append(
             {
                 "category": case.category,
@@ -198,7 +193,6 @@ def fig14_ablation(
         "reqisc-nc",
         "reqisc-full",
     ]
-    registry = build_compilers(names)
     coupling = CouplingHamiltonian.xy(1.0)
     rows: List[Dict] = []
     for case in benchmark_suite(scale=scale, categories=categories):
@@ -206,7 +200,7 @@ def fig14_ablation(
         base = reference_metrics(reference)
         row: Dict = {"category": case.category, "benchmark": case.name, "base_2q": base["num_2q"]}
         for name in names:
-            result = registry[name].compile(case.circuit)
+            result = target_compile(case.circuit, spec=name)
             metrics = su4_metrics(result.circuit, coupling)
             row[f"{name}_2q_red"] = reduction_percent(base["num_2q"], metrics["num_2q"])
             row[f"{name}_distinct"] = result.distinct_two_qubit_gates
@@ -234,11 +228,9 @@ def fig15_fidelity(
                 coupling_map = CouplingMap.line(case.num_qubits)
             elif topology == "grid":
                 coupling_map = CouplingMap.grid_for(case.num_qubits)
-            registry = build_compilers(
-                ["tket-like", "reqisc-eff"], target=Target(coupling_map=coupling_map)
-            )
+            target = Target(coupling_map=coupling_map)
             for label, name in (("baseline", "tket-like"), ("reqisc", "reqisc-eff")):
-                result = registry[name].compile(case.circuit)
+                result = target_compile(case.circuit, target=target, spec=name)
                 circuit = result.circuit
                 if name.startswith("reqisc"):
                     duration_fn = su4_duration_model(coupling)
@@ -264,14 +256,13 @@ def fig16_reliability(
 ) -> List[Dict]:
     """Figure 16: compilation error (circuit infidelity) and compile latency."""
     names = list(compilers) if compilers else ["qiskit-like", "tket-like", "reqisc-eff", "reqisc-full"]
-    registry = build_compilers(names)
     rows: List[Dict] = []
     for case in benchmark_suite(scale=scale, categories=categories, max_qubits=max_qubits):
         original = case.circuit.to_unitary()
         row: Dict = {"category": case.category, "benchmark": case.name, "num_qubits": case.num_qubits}
         for name in names:
             start = time.perf_counter()
-            result = registry[name].compile(case.circuit)
+            result = target_compile(case.circuit, spec=name)
             elapsed = time.perf_counter() - start
             permutation = result.final_permutation
             expected = permutation_unitary(permutation) @ original

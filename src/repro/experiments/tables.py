@@ -8,7 +8,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.circuits.metrics import BASELINE_CNOT_DURATION
 from repro.experiments.common import (
-    build_compilers,
     reduction_percent,
     reference_cnot_circuit,
     reference_metrics,
@@ -17,6 +16,7 @@ from repro.experiments.common import (
 from repro.linalg.random import random_coupling_coefficients
 from repro.microarch.durations import fixed_basis_duration, haar_average_duration
 from repro.microarch.hamiltonian import CouplingHamiltonian
+from repro.target.api import compile as target_compile
 from repro.workloads.suite import benchmark_suite
 
 __all__ = [
@@ -55,7 +55,6 @@ def table2_logical_compilation(
     categories: Optional[Sequence[str]] = None,
     compilers: Optional[Sequence[str]] = None,
     coupling: Optional[CouplingHamiltonian] = None,
-    full_synthesis_budget: Optional[int] = 2,
 ) -> List[Dict]:
     """Table 2: reduction rates of #2Q, Depth2Q and pulse duration.
 
@@ -65,7 +64,6 @@ def table2_logical_compilation(
     """
     coupling = coupling or CouplingHamiltonian.xy(1.0)
     names = list(compilers) if compilers else ["qiskit-like", "tket-like", "reqisc-eff", "reqisc-full"]
-    registry = build_compilers(names, full_synthesis_budget=full_synthesis_budget)
     rows: List[Dict] = []
     for case in benchmark_suite(scale=scale, categories=categories):
         reference = reference_cnot_circuit(case.circuit)
@@ -76,7 +74,7 @@ def table2_logical_compilation(
             "base_2q": base["num_2q"],
         }
         for name in names:
-            result = registry[name].compile(case.circuit)
+            result = target_compile(case.circuit, spec=name)
             if name.startswith("reqisc") or name.endswith("su4"):
                 metrics = su4_metrics(result.circuit, coupling)
             else:

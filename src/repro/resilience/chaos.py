@@ -86,10 +86,10 @@ def run_chaos(
     it).  ``wall_deadline`` bounds the whole drive phase — a client thread
     still alive past it is reported as hung and the soak fails.
     """
-    from repro.experiments.common import build_compilers
     from repro.qasm import dumps
     from repro.service.cache import SynthesisCache
     from repro.service.server import CompileServer, ServeClient, ServeConfig
+    from repro.target.api import compile as target_compile
     from repro.workloads.suite import benchmark_suite
 
     plan = plan if plan is not None else FaultPlan.balanced(seed=seed, faults=50)
@@ -101,8 +101,7 @@ def run_chaos(
 
     # Ground truth first, fault-free and sequential: the daemon under chaos
     # must reproduce these bytes exactly or the soak fails.
-    registry = build_compilers([compiler], seed=seed)
-    expected = {case.name: dumps(registry[compiler].compile(case.circuit).circuit) for case in cases}
+    expected = {c.name: dumps(target_compile(c.circuit, spec=compiler, seed=seed).circuit) for c in cases}
 
     owns_cache = cache_dir is None
     if owns_cache:

@@ -6,9 +6,10 @@ suite) and fans compilation out across worker processes via
 the paper's evaluation harness:
 
 * **Deterministic seeding** — job ``i`` always compiles with seed
-  ``base_seed + i`` in a compiler instance built fresh for that job, so the
-  output of a parallel batch is bit-identical to compiling the same circuits
-  sequentially (and independent of worker count or scheduling order).
+  ``base_seed + i`` through :func:`repro.target.api.compile` with
+  ``spec=compiler``, so the output of a parallel batch is bit-identical to
+  compiling the same circuits sequentially with ``compile()`` (and
+  independent of worker count or scheduling order).
 * **Ordered collection** — results come back in submission order regardless
   of which worker finished first.
 * **Cache mediation** — each worker process owns a
@@ -44,7 +45,7 @@ __all__ = ["BatchCompiler", "BatchItem", "BatchResult", "CompileJob"]
 
 @dataclass(frozen=True)
 class CompileJob:
-    """One unit of batch work: a named circuit plus its compiler spec.
+    """One unit of batch work: a named circuit plus its pipeline name.
 
     ``target`` is a :class:`~repro.target.target.Target`, a preset name
     (resolved per circuit at compile time) or ``None`` for the default
@@ -60,7 +61,6 @@ class CompileJob:
     compiler: str
     seed: int
     target: Optional[Any] = None
-    options: Tuple[Tuple[str, Any], ...] = ()
     qasm_path: Optional[str] = None
 
 
@@ -137,8 +137,8 @@ def _init_worker(cache_spec: Optional[Tuple[Optional[int], Optional[str]]]) -> N
 
 
 def _compile_job(job: CompileJob, cache: Optional[SynthesisCache]) -> BatchItem:
-    """Compile one job with a fresh compiler instance; never raises."""
-    from repro.experiments.common import build_compilers
+    """Compile one job through ``compile(spec=job.compiler)``; never raises."""
+    from repro.target.api import compile as target_compile
 
     before = cache.stats.snapshot() if cache is not None else CacheStats()
     item = BatchItem(index=job.index, name=job.name, compiler=job.compiler, seed=job.seed)
@@ -148,14 +148,13 @@ def _compile_job(job: CompileJob, cache: Optional[SynthesisCache]) -> BatchItem:
             from repro.qasm import load
 
             circuit = load(job.qasm_path)
-        registry = build_compilers(
-            [job.compiler],
+        item.result = target_compile(
+            circuit,
+            target=job.target,
+            spec=job.compiler,
             seed=job.seed,
             synthesis_cache=cache,
-            target=job.target,
-            **dict(job.options),
         )
-        item.result = registry[job.compiler].compile(circuit)
     except Exception as exc:  # noqa: BLE001 — batch items report, not crash
         item.error = f"{type(exc).__name__}: {exc}"
     if cache is not None:
@@ -174,9 +173,8 @@ class BatchCompiler:
     Parameters
     ----------
     compiler:
-        Compiler name resolved through
-        :func:`repro.experiments.common.build_compilers` (``reqisc-full``,
-        ``reqisc-eff``, ``qiskit-like``, ...).
+        A registered pipeline name (``reqisc-full``, ``reqisc-eff``,
+        ``qiskit-like``, ...; see :func:`repro.target.pipeline.pipeline_names`).
     workers:
         Number of worker processes; ``1`` (default) compiles sequentially
         in-process.  Output is identical either way.
@@ -190,9 +188,6 @@ class BatchCompiler:
         Device to compile for: a :class:`~repro.target.target.Target`, a
         preset name such as ``"xy-line"`` (sized per circuit), or ``None``
         for the default logical device.
-    compiler_options:
-        Extra keyword arguments forwarded to ``build_compilers`` (for example
-        ``coupling_map`` or ``full_synthesis_budget``).
     """
 
     def __init__(
@@ -202,7 +197,6 @@ class BatchCompiler:
         seed: int = 0,
         cache: Optional[SynthesisCache] = None,
         target: Optional[Any] = None,
-        compiler_options: Optional[Dict[str, Any]] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -211,7 +205,6 @@ class BatchCompiler:
         self.seed = seed
         self.cache = cache
         self.target = target
-        self.compiler_options = dict(compiler_options or {})
 
     # ------------------------------------------------------------------
     def compile_all(self, circuits: Iterable[Any]) -> BatchResult:
@@ -264,7 +257,6 @@ class BatchCompiler:
 
     # ------------------------------------------------------------------
     def _normalize(self, circuits: Iterable[Any]) -> List[CompileJob]:
-        options = tuple(sorted(self.compiler_options.items()))
         jobs: List[CompileJob] = []
         import os
 
@@ -291,7 +283,6 @@ class BatchCompiler:
                     compiler=self.compiler,
                     seed=self.seed + index,
                     target=self.target,
-                    options=options,
                     qasm_path=qasm_path,
                 )
             )

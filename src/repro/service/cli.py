@@ -1,9 +1,12 @@
 """The ``python -m repro`` command line (the repro CLI).
 
 Three subcommands run workloads from :mod:`repro.workloads` through the
-registered compilers (``reqisc-full`` / ``reqisc-eff`` / baselines, see
-:func:`repro.experiments.common.build_compilers`) and emit the
-``CompilationResult.summary()`` rows as an aligned table, JSON or CSV:
+registered pipelines (``reqisc-full`` / ``reqisc-eff`` / baselines, see
+:func:`repro.target.pipeline.pipeline_names`) and emit the
+``CompilationResult.summary()`` rows as an aligned table, JSON or CSV.
+``--compiler NAME`` compiles with :func:`repro.target.api.compile` and
+``spec=NAME``, so a name means the same pipeline here as in the library,
+the batch engine and the daemon:
 
 ``compile``
     Compile one workload (or an OpenQASM 2.0 file) with one compiler and
@@ -532,10 +535,15 @@ def _load_workload(name: str, scale: str):
     return benchmark_suite(scale=scale, categories=[name])[0]
 
 
-def _compiler_names() -> List[str]:
+def _compiler_argument(names: Sequence[str]) -> List[str]:
+    """Validate compiler names early so typos fail with a clean message."""
     from repro.target.pipeline import pipeline_names
 
-    return pipeline_names()
+    known = pipeline_names()
+    for name in names:
+        if name not in known:
+            raise SystemExit(f"invalid --compiler {name!r}; available: {', '.join(known)}")
+    return list(names)
 
 
 def _target_argument(args: argparse.Namespace) -> Optional[str]:
@@ -688,17 +696,15 @@ def _resolve_compile_source(args: argparse.Namespace) -> Tuple[Any, str]:
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
-    from repro.experiments.common import build_compilers
+    from repro.target.api import compile as target_compile
 
+    _compiler_argument([args.compiler])
     cache = _make_cache(args)
     circuit, name = _resolve_compile_source(args)
 
     target = _target_argument(args)
     start = time.perf_counter()
-    registry = build_compilers(
-        [args.compiler], seed=args.seed, synthesis_cache=cache, target=target
-    )
-    result = registry[args.compiler].compile(circuit)
+    result = target_compile(circuit, target=target, spec=args.compiler, seed=args.seed, synthesis_cache=cache)
     elapsed = time.perf_counter() - start
 
     if args.emit == "qasm":
@@ -741,33 +747,33 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.experiments.common import (
-        build_compilers,
         reduction_percent,
         reference_cnot_circuit,
         reference_metrics,
     )
+    from repro.target.api import compile as target_compile
 
+    names = _compiler_argument([name.strip() for name in args.compilers.split(",") if name.strip()])
     cache = _make_cache(args)
     case = _load_workload(args.workload, args.scale)
-    names = [name.strip() for name in args.compilers.split(",") if name.strip()]
 
     target = _target_argument(args)
     reference = reference_cnot_circuit(case.circuit)
     base = reference_metrics(reference)
+
+    def run(name: str):
+        return target_compile(case.circuit, target=target, spec=name, seed=args.seed, synthesis_cache=cache)
+
     start = time.perf_counter()
-    registry = build_compilers(names, seed=args.seed, synthesis_cache=cache, target=target)
     rows: List[Dict[str, Any]] = []
     if args.emit == "qasm":
         from repro.qasm import dumps
 
-        sections = [
-            (f"{case.name} [{name}]", dumps(registry[name].compile(case.circuit).circuit))
-            for name in names
-        ]
+        sections = [(f"{case.name} [{name}]", dumps(run(name).circuit)) for name in names]
         _emit_qasm_sections(sections, args)
         return 0
     for name in names:
-        result = registry[name].compile(case.circuit)
+        result = run(name)
         # ``summary()`` is ISA-aware (CNOT pulse for CNOT-ISA baselines,
         # genAshN for SU(4) results), so the reductions below follow the
         # paper's Table 2 convention directly.
@@ -798,6 +804,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
     if args.workers < 1:
         raise SystemExit("--workers must be >= 1")
+    _compiler_argument([args.compiler])
     cache = _make_cache(args)
     categories: Optional[List[str]] = args.workload or None
     if categories:
@@ -887,12 +894,13 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    from repro.target.pipeline import pipeline_names
     from repro.target.target import target_presets
     from repro.workloads.suite import suite_categories
 
     payload = {
         "workloads": suite_categories(),
-        "compilers": _compiler_names(),
+        "compilers": pipeline_names(),
         "targets": sorted(target_presets()),
     }
     if args.json:
@@ -1119,6 +1127,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     from repro.resilience import FaultPlan, run_chaos
 
+    _compiler_argument([args.compiler])
     if args.spec is not None:
         spec = args.spec
         if os.path.isfile(spec):

@@ -112,18 +112,17 @@ def _execute_job(job: PoolJob, cache) -> Tuple[bool, Any, Optional[str], Optiona
     if job.fault == "exit":
         os._exit(17)
 
-    from repro.experiments.common import build_compilers
     from repro.qasm import QasmError, dumps, loads
     from repro.service.cache import CacheStats
+    from repro.target.api import compile as target_compile
 
     before = cache.stats.snapshot() if cache is not None else CacheStats()
     start = time.perf_counter()
     try:
         circuit = loads(job.qasm)
-        registry = build_compilers(
-            [job.compiler], seed=job.seed, synthesis_cache=cache, target=job.target
+        result = target_compile(
+            circuit, target=job.target, spec=job.compiler, seed=job.seed, synthesis_cache=cache
         )
-        result = registry[job.compiler].compile(circuit)
     except QasmError as exc:
         return False, None, ERR_COMPILE, f"QasmError: {exc}"
     except Exception as exc:  # noqa: BLE001 — a poisoned circuit fails alone

@@ -14,7 +14,8 @@ Requests carry an ``op``:
 ``compile``
     ``{"op": "compile", "id": ..., "qasm": "...", "compiler": "reqisc-eff",
     "seed": 0, "target": null, "timeout": 30.0}`` — compile an OpenQASM 2.0
-    program.  ``id`` is an arbitrary client token echoed back verbatim.
+    program.  ``id`` is an arbitrary client token echoed back verbatim;
+    ``compiler`` must be a registered pipeline name.
     ``fault`` (``raise`` / ``hang`` / ``exit``) is only accepted when the
     server was started with fault injection enabled (test harnesses).
     ``priority`` (optional int 0–9, default 5; higher is more important)
@@ -42,6 +43,8 @@ import json
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
+
+from repro.target.pipeline import has_pipeline, pipeline_names
 
 __all__ = [
     "DEFAULT_MAX_FRAME_BYTES",
@@ -192,6 +195,8 @@ def validate_request(frame: Dict[str, Any], *, allow_fault: bool = False) -> Dic
     compiler = frame.get("compiler", "reqisc-eff")
     if not isinstance(compiler, str):
         raise ProtocolError("'compiler' must be a string")
+    if not has_pipeline(compiler):
+        raise ProtocolError(f"unknown compiler {compiler!r}; expected one of {', '.join(pipeline_names())}")
     seed = frame.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ProtocolError("'seed' must be an integer")

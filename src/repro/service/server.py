@@ -27,12 +27,14 @@ poisoned circuit, hung worker or dying process fails only its own job and
 the worker is respawned — proven by the fault-injection suite in
 ``tests/test_service_server.py``.
 
-Determinism contract: a daemon response is bit-identical to
-``BatchCompiler`` output and to an in-process ``compile()`` with the same
-compiler/seed/target, because job identity hashes exact circuit content
-and the synthesis cache keys on exact matrix bytes (gated by
-``tests/test_service_server.py``, which checks every answer under concurrent
-load against the sequential compile).
+Determinism contract: for every registered pipeline name, a daemon
+response is bit-identical to ``BatchCompiler`` output, to ``repro compile``
+and to an in-process ``compile(spec=name)`` with the same seed and target.
+Workers call that same ``compile()``, job identity hashes exact circuit
+content and the synthesis cache keys on exact matrix bytes.  Gated by
+``tests/test_pipeline_identity.py`` (every name through every front end)
+and ``tests/test_service_server.py`` (every answer under concurrent load
+against the sequential compile).  An unknown name is a ``bad-request``.
 """
 
 from __future__ import annotations

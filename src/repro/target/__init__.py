@@ -40,7 +40,6 @@ _LAZY_EXPORTS = {
     "register_pipeline": "repro.target.pipeline:register_pipeline",
     "pipeline_names": "repro.target.pipeline:pipeline_names",
     "compile": "repro.target.api:compile",
-    "PipelineCompiler": "repro.target.api:PipelineCompiler",
 }
 
 __all__ = sorted(_LAZY_EXPORTS)

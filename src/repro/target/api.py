@@ -1,9 +1,10 @@
 """The shared ``compile()`` entry point of the whole compiler stack.
 
-Every way of compiling a circuit — the experiment harness registry, the
-batch service, the daemon and the CLI — funnels through
-:func:`compile`, parameterized by a :class:`~repro.target.target.Target` and
-a :class:`~repro.target.pipeline.PipelineSpec`::
+Every way of compiling a circuit — the experiment harness, the batch
+service, the daemon and the CLI — calls :func:`compile`, parameterized by a
+:class:`~repro.target.target.Target` and a
+:class:`~repro.target.pipeline.PipelineSpec` (usually a registered name, so
+each name means the same pipeline whichever front end runs it)::
 
     from repro.target import Target, compile
 
@@ -14,7 +15,6 @@ a :class:`~repro.target.pipeline.PipelineSpec`::
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.circuits.circuit import QuantumCircuit
@@ -25,7 +25,7 @@ from repro.target.pipeline import PASS_REGISTRY, PassContext, PipelineSpec, name
 from repro.target.properties import PropertySet
 from repro.target.target import Target, resolve_target
 
-__all__ = ["compile", "PipelineCompiler"]
+__all__ = ["compile"]
 
 
 def compile(
@@ -110,36 +110,3 @@ def compile(
         },
     )
 
-
-@dataclass
-class PipelineCompiler:
-    """A pipeline spec bound to a target — the new-API compiler handle.
-
-    Exposes a ``.name`` / ``.compile(circuit)`` interface, so registries
-    (``build_compilers``), the batch service and the experiment harness can
-    hold ready-to-run compilers.  ``target`` may be a concrete
-    :class:`Target`, a preset name resolved per circuit, or ``None`` for the
-    default device.
-    """
-
-    spec: PipelineSpec
-    target: Union[None, str, Dict[str, Any], Target] = None
-    seed: int = 0
-    synthesis_cache: Optional[Any] = None
-    properties: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def name(self) -> str:
-        """Reporting name (the spec's name)."""
-        return self.spec.name
-
-    def compile(self, circuit: QuantumCircuit) -> CompilationResult:
-        """Compile ``circuit`` with the bound spec/target/seed/cache."""
-        return compile(
-            circuit,
-            target=self.target,
-            spec=self.spec,
-            seed=self.seed,
-            synthesis_cache=self.synthesis_cache,
-            properties=dict(self.properties) if self.properties else None,
-        )

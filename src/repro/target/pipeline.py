@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.compiler.passes.base import CompilerPass
+if TYPE_CHECKING:
+    from repro.compiler.passes.base import CompilerPass
 
 __all__ = [
     "PassContext",
@@ -37,6 +38,7 @@ __all__ = [
     "named_pipeline",
     "register_pipeline",
     "pipeline_names",
+    "has_pipeline",
 ]
 
 
@@ -231,7 +233,6 @@ def _make_hierarchical_synthesis(config: Mapping[str, Any], context: PassContext
         tolerance=config.get("tolerance", 1e-6),
         enable_dag_compacting=config.get("enable_dag_compacting", True),
         synthesizer=synthesizer,
-        max_synthesis_blocks=config.get("max_synthesis_blocks"),
         cache=context.synthesis_cache,
     )
 
@@ -328,7 +329,6 @@ def reqisc_pipeline(
     use_mirroring_sabre: bool = True,
     template_library: Optional[Any] = None,
     synthesizer: Optional[Any] = None,
-    max_synthesis_blocks: Optional[int] = None,
     noise_aware: bool = False,
     name: Optional[str] = None,
 ) -> PipelineSpec:
@@ -356,7 +356,6 @@ def reqisc_pipeline(
                     "tolerance": synthesis_tolerance,
                     "enable_dag_compacting": enable_dag_compacting,
                     "synthesizer": synthesizer,
-                    "max_synthesis_blocks": max_synthesis_blocks,
                 },
             )
         )
@@ -439,50 +438,43 @@ def su4_fusion_pipeline(
     )
 
 
-_NAMED_PIPELINES: Dict[str, Callable[..., PipelineSpec]] = {
-    "reqisc-full": lambda **kw: reqisc_pipeline(mode="full", **kw),
-    "reqisc-eff": lambda **kw: reqisc_pipeline(mode="eff", **kw),
-    "reqisc-nc": lambda **kw: reqisc_pipeline(
-        mode="full", enable_dag_compacting=False, name="reqisc-nc", **kw
-    ),
-    "reqisc-sabre": lambda **kw: reqisc_pipeline(
-        mode="eff", use_mirroring_sabre=False, name="reqisc-sabre", **kw
-    ),
-    "reqisc-noise": lambda **kw: reqisc_pipeline(
-        mode="eff", noise_aware=True, name="reqisc-noise", **kw
-    ),
-    "qiskit-like": lambda **kw: cnot_baseline_pipeline(name="qiskit-like", **kw),
-    "tket-like": lambda **kw: cnot_baseline_pipeline(
-        name="tket-like", pauli_simp=True, **kw
-    ),
-    "qiskit-su4": lambda **kw: su4_fusion_pipeline(variant="qiskit-su4", **kw),
-    "tket-su4": lambda **kw: su4_fusion_pipeline(variant="tket-su4", **kw),
-    "bqskit-su4": lambda **kw: su4_fusion_pipeline(variant="bqskit-su4", **kw),
+_NAMED_PIPELINES: Dict[str, Callable[[], PipelineSpec]] = {
+    "reqisc-full": lambda: reqisc_pipeline(mode="full"),
+    "reqisc-eff": lambda: reqisc_pipeline(mode="eff"),
+    "reqisc-nc": lambda: reqisc_pipeline(mode="full", enable_dag_compacting=False, name="reqisc-nc"),
+    "reqisc-sabre": lambda: reqisc_pipeline(mode="eff", use_mirroring_sabre=False, name="reqisc-sabre"),
+    "reqisc-noise": lambda: reqisc_pipeline(mode="eff", noise_aware=True, name="reqisc-noise"),
+    "qiskit-like": lambda: cnot_baseline_pipeline(name="qiskit-like"),
+    "tket-like": lambda: cnot_baseline_pipeline(name="tket-like", pauli_simp=True),
+    "qiskit-su4": lambda: su4_fusion_pipeline(variant="qiskit-su4"),
+    "tket-su4": lambda: su4_fusion_pipeline(variant="tket-su4"),
+    "bqskit-su4": lambda: su4_fusion_pipeline(variant="bqskit-su4"),
 }
 
 
 def register_pipeline(
     name: str,
-    builder: Callable[..., PipelineSpec],
+    builder: Callable[[], PipelineSpec],
     overwrite: bool = False,
 ) -> None:
     """Register a pipeline builder under ``name``.
 
     The name becomes available to :func:`named_pipeline` and therefore to
-    ``build_compilers``, the batch service and the CLI ``--compiler`` flag.
-    ``builder(**overrides)`` must return a :class:`PipelineSpec`.
+    ``compile(spec=name)``, the batch service, the daemon and the CLI
+    ``--compiler`` flag, which all build the same spec from it.
+    ``builder()`` must return a :class:`PipelineSpec`.
     """
     if name in _NAMED_PIPELINES and not overwrite:
         raise KeyError(f"pipeline {name!r} is already registered")
     _NAMED_PIPELINES[name] = builder
 
 
-def named_pipeline(name: str, **overrides: Any) -> PipelineSpec:
+def named_pipeline(name: str) -> PipelineSpec:
     """Build one of the named pipelines (``reqisc-full``, ``qiskit-like``, ...).
 
-    ``overrides`` are forwarded to the underlying builder, so callers can
-    tweak e.g. ``synthesis_tolerance`` or inject a custom ``synthesizer``
-    while keeping the canonical stage structure.
+    A name has exactly one spec.  A variant is a spec of its own: build it
+    with :func:`reqisc_pipeline` (or a sibling) under a new ``name``, and
+    :func:`register_pipeline` it to make it a name.
     """
     try:
         builder = _NAMED_PIPELINES[name]
@@ -490,9 +482,14 @@ def named_pipeline(name: str, **overrides: Any) -> PipelineSpec:
         raise KeyError(
             f"unknown pipeline {name!r}; available: {', '.join(sorted(_NAMED_PIPELINES))}"
         ) from None
-    return builder(**overrides)
+    return builder()
 
 
 def pipeline_names() -> List[str]:
     """Names accepted by :func:`named_pipeline` (and the CLI ``--compiler``)."""
     return sorted(_NAMED_PIPELINES)
+
+
+def has_pipeline(name: str) -> bool:
+    """Whether ``name`` is registered: an O(1) check for request intake."""
+    return name in _NAMED_PIPELINES

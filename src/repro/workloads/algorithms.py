@@ -132,7 +132,7 @@ def qaoa_maxcut(
     degree = min(degree, num_qubits - 1)
     if (num_qubits * degree) % 2:
         degree -= 1
-    edges = random_regular_edges(max(degree, 1), num_qubits, seed=seed)
+    edges = random_regular_edges(degree, num_qubits, seed=seed)
     rng = np.random.default_rng(seed)
     circuit = QuantumCircuit(num_qubits, f"qaoa_{num_qubits}")
     for qubit in range(num_qubits):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.experiments.common import build_compilers, format_rows, reduction_percent
+from repro.experiments.common import format_rows, reduction_percent
 from repro.experiments.figures import (
     fig4_alpha_beta_profile,
     fig6_pulse_parameters,
@@ -20,6 +20,8 @@ from repro.experiments.tables import (
     table2_logical_compilation,
     table3_synthesis_cost,
 )
+from repro.target.api import compile as target_compile
+from repro.workloads.suite import benchmark_suite
 
 FAST_CATEGORIES = ["qft", "tof"]
 
@@ -29,9 +31,10 @@ def test_reduction_percent():
     assert reduction_percent(0, 10) == 0.0
 
 
-def test_build_compilers_rejects_unknown():
-    with pytest.raises(KeyError):
-        build_compilers(["nope"])
+def test_compile_rejects_unknown_spec():
+    circuit = benchmark_suite(scale="tiny", categories=["qft"])[0].circuit
+    with pytest.raises(KeyError, match="unknown pipeline 'nope'"):
+        target_compile(circuit, spec="nope")
 
 
 def test_format_rows():

@@ -158,6 +158,20 @@ def test_coupling_map_rejects_edges_it_cannot_route(edges):
         CouplingMap(edges, num_qubits=3)
 
 
+@pytest.mark.parametrize("qubit", [-1, 3])
+def test_coupling_map_queries_reject_qubits_outside_the_map(qubit):
+    # A negative index must not answer for the wrapped qubit (-1 -> 2).
+    coupling_map = CouplingMap.line(3)
+    with pytest.raises(ValueError, match="outside"):
+        coupling_map.distance(qubit, 0)
+    with pytest.raises(ValueError, match="outside"):
+        coupling_map.distance(0, qubit)
+    with pytest.raises(ValueError, match="outside"):
+        coupling_map.neighbors(qubit)
+    assert coupling_map.distance(2, 0) == 2.0
+    assert coupling_map.neighbors(2) == [1]
+
+
 def test_coupling_map_has_no_networkx_graph():
     with pytest.raises(AttributeError):
         CouplingMap.line(3).graph

@@ -59,14 +59,12 @@ def test_dumps_is_deterministic_and_idempotent():
 
 @pytest.mark.parametrize("compiler", ["reqisc-eff", "qiskit-like"])
 def test_compiling_imported_twin_is_bit_identical(compiler):
-    from repro.experiments.common import build_compilers
+    from repro.target.api import compile as target_compile
 
     for case in benchmark_suite(scale="tiny", categories=["qft", "tof"]):
         twin = loads(dumps(case.circuit))
-        registry = build_compilers([compiler], seed=0)
-        original_result = registry[compiler].compile(case.circuit)
-        registry = build_compilers([compiler], seed=0)
-        twin_result = registry[compiler].compile(twin)
+        original_result = target_compile(case.circuit, spec=compiler, seed=0)
+        twin_result = target_compile(twin, spec=compiler, seed=0)
         assert circuits_bit_identical(original_result.circuit, twin_result.circuit), (
             f"{case.name}: compiled QASM twin differs from compiled original"
         )
@@ -75,11 +73,10 @@ def test_compiling_imported_twin_is_bit_identical(compiler):
 def test_compiled_output_round_trips():
     # `--emit qasm` serializes compiled circuits; the SU(4) ISA output
     # (can/u3) must survive the round trip too.
-    from repro.experiments.common import build_compilers
+    from repro.target.api import compile as target_compile
 
     case = benchmark_suite(scale="tiny", categories=["qft"])[0]
-    registry = build_compilers(["reqisc-eff"], seed=0)
-    compiled = registry["reqisc-eff"].compile(case.circuit).circuit
+    compiled = target_compile(case.circuit, spec="reqisc-eff", seed=0).circuit
     assert loads(dumps(compiled)).instructions == compiled.instructions
 
 
@@ -434,15 +431,14 @@ def test_example_fixtures_parse_and_compile():
     import glob
     import os
 
-    from repro.experiments.common import build_compilers
+    from repro.target.api import compile as target_compile
 
     fixtures = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "examples", "*.qasm")))
     assert len(fixtures) >= 2, "examples/*.qasm fixtures are part of the CI smoke contract"
-    registry = build_compilers(["reqisc-eff"], seed=0)
     for fixture in fixtures:
         circuit = load(fixture)
         assert len(circuit) > 0
-        compiled = registry["reqisc-eff"].compile(circuit)
+        compiled = target_compile(circuit, spec="reqisc-eff", seed=0)
         assert loads(dumps(compiled.circuit)).instructions == compiled.circuit.instructions
 
 

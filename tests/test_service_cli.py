@@ -156,6 +156,26 @@ def test_unknown_workload_exits_with_message(capsys):
         main(["compile", "--workload", "not-a-workload", "--no-cache"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compile", "--workload", "qft", "--scale", "tiny", "--compiler", "nope"],
+        ["bench", "--workload", "qft", "--scale", "tiny", "--compilers", "reqisc-eff,nope"],
+        ["suite", "--workload", "qft", "--scale", "tiny", "--compiler", "nope"],
+        ["chaos", "--compiler", "nope"],
+    ],
+)
+def test_unknown_compiler_exits_before_any_compile(argv, monkeypatch):
+    import repro.target.api
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compiled before --compiler was validated")
+
+    monkeypatch.setattr(repro.target.api, "compile", refuse)
+    with pytest.raises(SystemExit, match=r"invalid --compiler 'nope'; available: .*reqisc-eff"):
+        main(argv + (["--no-cache"] if argv[0] != "chaos" else []))
+
+
 def test_parser_rejects_json_and_csv_together():
     parser = build_parser()
     with pytest.raises(SystemExit):

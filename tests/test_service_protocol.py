@@ -131,6 +131,7 @@ def test_validate_rejects_unknown_fields():
         ({"timeout": -1.0}, "timeout"),
         ({"timeout": True}, "timeout"),
         ({"fault": "explode"}, "fault"),
+        ({"compiler": "nope"}, "unknown compiler 'nope'"),
     ],
 )
 def test_validate_rejects_bad_compile_fields(overrides, match):

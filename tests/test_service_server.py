@@ -33,10 +33,9 @@ from repro.workloads.algorithms import hamiltonian_simulation, qft_circuit
 
 def _sequential_qasm(circuit, compiler="reqisc-eff", seed=0):
     """The reference output: a plain in-process compile, dumped to QASM."""
-    from repro.experiments.common import build_compilers
+    from repro.target.api import compile as target_compile
 
-    registry = build_compilers([compiler], seed=seed)
-    return dumps(registry[compiler].compile(circuit).circuit)
+    return dumps(target_compile(circuit, spec=compiler, seed=seed).circuit)
 
 
 @pytest.fixture(scope="module")
@@ -279,6 +278,15 @@ def test_unknown_target_is_a_bad_request(client):
     with pytest.raises(ServeError) as excinfo:
         client.compile(dumps(qft_circuit(3)), target="warp-topology")
     assert excinfo.value.code == "bad-request"
+
+
+def test_unknown_compiler_is_a_bad_request_and_the_daemon_keeps_serving(client):
+    circuit = qft_circuit(3)
+    with pytest.raises(ServeError) as excinfo:
+        client.compile(dumps(circuit), compiler="nope")
+    assert excinfo.value.code == "bad-request"
+    assert "unknown compiler 'nope'" in excinfo.value.message
+    assert client.compile(dumps(circuit))["qasm"] == _sequential_qasm(circuit)
 
 
 @pytest.fixture(scope="module")

@@ -212,14 +212,13 @@ def test_sigkill_during_compact_never_loses_entries(tmp_path, stage):
 def test_serve_soak_mixed_faults_and_compiles(tmp_path):
     import threading
 
-    from repro.experiments.common import build_compilers
     from repro.qasm import dumps
     from repro.service.server import CompileServer, ServeClient, ServeConfig, ServeError
+    from repro.target.api import compile as target_compile
     from repro.workloads.algorithms import qft_circuit
 
     circuits = [qft_circuit(n) for n in (3, 4, 5)]
-    registry = build_compilers(["reqisc-eff"], seed=0)
-    expected = {c.name: dumps(registry["reqisc-eff"].compile(c).circuit) for c in circuits}
+    expected = {c.name: dumps(target_compile(c, spec="reqisc-eff", seed=0).circuit) for c in circuits}
 
     config = ServeConfig(
         address=str(tmp_path / "soak.sock"),

@@ -303,13 +303,14 @@ def test_spec_from_dict_compiles_like_the_named_pipeline():
     assert _circuits_identical(direct.circuit, via_json.circuit)
 
 
-def test_build_compilers_rejects_target_and_coupling_map_together():
-    from repro.experiments.common import build_compilers
-
-    # The ``coupling_map=`` keyword is gone: a topology goes in a Target.
+def test_compile_rejects_target_and_coupling_map_together():
+    # There is no ``coupling_map=`` keyword: a topology goes in a Target.
     with pytest.raises(TypeError):
-        build_compilers(
-            ["reqisc-eff"], coupling_map=CouplingMap.line(4), target=Target.xy_line(4)
+        target_compile(
+            _toffoli_workload(),
+            spec="reqisc-eff",
+            coupling_map=CouplingMap.line(4),
+            target=Target.xy_line(4),
         )
 
 
@@ -351,7 +352,11 @@ def test_removed_compile_surfaces_fail_loudly():
 
     import repro
     import repro.compiler
-    from repro.experiments.common import build_compilers
+    import repro.experiments.common
+    import repro.target
+    import repro.target.api
+    from repro.compiler.passes.hierarchical import HierarchicalSynthesisPass
+    from repro.service.batch import BatchCompiler
 
     for module in ("compiler.reqisc", "compiler.baselines", "circuits.dag", "circuits.qasm"):
         with pytest.raises(ModuleNotFoundError):
@@ -362,8 +367,19 @@ def test_removed_compile_surfaces_fail_loudly():
         assert not hasattr(repro.compiler, name)
     for name in ("from_device", "for_coupling"):
         assert not hasattr(Target, name)
+    # One meaning per pipeline name: every front end calls compile(spec=name),
+    # so the registry wrapper and its budget knobs are gone.
+    assert not hasattr(repro.experiments.common, "build_compilers")
+    for namespace in (repro, repro.target, repro.target.api):
+        with pytest.raises(AttributeError):
+            getattr(namespace, "PipelineCompiler")
     with pytest.raises(TypeError):
-        build_compilers(["reqisc-eff"], coupling_map=CouplingMap.line(4))
+        BatchCompiler(compiler="reqisc-full", compiler_options={"full_synthesis_budget": 2})
+    with pytest.raises(TypeError):
+        HierarchicalSynthesisPass(max_synthesis_blocks=2)
+    # A name has no per-call variants either.
+    with pytest.raises(TypeError):
+        named_pipeline("reqisc-full", synthesis_tolerance=1e-5)
 
 
 def test_summary_reports_target_name():

@@ -109,6 +109,14 @@ def test_qaoa_and_pf_use_rotation_gates():
     assert {"rxx", "ryy", "rzz"} <= set(names)
 
 
+@pytest.mark.parametrize("num_qubits, degree", [(1, 3), (3, 1), (5, 1)])
+def test_qaoa_maxcut_builds_degree_zero_graphs(num_qubits, degree):
+    # The clamped degree reaches 0: no edges, only the H and RX layers.
+    circuit = qaoa_maxcut(num_qubits=num_qubits, degree=degree, layers=2)
+    assert circuit.num_qubits == num_qubits
+    assert circuit.count_by_name() == {"h": num_qubits, "rx": 2 * num_qubits}
+
+
 def test_uccsd_structure():
     circuit = uccsd_like(4, num_excitations=2, seed=2)
     names = circuit.count_by_name()

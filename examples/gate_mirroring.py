@@ -9,12 +9,11 @@ final qubit permutation — no extra two-qubit gates.
 Run with ``python examples/gate_mirroring.py``.
 """
 
-import numpy as np
 
 from repro import compile
 from repro.target import reqisc_pipeline
 from repro.linalg.predicates import allclose_up_to_global_phase
-from repro.linalg.weyl import coordinate_norm, weyl_coordinates
+from repro.linalg.weyl import coordinate_norm
 from repro.simulators.unitary import permutation_unitary
 from repro.workloads.algorithms import qft_circuit
 

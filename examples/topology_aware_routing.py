@@ -8,8 +8,6 @@ Run with ``python examples/topology_aware_routing.py``.
 """
 
 from repro import Target, compile
-from repro.compiler.routing.coupling_map import CouplingMap
-from repro.target import reqisc_pipeline
 from repro.workloads.algorithms import qft_circuit
 
 

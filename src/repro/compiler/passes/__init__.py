@@ -6,7 +6,7 @@ from repro.compiler.passes.decompose import (
     decompose_to_cnot,
     lower_high_level_gates,
 )
-from repro.compiler.passes.peephole import PeepholeOptimizationPass, peephole_optimize
+from repro.compiler.passes.peephole import PeepholeOptimizationPass
 from repro.compiler.passes.fuse import Fuse2QBlocksPass
 from repro.compiler.passes.template_synthesis import TemplateSynthesisPass
 from repro.compiler.passes.hierarchical import (
@@ -27,7 +27,6 @@ __all__ = [
     "decompose_to_cnot",
     "lower_high_level_gates",
     "PeepholeOptimizationPass",
-    "peephole_optimize",
     "Fuse2QBlocksPass",
     "TemplateSynthesisPass",
     "HierarchicalSynthesisPass",

@@ -6,7 +6,7 @@ from typing import Any, Dict
 
 from repro.compiler.passes.base import CompilerPass
 from repro.ir import CircuitIR
-from repro.synthesis.blocks import consolidate_blocks_ir
+from repro.synthesis.blocks import consolidate_blocks
 
 __all__ = ["Fuse2QBlocksPass"]
 
@@ -34,4 +34,4 @@ class Fuse2QBlocksPass(CompilerPass):
                 "Fuse2QBlocksPass expects a circuit with only 1Q/2Q gates; "
                 "lower high-level gates first"
             )
-        consolidate_blocks_ir(ir, form=self.form)
+        consolidate_blocks(ir, form=self.form)

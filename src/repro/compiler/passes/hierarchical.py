@@ -14,18 +14,17 @@ Pipeline (Figure 7b):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.instruction import Instruction
 from repro.compiler.passes.base import CompilerPass
 from repro.ir import CircuitIR
 from repro.service.cache import SynthesisCache, unitary_fingerprint
 from repro.simulators.statevector import apply_gate, apply_gate_sequence
 from repro.synthesis.approximate import INSTANTIATION_VERSION, ApproximateSynthesizer
-from repro.synthesis.blocks import consolidate_blocks
+from repro.synthesis.blocks import consolidate_blocks, replace_run
 
 __all__ = [
     "MultiQubitBlock",
@@ -38,11 +37,15 @@ __all__ = [
 
 @dataclass
 class MultiQubitBlock:
-    """A contiguous group of instructions confined to at most ``w`` qubits."""
+    """A group of instructions confined to at most ``w`` qubits.
+
+    ``members`` are the program positions of the instructions, in order; the
+    block is emitted where its first member stands.
+    """
 
     qubits: Tuple[int, ...]
     instructions: List[Instruction] = field(default_factory=list)
-    start_position: int = 0
+    members: List[int] = field(default_factory=list)
 
     @property
     def num_two_qubit_gates(self) -> int:
@@ -61,40 +64,38 @@ class MultiQubitBlock:
 
 
 def partition_into_blocks(
-    circuit: QuantumCircuit, block_size: int = 3
-) -> Tuple[List[MultiQubitBlock], List[Tuple[int, Instruction]]]:
-    """Greedy partition of a 1Q/2Q circuit into blocks of ``block_size`` qubits.
+    instructions: Iterable[Instruction], block_size: int = 3
+) -> List[MultiQubitBlock]:
+    """Greedy partition of a 1Q/2Q program into blocks of ``block_size`` qubits.
 
-    Returns ``(blocks, leftovers)``; every instruction belongs to exactly one
-    of the two.  Blocks grow as long as adding the next gate keeps the block
-    within ``block_size`` qubits and no intervening gate touched its qubits.
+    Every 2Q gate belongs to exactly one block; a 1Q gate joins the open
+    block on its wire, if any, and otherwise (like any 3+-qubit gate) stays
+    outside every block.  Blocks grow as long as adding the next gate keeps
+    the block within ``block_size`` qubits and no intervening gate touched its
+    qubits.
     """
     blocks: List[MultiQubitBlock] = []
-    leftovers: List[Tuple[int, Instruction]] = []
     open_block: Dict[int, Optional[int]] = {}
     # Emission position of each qubit's most recent use: blocks are emitted at
-    # their start position, so a block may only absorb a new qubit whose last
-    # use was emitted strictly before that position (ordering correctness).
+    # their first member's position, so a block may only absorb a new qubit
+    # whose last use was emitted strictly before that position (ordering
+    # correctness).
     last_emission: Dict[int, int] = {}
 
-    def close(qubit: int) -> None:
-        open_block[qubit] = None
-
-    for position, instruction in enumerate(circuit):
+    for position, instruction in enumerate(instructions):
         qubits = instruction.qubits
         if instruction.num_qubits > 2:
             for qubit in qubits:
-                close(qubit)
+                open_block[qubit] = None
                 last_emission[qubit] = position
-            leftovers.append((position, instruction))
             continue
         if instruction.num_qubits == 1:
             index = open_block.get(qubits[0])
             if index is not None:
                 blocks[index].instructions.append(instruction)
-                last_emission[qubits[0]] = blocks[index].start_position
+                blocks[index].members.append(position)
+                last_emission[qubits[0]] = blocks[index].members[0]
             else:
-                leftovers.append((position, instruction))
                 last_emission[qubits[0]] = position
             continue
         pair = tuple(sorted(qubits))
@@ -103,30 +104,29 @@ def partition_into_blocks(
         if len(indices) == 1:
             index = indices.pop()
             block = blocks[index]
+            start = block.members[0]
             union = tuple(sorted(set(block.qubits) | set(pair)))
             new_qubits = [q for q in pair if q not in block.qubits]
-            safe = all(
-                last_emission.get(q, -1) < block.start_position for q in new_qubits
-            )
+            safe = all(last_emission.get(q, -1) < start for q in new_qubits)
             if len(union) <= block_size and safe:
                 block.qubits = union
                 block.instructions.append(instruction)
+                block.members.append(position)
                 for qubit in pair:
                     open_block[qubit] = index
-                    last_emission[qubit] = block.start_position
+                    last_emission[qubit] = start
                 continue
-        # Otherwise close whatever the two qubits were part of and start fresh.
-        for qubit in pair:
-            close(qubit)
-        blocks.append(MultiQubitBlock(qubits=pair, instructions=[instruction], start_position=position))
+        # Otherwise start a fresh block on the pair; it replaces whatever
+        # block either qubit was part of.
+        blocks.append(MultiQubitBlock(qubits=pair, instructions=[instruction], members=[position]))
         for qubit in pair:
             open_block[qubit] = len(blocks) - 1
             last_emission[qubit] = position
-    return blocks, leftovers
+    return blocks
 
 
 def compactness(
-    circuit: QuantumCircuit, block_size: int = 3, threshold: int = 4
+    instructions: Iterable[Instruction], block_size: int = 3, threshold: int = 4
 ) -> float:
     """Partitioning compactness metric (Section 5.1.3).
 
@@ -134,7 +134,7 @@ def compactness(
     re-synthesizing (more than ``threshold`` 2Q gates).  Higher is better: an
     ideal partition concentrates gates into few, dense blocks.
     """
-    blocks, _ = partition_into_blocks(circuit, block_size=block_size)
+    blocks = partition_into_blocks(instructions, block_size=block_size)
     total = sum(block.num_two_qubit_gates for block in blocks)
     if total == 0:
         return 0.0
@@ -157,25 +157,26 @@ def _commutator_norm(instr_a: Instruction, instr_b: Instruction) -> float:
 
 
 def dag_compacting(
-    circuit: QuantumCircuit,
+    instructions: List[Instruction],
     block_size: int = 3,
     threshold: int = 4,
     commutation_tolerance: float = 1e-7,
     max_sweeps: int = 3,
-) -> QuantumCircuit:
+) -> List[Instruction]:
     """Exchange (approximately) commuting adjacent SU(4)s to raise compactness.
 
     Two neighbouring 2Q gates that share one qubit and commute within
     ``commutation_tolerance`` may be exchanged; the exchange is kept when it
-    improves the compactness metric of the subsequent partitioning.
+    improves the compactness metric of the subsequent partitioning.  Each
+    sweep keeps at most the first improving exchange.  Returns
+    ``instructions`` itself when no exchange helps, otherwise a new list.
     """
-    current = circuit
+    current = instructions
     best_score = compactness(current, block_size=block_size, threshold=threshold)
     for _ in range(max_sweeps):
         improved = False
-        instructions = list(current)
-        for index in range(len(instructions) - 1):
-            first, second = instructions[index], instructions[index + 1]
+        for index in range(len(current) - 1):
+            first, second = current[index], current[index + 1]
             if not (first.is_two_qubit and second.is_two_qubit):
                 continue
             shared = set(first.qubits) & set(second.qubits)
@@ -183,10 +184,7 @@ def dag_compacting(
                 continue
             if _commutator_norm(first, second) > commutation_tolerance:
                 continue
-            swapped = instructions[:index] + [second, first] + instructions[index + 2 :]
-            candidate = QuantumCircuit(current.num_qubits, current.name)
-            for instruction in swapped:
-                candidate.append(instruction.gate, instruction.qubits)
+            candidate = current[:index] + [second, first] + current[index + 2 :]
             score = compactness(candidate, block_size=block_size, threshold=threshold)
             if score > best_score + 1e-12:
                 current = candidate
@@ -230,31 +228,21 @@ class HierarchicalSynthesisPass(CompilerPass):
 
     # ------------------------------------------------------------------
     def run(self, ir: CircuitIR, properties: Dict[str, Any]) -> None:
-        fused = consolidate_blocks(ir, form="unitary")
+        consolidate_blocks(ir, form="unitary")
         if self.enable_dag_compacting:
-            fused = dag_compacting(
-                fused, block_size=self.block_size, threshold=self.threshold
-            )
-        blocks, leftovers = partition_into_blocks(fused, block_size=self.block_size)
-
-        emissions: Dict[int, List[Instruction]] = {}
-        for position, instruction in leftovers:
-            emissions.setdefault(position, []).append(instruction)
-
+            fused = list(ir.instructions())
+            compacted = dag_compacting(fused, block_size=self.block_size, threshold=self.threshold)
+            if compacted is not fused:
+                ir.rewrite(compacted)
+        nodes = list(ir.nodes())
+        blocks = partition_into_blocks(ir.instructions(), block_size=self.block_size)
         for block in blocks:
-            replacement = list(block.instructions)
+            replacement = None
             if block.num_two_qubit_gates > self.threshold and len(block.qubits) >= 2:
-                new_instructions = self._resynthesize(block)
-                if new_instructions is not None:
-                    replacement = new_instructions
-            emissions.setdefault(block.start_position, []).extend(replacement)
-
-        result = QuantumCircuit(ir.num_qubits, ir.name)
-        for position in range(len(fused)):
-            for instruction in emissions.get(position, []):
-                result.append(instruction.gate, instruction.qubits)
+                replacement = self._resynthesize(block)
+            replace_run(ir, [nodes[position] for position in block.members], replacement)
         # Fuse any newly adjacent same-pair gates created by block rewrites.
-        ir.rewrite(consolidate_blocks(result, form="unitary").instructions)
+        consolidate_blocks(ir, form="unitary")
 
     # ------------------------------------------------------------------
     def _resynthesize(self, block: MultiQubitBlock) -> Optional[List[Instruction]]:

@@ -13,7 +13,6 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.instruction import Instruction
 from repro.compiler.passes.base import CompilerPass
 from repro.gates import standard
@@ -21,7 +20,7 @@ from repro.ir import CircuitIR
 from repro.linalg.predicates import allclose_up_to_global_phase
 from repro.linalg.su2 import u3_params_from_matrix
 
-__all__ = ["peephole_optimize", "peephole_optimize_ir", "PeepholeOptimizationPass"]
+__all__ = ["peephole_optimize_ir", "PeepholeOptimizationPass"]
 
 _SELF_INVERSE_2Q = {"cx", "cz", "cy", "swap", "ch"}
 _MERGEABLE_ROTATIONS = {"rz", "rx", "ry", "p", "rzz", "rxx", "ryy", "cp", "crz"}
@@ -32,123 +31,8 @@ _DIAGONAL_GATES = {"z", "s", "sdg", "t", "tdg", "rz", "p", "cz", "cp", "crz", "r
 _DIAGONAL_ROTATIONS = {"rz", "p", "rzz", "cp", "crz"}
 
 
-def _merge_one_qubit_runs(circuit: QuantumCircuit) -> QuantumCircuit:
-    """Fuse consecutive single-qubit gates on each wire into one ``U3``."""
-    pending: Dict[int, np.ndarray] = {}
-    result = QuantumCircuit(circuit.num_qubits, circuit.name)
-
-    def flush(qubit: int) -> None:
-        matrix = pending.pop(qubit, None)
-        if matrix is None:
-            return
-        if allclose_up_to_global_phase(matrix, np.eye(2), atol=1e-10):
-            return
-        _, theta, phi, lam = u3_params_from_matrix(matrix)
-        result.u3(theta, phi, lam, qubit)
-
-    for instruction in circuit:
-        if instruction.num_qubits == 1:
-            qubit = instruction.qubits[0]
-            pending[qubit] = instruction.gate.matrix @ pending.get(qubit, np.eye(2, dtype=complex))
-        else:
-            for qubit in instruction.qubits:
-                flush(qubit)
-            result.append(instruction.gate, instruction.qubits)
-    for qubit in list(pending):
-        flush(qubit)
-    return result
-
-
-def _cancel_adjacent_two_qubit(circuit: QuantumCircuit) -> QuantumCircuit:
-    """Cancel adjacent identical self-inverse 2Q gates and merge rotations.
-
-    Adjacency is evaluated per qubit pair: two 2Q gates cancel when no other
-    instruction touches either qubit in between.
-    """
-    instructions: List[Optional[Instruction]] = list(circuit)
-    last_on_pair: Dict[tuple, int] = {}
-    last_touch: Dict[int, int] = {}
-    last_nondiagonal_touch: Dict[int, int] = {}
-    for index, instruction in enumerate(circuit):
-        qubits = instruction.qubits
-        if instruction.num_qubits == 2:
-            pair = tuple(sorted(qubits))
-            previous = last_on_pair.get(pair)
-            previous_index = previous if previous is not None else -1
-            blocked = any(last_touch.get(q, -1) > previous_index for q in qubits)
-            blocked_nondiagonal = any(
-                last_nondiagonal_touch.get(q, -1) > previous_index for q in qubits
-            )
-            if previous is not None and instructions[previous] is not None:
-                prev_instr = instructions[previous]
-                same_orientation = prev_instr.qubits == qubits
-                name = instruction.gate.name
-                if (
-                    not blocked
-                    and name in _SELF_INVERSE_2Q
-                    and prev_instr.gate.name == name
-                    and same_orientation
-                ):
-                    instructions[previous] = None
-                    instructions[index] = None
-                    last_on_pair.pop(pair, None)
-                    for q in qubits:
-                        last_touch[q] = index
-                    continue
-                # Diagonal rotations merge across any intervening diagonal
-                # gates; other rotations only merge when strictly adjacent.
-                merge_allowed = (not blocked) or (
-                    name in _DIAGONAL_ROTATIONS and not blocked_nondiagonal
-                )
-                if (
-                    merge_allowed
-                    and name in _MERGEABLE_ROTATIONS
-                    and prev_instr.gate.name == name
-                    and same_orientation
-                ):
-                    angle = prev_instr.gate.params[0] + instruction.gate.params[0]
-                    instructions[previous] = None
-                    if abs(angle) < 1e-12:
-                        instructions[index] = None
-                    else:
-                        instructions[index] = Instruction(
-                            instruction.gate.with_params([angle]), qubits
-                        )
-                    last_on_pair[pair] = index
-                    for q in qubits:
-                        last_touch[q] = index
-                    continue
-            last_on_pair[pair] = index
-        for q in qubits:
-            last_touch[q] = index
-            if instruction.gate.name not in _DIAGONAL_GATES:
-                last_nondiagonal_touch[q] = index
-
-    result = QuantumCircuit(circuit.num_qubits, circuit.name)
-    for instruction in instructions:
-        if instruction is not None:
-            result.append(instruction.gate, instruction.qubits)
-    return result
-
-
-# ---------------------------------------------------------------------------
-# IR-native kernels.  These mirror the flat-list functions above instruction
-# for instruction (same scan order, same arithmetic, same tie-breaking), but
-# mutate the shared CircuitIR in place through its rewrite primitives instead
-# of re-emitting a new circuit.
-#
-# The flat functions are kept as deliberately *independent* reference twins
-# (the same pattern as routing's frozen ``sabre_reference``): they are the
-# oracle the randomized property tests compare against, so the two copies
-# must be changed in lockstep — a tweak applied to one side only will fail
-# ``tests/test_ir.py::test_ir_peephole_matches_flat_kernel``.  Do not
-# "deduplicate" the flat side through the IR kernels; that would make the
-# equivalence tests tautological.
-# ---------------------------------------------------------------------------
-
-
 def _merge_one_qubit_runs_ir(ir: CircuitIR) -> None:
-    """IR-native twin of :func:`_merge_one_qubit_runs` (in place)."""
+    """Fuse consecutive single-qubit gates on each wire into one ``U3`` (in place)."""
     pending: Dict[int, np.ndarray] = {}
     run_nodes: Dict[int, List[int]] = {}
 
@@ -182,12 +66,12 @@ def _merge_one_qubit_runs_ir(ir: CircuitIR) -> None:
 
 
 def _cancel_adjacent_two_qubit_ir(ir: CircuitIR) -> None:
-    """IR-native twin of :func:`_cancel_adjacent_two_qubit` (in place).
+    """Cancel adjacent identical self-inverse 2Q gates and merge rotations (in place).
 
-    The scan runs over a snapshot of the program order; cancellations remove
-    both nodes, rotation merges substitute the later node in place — exactly
-    the tombstone/rewrite bookkeeping of the flat-list version, expressed as
-    IR primitives.
+    Adjacency is evaluated per qubit pair: two 2Q gates cancel when no other
+    instruction touches either qubit in between.  The scan runs over a
+    snapshot of the program order; cancellations remove both nodes, rotation
+    merges substitute the later node in place.
     """
     order = list(ir.nodes())
     last_on_pair: Dict[tuple, int] = {}
@@ -253,14 +137,15 @@ def peephole_optimize_ir(
     consolidate: bool = True,
     max_rounds: int = 4,
 ) -> None:
-    """IR-native twin of :func:`peephole_optimize`: optimize ``ir`` in place.
+    """Iterate 1Q merging and 2Q cancellation on ``ir`` to a fixed point, in place.
 
-    Fixed-point detection reads the IR's O(1) gate/2Q counters; the optional
-    consolidation round snapshots the program so a non-improving rewrite can
-    be rolled back transactionally (the flat version discards the candidate
-    circuit in that case).
+    With ``consolidate`` the final round re-synthesizes maximal two-qubit
+    runs with the minimal number of CNOTs (block consolidation), keeping the
+    original run whenever re-synthesis would not help.  Fixed-point detection
+    reads the IR's O(1) gate/2Q counters; the consolidation round snapshots
+    the program so a non-improving rewrite can be rolled back.
     """
-    from repro.synthesis.blocks import consolidate_blocks_ir
+    from repro.synthesis.blocks import consolidate_blocks
 
     for _ in range(max_rounds):
         gates_before = len(ir)
@@ -272,46 +157,17 @@ def peephole_optimize_ir(
     if consolidate:
         two_qubit_before = ir.two_qubit_count()
         snapshot = list(ir.instructions())
-        consolidate_blocks_ir(ir, form="cx", only_if_fewer_gates=True)
+        consolidate_blocks(ir, form="cx", only_if_fewer_gates=True)
         if ir.two_qubit_count() <= two_qubit_before:
             _merge_one_qubit_runs_ir(ir)
         else:  # pragma: no cover - only_if_fewer_gates never increases #2Q
             ir.rewrite(snapshot)
 
 
-def peephole_optimize(
-    circuit: QuantumCircuit,
-    consolidate: bool = True,
-    max_rounds: int = 4,
-) -> QuantumCircuit:
-    """Iterate 1Q merging and 2Q cancellation to a fixed point.
-
-    With ``consolidate`` the final round re-synthesizes maximal two-qubit
-    runs with the minimal number of CNOTs (block consolidation), keeping the
-    original run whenever re-synthesis would not help.
-    """
-    from repro.synthesis.blocks import consolidate_blocks
-
-    current = circuit
-    for _ in range(max_rounds):
-        merged = _merge_one_qubit_runs(current)
-        cancelled = _cancel_adjacent_two_qubit(merged)
-        if len(cancelled) == len(current) and cancelled.count_two_qubit_gates() == current.count_two_qubit_gates():
-            current = cancelled
-            break
-        current = cancelled
-    if consolidate:
-        consolidated = consolidate_blocks(current, form="cx", only_if_fewer_gates=True)
-        if consolidated.count_two_qubit_gates() <= current.count_two_qubit_gates():
-            current = _merge_one_qubit_runs(consolidated)
-    return current
-
-
 class PeepholeOptimizationPass(CompilerPass):
     """Pass wrapper around :func:`peephole_optimize_ir`.
 
-    Rewrites the shared :class:`~repro.ir.CircuitIR` in place, bit-identical
-    to :func:`peephole_optimize` on the flat circuit.
+    Rewrites the shared :class:`~repro.ir.CircuitIR` in place.
     """
 
     name = "peephole"

@@ -61,20 +61,24 @@ class TemplateSynthesisPass(CompilerPass):
     # ------------------------------------------------------------------
     def run(self, ir: CircuitIR, properties: Dict[str, Any]) -> None:
         if self.cache is None:
-            result = self._transform(ir)
+            self._transform(ir)
+            return
+        key = circuit_fingerprint(
+            ir,
+            "template_synthesis",
+            self._library_fingerprint(),
+            "selective=True",
+            "fuse=True",
+        )
+        # The name is deliberately not part of the key.  An entry holds the
+        # output program's instructions; entries written before the pass
+        # worked in place hold a QuantumCircuit, which iterates the same way.
+        cached = self.cache.get(key)
+        if cached is None:
+            self._transform(ir)
+            self.cache.put(key, tuple(ir.instructions()))
         else:
-            key = circuit_fingerprint(
-                ir,
-                "template_synthesis",
-                self._library_fingerprint(),
-                "selective=True",
-                "fuse=True",
-            )
-            # The name is deliberately not part of the key; ``rewrite``
-            # copies the instruction list, so the cached circuit is never
-            # mutated by downstream passes.
-            result = self.cache.get_or_compute(key, lambda: self._transform(ir))
-        ir.rewrite(result.instructions)
+            ir.rewrite(cached)
 
     def _library_fingerprint(self) -> str:
         """Content key of the template library (templates change the output)."""
@@ -87,27 +91,27 @@ class TemplateSynthesisPass(CompilerPass):
             self._library_key = "library:" + ",".join(parts)
         return self._library_key
 
-    def _transform(self, ir: CircuitIR) -> QuantumCircuit:
-        expanded = expand_mcx_gates(ir)
-        result = QuantumCircuit(expanded.num_qubits, ir.name)
+    def _transform(self, ir: CircuitIR) -> None:
+        program: List[Instruction] = []
         # Last pending 2Q pair per qubit (used by selective assembly to pick
         # the template variant that fuses best with already-emitted gates).
         last_pair_for_qubit: Dict[int, Optional[Tuple[int, int]]] = {}
 
-        for instruction in expanded:
+        for instruction in expand_mcx_gates(ir):
             name = instruction.gate.name
             if name in _TEMPLATED_GATES and self.library.has(name):
                 variant = self._pick_variant(name, instruction.qubits, last_pair_for_qubit)
                 mapping = {local: phys for local, phys in enumerate(instruction.qubits)}
                 for template_instr in variant:
                     remapped = template_instr.remap(mapping)
-                    result.append(remapped.gate, remapped.qubits)
+                    program.append(remapped)
                     self._track(remapped, last_pair_for_qubit)
             else:
-                result.append(instruction.gate, instruction.qubits)
-                self._track(Instruction(instruction.gate, instruction.qubits), last_pair_for_qubit)
+                program.append(instruction)
+                self._track(instruction, last_pair_for_qubit)
 
-        return consolidate_blocks(result, form="unitary")
+        ir.rewrite(program)
+        consolidate_blocks(ir, form="unitary")
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -35,7 +35,6 @@ produce a lower estimated fidelity than the distance-only baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 

@@ -31,8 +31,9 @@ turns that stream into the routed circuit.
 Because all distances are integers the sums are exact and both loops
 perform the same IEEE-754 operations in the same order, so the routed
 output is **bit-identical** across backends and to the frozen
-pre-optimization baseline in :mod:`repro.compiler.routing.sabre_reference`
-(enforced by ``tests/test_kernels.py`` and ``tests/test_sabre_fast_path.py``).
+pre-optimization baseline router, ``ReferenceSabreRouter``, which the tests
+keep as their oracle (enforced by ``tests/test_kernels.py`` and
+``tests/test_sabre_fast_path.py``).
 """
 
 from __future__ import annotations

@@ -18,9 +18,8 @@ from repro.experiments.common import (
     reference_metrics,
     su4_metrics,
 )
-from repro.gates import standard
 from repro.linalg.predicates import unitary_infidelity
-from repro.microarch.durations import SubScheme, optimal_duration
+from repro.microarch.durations import optimal_duration
 from repro.microarch.ea import alpha_beta_residual_map, solve_ea
 from repro.microarch.hamiltonian import CouplingHamiltonian
 from repro.microarch.scheme import GenAshNScheme

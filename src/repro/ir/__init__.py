@@ -1,9 +1,9 @@
 """The mutable compiler IR shared by every pass of the pipeline.
 
 :class:`CircuitIR` is the canonical in-flight representation of a program
-inside the compiler: a mutable instruction graph built on the same CSR
-dependency structure as :class:`repro.circuits.depgraph.DependencyGraph`,
-with transactional rewrite primitives and O(1) metric views.  Every pass's
+inside the compiler: a mutable, linked program order of instructions with
+transactional rewrite primitives, O(1) metric views and a cached
+:class:`repro.circuits.depgraph.DependencyGraph` for the router.  Every pass's
 ``run(ir, properties)`` mutates the *same* ``CircuitIR`` object, so a
 pipeline threads one shared structure end-to-end instead of marshalling a
 flat gate list at every pass boundary.
@@ -16,14 +16,12 @@ conversions (one in, one out).
 
 from repro.ir.circuit_ir import (
     CircuitIR,
-    ExecutionFront,
     conversion_stats,
     reset_conversion_stats,
 )
 
 __all__ = [
     "CircuitIR",
-    "ExecutionFront",
     "conversion_stats",
     "reset_conversion_stats",
 ]

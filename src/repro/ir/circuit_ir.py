@@ -1,12 +1,8 @@
 """The :class:`CircuitIR` mutable intermediate representation.
 
-Historically every compiler pass consumed a flat :class:`QuantumCircuit` and
-re-emitted a new one, so a full pipeline re-marshalled the program (and the
-router re-derived its dependency DAG) once per pass.  ``CircuitIR`` is the
-shared, incrementally-updated alternative: one IR object is built from the
-input circuit when the pipeline starts, mutated in place by every pass through
-transactional rewrite primitives, and serialized back to a circuit exactly
-once at the end of the pipeline.
+One IR object is built from the input circuit when the pipeline starts,
+mutated in place by every pass through transactional rewrite primitives, and
+serialized back to a circuit exactly once at the end of the pipeline.
 
 Design
 ------
@@ -15,14 +11,13 @@ Design
   is a linked list (``O(1)`` insert/remove anywhere), so rewrites never shift
   other nodes.
 * **Transactional primitives.**  :meth:`remove_node`,
-  :meth:`substitute_node`, :meth:`insert_before` / :meth:`insert_after`,
-  :meth:`replace_block` and :meth:`rewrite` validate all arguments before the
-  first mutation — a failed call leaves the IR untouched.
-* **O(1) metric views.**  ``len(ir)``, :meth:`two_qubit_count`,
-  :meth:`gate_counts` and :meth:`max_gate_arity` are maintained incrementally
-  on every mutation; :meth:`depth`, :meth:`dependency_graph`,
-  :meth:`front_layer` and :meth:`layers` are cached and invalidated *only* on
-  mutation, so repeated reads between mutations are free.
+  :meth:`substitute_node`, :meth:`insert_before`, :meth:`replace_block` and
+  :meth:`rewrite` validate all arguments before the first mutation — a
+  failed call leaves the IR untouched.
+* **O(1) metric views.**  ``len(ir)``, :meth:`two_qubit_count` and
+  :meth:`max_gate_arity` are maintained incrementally on every mutation;
+  :meth:`depth` and :meth:`dependency_graph` are cached and invalidated
+  *only* on mutation, so repeated reads between mutations are free.
 * **Conversion accounting.**  :meth:`from_circuit` / :meth:`to_circuit` (the
   representation-marshalling boundary) and dependency-graph builds bump
   module-level counters exposed by :func:`conversion_stats` — the
@@ -37,7 +32,7 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.depgraph import DependencyGraph
 from repro.circuits.instruction import Instruction
 
-__all__ = ["CircuitIR", "ExecutionFront", "conversion_stats", "reset_conversion_stats"]
+__all__ = ["CircuitIR", "conversion_stats", "reset_conversion_stats"]
 
 
 _CONVERSIONS: Dict[str, int] = {"from_circuit": 0, "to_circuit": 0, "dag_builds": 0}
@@ -67,10 +62,8 @@ class CircuitIR:
         "_tail",
         "_size",
         "_two_qubit_count",
-        "_gate_counts",
         "_arity_counts",
         "_graph",
-        "_graph_nodes",
         "_depth",
     )
 
@@ -134,13 +127,11 @@ class CircuitIR:
         self._tail = -1
         self._size = 0
         self._two_qubit_count = 0
-        self._gate_counts: Dict[str, int] = {}
         self._arity_counts: Dict[int, int] = {}
         self._invalidate()
 
     def _invalidate(self) -> None:
         self._graph: Optional[DependencyGraph] = None
-        self._graph_nodes: Optional[List[int]] = None
         self._depth: Optional[int] = None
 
     def _validate(self, instruction: Instruction) -> None:
@@ -155,12 +146,6 @@ class CircuitIR:
             raise KeyError(f"node {node} is not a live IR node")
 
     def _account(self, instruction: Instruction, delta: int) -> None:
-        name = instruction.gate.name
-        count = self._gate_counts.get(name, 0) + delta
-        if count:
-            self._gate_counts[name] = count
-        else:
-            self._gate_counts.pop(name, None)
         arity = len(instruction.qubits)
         count = self._arity_counts.get(arity, 0) + delta
         if count:
@@ -226,32 +211,12 @@ class CircuitIR:
         successor = self._next[node]
         return successor if successor >= 0 else None
 
-    def prev_node(self, node: int) -> Optional[int]:
-        """The node immediately before ``node`` in program order (or ``None``)."""
-        self._require(node)
-        previous = self._prev[node]
-        return previous if previous >= 0 else None
-
-    def wire_nodes(self, qubit: int) -> List[int]:
-        """Node ids touching ``qubit``, in program order (wire-level view)."""
-        if not 0 <= qubit < self.num_qubits:
-            raise ValueError(
-                f"qubit {qubit} out of range for a {self.num_qubits}-qubit circuit"
-            )
-        return [
-            node for node in self.nodes() if qubit in self._instructions[node].qubits
-        ]
-
     # ------------------------------------------------------------------
     # O(1) views (incrementally maintained / cached until mutation).
     # ------------------------------------------------------------------
     def two_qubit_count(self) -> int:
         """Number of two-qubit instructions (the paper's #2Q), O(1)."""
         return self._two_qubit_count
-
-    def gate_counts(self) -> Dict[str, int]:
-        """Histogram of gate names, maintained incrementally."""
-        return dict(self._gate_counts)
 
     def max_gate_arity(self) -> int:
         """Largest gate arity currently present, O(1)."""
@@ -271,30 +236,12 @@ class CircuitIR:
     def dependency_graph(self) -> DependencyGraph:
         """CSR dependency DAG of the current program (cached until mutation).
 
-        Graph nodes are positions in the current program order; the mapping
-        back to IR node ids is applied by :meth:`front_layer` /
-        :meth:`layers`.
+        Graph nodes are positions in the current program order.
         """
         if self._graph is None:
-            order = list(self.nodes())
-            self._graph = DependencyGraph.from_instructions(
-                self.num_qubits, [self._instructions[node] for node in order]
-            )
-            self._graph_nodes = order
+            self._graph = DependencyGraph.from_instructions(self.num_qubits, list(self.instructions()))
             _CONVERSIONS["dag_builds"] += 1
         return self._graph
-
-    def front_layer(self) -> List[int]:
-        """IR node ids with no unsatisfied dependencies (the executable front)."""
-        graph = self.dependency_graph()
-        ids = self._graph_nodes
-        return [ids[position] for position in graph.front_layer()]
-
-    def layers(self) -> List[List[int]]:
-        """ASAP layering as lists of IR node ids at equal dependency depth."""
-        graph = self.dependency_graph()
-        ids = self._graph_nodes
-        return [[ids[position] for position in layer] for layer in graph.topological_layers()]
 
     # ------------------------------------------------------------------
     # Transactional rewrite primitives.
@@ -326,23 +273,6 @@ class CircuitIR:
             self._head = new
         else:
             self._next[previous] = new
-        self._account(instruction, +1)
-        self._invalidate()
-        return new
-
-    def insert_after(self, node: int, instruction: Instruction) -> int:
-        """Insert ``instruction`` immediately after ``node``; returns the new id."""
-        self._require(node)
-        self._validate(instruction)
-        new = self._new_node(instruction)
-        successor = self._next[node]
-        self._next[new] = successor
-        self._prev[new] = node
-        self._next[node] = new
-        if successor < 0:
-            self._tail = new
-        else:
-            self._prev[successor] = new
         self._account(instruction, +1)
         self._invalidate()
         return new
@@ -430,43 +360,3 @@ class CircuitIR:
             f"gates={self._size})"
         )
 
-
-class ExecutionFront:
-    """Incrementally-maintained executable front of a dependency graph.
-
-    Wraps the in-degree vector of a :class:`DependencyGraph`: executing a
-    node releases its successors in O(out-degree) instead of re-deriving the
-    front from scratch — the same bookkeeping the SABRE router inlines into
-    its own loop, packaged here for schedulers and analysis passes.  The
-    front is kept as an insertion-ordered dict, so membership checks and
-    removals are O(1) and :attr:`front` preserves release order.
-    """
-
-    __slots__ = ("_graph", "_indegree", "_front")
-
-    def __init__(self, graph: DependencyGraph) -> None:
-        self._graph = graph
-        self._indegree = graph.indegree_vector()
-        self._front: Dict[int, None] = dict.fromkeys(graph.front_layer())
-
-    @property
-    def front(self) -> List[int]:
-        """Currently executable graph nodes, in release order."""
-        return list(self._front)
-
-    def __bool__(self) -> bool:
-        return bool(self._front)
-
-    def execute(self, node: int) -> List[int]:
-        """Mark ``node`` executed; returns the successors it released."""
-        if node not in self._front:
-            raise ValueError(f"node {node} is not in the executable front")
-        del self._front[node]
-        released: List[int] = []
-        for successor in self._graph.successors(node):
-            successor = int(successor)
-            self._indegree[successor] -= 1
-            if self._indegree[successor] == 0:
-                released.append(successor)
-                self._front[successor] = None
-        return released

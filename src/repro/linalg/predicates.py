@@ -85,13 +85,3 @@ def unitary_infidelity(actual: np.ndarray, target: np.ndarray) -> float:
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Frobenius-norm distance between two matrices."""
     return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
-
-
-def phase_aligned(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Return ``a`` rescaled by a global phase to best match ``b``."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    overlap = np.trace(b.conj().T @ a)
-    if abs(overlap) < 1e-15:
-        return a
-    return a * (overlap.conjugate() / abs(overlap))

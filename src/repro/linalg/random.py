@@ -6,7 +6,7 @@ Haar-random SU(4) targets, Table 3) and by the property-based tests.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 

@@ -173,19 +173,3 @@ def u3_params_batch(
     """Vectorized :func:`u3_params_from_matrix`: arrays ``(global_phase, theta, phi, lam)``."""
     alpha, theta, phi, lam = zyz_angles_batch(matrices)
     return alpha - (phi + lam) / 2.0, theta, phi, lam
-
-
-def bloch_rotation(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rotation by ``angle`` about a (not necessarily normalized) Bloch axis."""
-    axis = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(axis)
-    if norm < 1e-15:
-        return np.eye(2, dtype=complex)
-    nx, ny, nz = axis / norm
-    from repro.linalg.constants import PAULI_X, PAULI_Y, PAULI_Z
-
-    generator = nx * PAULI_X + ny * PAULI_Y + nz * PAULI_Z
-    return (
-        math.cos(angle / 2.0) * np.eye(2, dtype=complex)
-        - 1j * math.sin(angle / 2.0) * generator
-    )

@@ -23,22 +23,14 @@ This module provides:
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from repro.linalg.constants import (
-    ATOL,
-    AXIS_SWAP,
-    COORD_TO_PHASE,
-    MAGIC_BASIS,
-    MAGIC_BASIS_DAG,
-    PAULIS,
-)
+from repro.linalg.constants import AXIS_SWAP, COORD_TO_PHASE, MAGIC_BASIS, MAGIC_BASIS_DAG, PAULIS
 
 __all__ = [
     "KAKDecomposition",
@@ -142,15 +134,6 @@ def local_equivalence_distance(u: np.ndarray, v: np.ndarray) -> float:
         dist = abs(g1_u - sign * g1_v) + abs(g2_u - sign * g2_v)
         best = min(best, dist)
     return best
-
-
-def _coords_invariant_distance(
-    coords_a: Sequence[float], coords_b: Sequence[float]
-) -> float:
-    """Distance between two coordinate triples via their canonical gates."""
-    return local_equivalence_distance(
-        canonical_gate(*coords_a), canonical_gate(*coords_b)
-    )
 
 
 def weyl_distance(coords_a: Sequence[float], coords_b: Sequence[float]) -> float:

@@ -25,7 +25,6 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.circuits.instruction import Instruction
-from repro.circuits.metrics import BASELINE_CNOT_DURATION
 from repro.gates.gate import UnitaryGate
 from repro.linalg.weyl import canonicalize_coordinates, weyl_coordinates
 from repro.microarch.hamiltonian import CouplingHamiltonian

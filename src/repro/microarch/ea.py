@@ -31,12 +31,7 @@ from scipy.linalg import expm
 from scipy.optimize import least_squares
 
 from repro.linalg.constants import XX, YY, ZZ, PAULI_X, PAULI_Z, IDENTITY2
-from repro.linalg.weyl import (
-    canonical_gate,
-    local_equivalence_distance,
-    makhlin_invariants,
-    weyl_coordinates,
-)
+from repro.linalg.weyl import canonical_gate, local_equivalence_distance, makhlin_invariants
 from repro.microarch.durations import SubScheme
 
 __all__ = [

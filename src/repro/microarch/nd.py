@@ -15,9 +15,8 @@ leakage) are minimized, as described in Section 4.2.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Tuple
 
-import numpy as np
 from scipy.optimize import brentq
 
 __all__ = ["solve_nd", "smallest_sinc_root"]

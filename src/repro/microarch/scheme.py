@@ -14,9 +14,8 @@ up to global phase, where ``H`` is the *physical* coupling Hamiltonian
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 from scipy.linalg import expm

@@ -38,7 +38,7 @@ from typing import Any, Dict, List, Optional
 from repro.resilience.faultplan import FaultPlan
 from repro.resilience.retry import RetryPolicy, RetryStats
 
-__all__ = ["run_chaos"]
+__all__ = ["run_chaos", "soak_window"]
 
 #: Layers whose faults fire in the daemon process and show in ``faults_fired``
 #: (``cache`` faults fire inside workers; the scrub report is their evidence).
@@ -64,6 +64,19 @@ def default_retry_policy(plan: FaultPlan) -> RetryPolicy:
     )
 
 
+def soak_window(programs: int, faults: int) -> int:
+    """Schedule window of a balanced ``faults`` plan over ``programs`` distinct programs.
+
+    Worker and clock faults draw once per dispatch, and the daemon dispatches
+    each distinct program about once: repeats are answered from its result
+    cache or joined in flight.  Only the first ``programs`` draws of those
+    layers are certain, so a wider window can schedule every fault past the
+    end of a short soak.  The window still holds each layer's share of the
+    plan, which is at most ``faults``.
+    """
+    return max(programs, faults)
+
+
 def run_chaos(
     plan: Optional[FaultPlan] = None,
     *,
@@ -83,7 +96,8 @@ def run_chaos(
 
     ``cache_dir=None`` uses a private temp directory, removed afterwards
     unless ``keep_cache`` (the CLI keeps it when writing a report next to
-    it).  ``wall_deadline`` bounds the whole drive phase — a client thread
+    it).  Without a ``plan`` the soak runs a balanced 50-fault plan whose
+    window is :func:`soak_window`.  ``wall_deadline`` bounds the whole drive phase — a client thread
     still alive past it is reported as hung and the soak fails.
     """
     from repro.qasm import dumps
@@ -92,10 +106,11 @@ def run_chaos(
     from repro.target.api import compile as target_compile
     from repro.workloads.suite import benchmark_suite
 
-    plan = plan if plan is not None else FaultPlan.balanced(seed=seed, faults=50)
+    cases = benchmark_suite(scale=scale)
+    if plan is None:
+        plan = FaultPlan.balanced(seed=seed, faults=50, window=soak_window(len(cases), 50))
     retry = retry if retry is not None else default_retry_policy(plan)
 
-    cases = benchmark_suite(scale=scale)
     programs = [(case.name, dumps(case.circuit)) for case in cases]
     schedule = [programs[i % len(programs)] for i in range(len(programs) * requests_per_circuit)]
 

@@ -465,7 +465,10 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_parser.add_argument("--seed", type=int, default=42, help="fault-plan seed (default: 42)")
     chaos_parser.add_argument(
         "--window", type=int, default=None, metavar="N",
-        help="schedule window: faults land on draws [0, N) per layer (default: 200)",
+        help=(
+            "schedule window: faults land on draws [0, N) per layer (default: the "
+            "number of distinct programs the soak dispatches, or --faults if larger)"
+        ),
     )
     chaos_parser.add_argument(
         "--spec", metavar="JSON|PATH", default=None,
@@ -1126,6 +1129,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     import os
 
     from repro.resilience import FaultPlan, run_chaos
+    from repro.resilience.chaos import soak_window
+    from repro.workloads.suite import benchmark_suite
 
     _compiler_argument([args.compiler])
     if args.spec is not None:
@@ -1140,7 +1145,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     else:
         if args.faults < 1:
             raise SystemExit("--faults must be >= 1")
-        plan = FaultPlan.balanced(seed=args.seed, faults=args.faults, window=args.window)
+        window = args.window
+        if window is None:
+            window = soak_window(len(benchmark_suite(scale=args.scale)), args.faults)
+        plan = FaultPlan.balanced(seed=args.seed, faults=args.faults, window=window)
 
     print(f"repro chaos: {plan.describe()}", file=sys.stderr)
     report = run_chaos(

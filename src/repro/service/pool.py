@@ -38,7 +38,7 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, Optional, Tuple
 
 __all__ = ["PoolJob", "JobOutcome", "WorkerPool"]
 

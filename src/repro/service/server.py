@@ -48,7 +48,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.service import protocol

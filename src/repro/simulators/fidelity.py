@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Union
+from typing import Mapping, Union
 
 import numpy as np
 

@@ -1,31 +1,27 @@
-"""Two-qubit block collection and consolidation.
+"""Two-qubit block collection and consolidation on the :class:`~repro.ir.CircuitIR`.
 
 This is the first tier of the hierarchical-synthesis pipeline (Section 5.1.2):
 maximal runs of gates acting on the same qubit pair are collected and fused
-into a single SU(4) operation.  The same machinery backs the baseline
-compilers' block-consolidation pass (re-synthesizing each run with the
-minimal number of CNOTs) and the template library's post-assembly fusion.
+in place into a single SU(4) operation.  The same function backs the fusion
+pass, the baseline compilers' block consolidation (re-synthesizing each run
+with the minimal number of CNOTs), template synthesis' output fusion and the
+template library's ``{Can, U3}`` realizations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Literal, Optional, Tuple
+from typing import Dict, Iterable, List, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.instruction import Instruction
 from repro.gates.gate import UnitaryGate
+from repro.ir import CircuitIR
 from repro.simulators.statevector import apply_gate_sequence
+from repro.synthesis.two_qubit import two_qubit_to_can_circuits_batch, two_qubit_to_cnot_circuit
 
-__all__ = [
-    "TwoQubitBlock",
-    "collect_two_qubit_blocks",
-    "consolidate_blocks",
-    "consolidate_blocks_ir",
-    "block_unitary",
-]
+__all__ = ["TwoQubitBlock", "consolidate_blocks", "replace_run", "block_unitary"]
 
 OutputForm = Literal["unitary", "can", "cx"]
 
@@ -34,15 +30,12 @@ OutputForm = Literal["unitary", "can", "cx"]
 class TwoQubitBlock:
     """A maximal run of instructions confined to one unordered qubit pair.
 
-    ``members`` carries the collection key of every member instruction —
-    the circuit position when collected from a flat circuit, the IR node id
-    when collected from a :class:`repro.ir.CircuitIR`.  ``start_position``
-    is the key of the first member.
+    ``members`` carries the collection key of every member instruction, in
+    program order: the IR node id inside :func:`consolidate_blocks`.
     """
 
     qubits: Tuple[int, int]
     instructions: List[Instruction] = field(default_factory=list)
-    start_position: int = 0
     members: List[int] = field(default_factory=list)
 
     @property
@@ -61,21 +54,16 @@ def block_unitary(block: TwoQubitBlock) -> np.ndarray:
     return apply_gate_sequence(np.eye(4, dtype=complex), operations, 2)
 
 
-def _collect_blocks(
-    items: Iterable[Tuple[int, Instruction]],
-) -> Tuple[List[TwoQubitBlock], List[Tuple[int, Instruction]]]:
-    """Generic block collector over ``(key, instruction)`` pairs in order.
+def _collect_blocks(items: Iterable[Tuple[int, Instruction]]) -> List[TwoQubitBlock]:
+    """Maximal 2Q runs over ``(key, instruction)`` pairs in program order.
 
-    Keys are circuit positions for the flat-circuit entry point and IR node
-    ids for the :class:`repro.ir.CircuitIR` entry point; the collection logic
-    is identical, so both paths fuse bit-identically.
+    Every block holds at least one two-qubit gate; single-qubit gates
+    sandwiched inside a run join the surrounding block.  Instructions in no
+    block (a 1Q gate on a wire with no open run, or a 3+-qubit gate, which
+    closes the runs on its wires) are left out.
     """
     blocks: List[TwoQubitBlock] = []
-    leftovers: List[Tuple[int, Instruction]] = []
     open_block_for_qubit: Dict[int, Optional[int]] = {}
-
-    def close_qubit(qubit: int) -> None:
-        open_block_for_qubit[qubit] = None
 
     for key, instruction in items:
         qubits = instruction.qubits
@@ -87,74 +75,17 @@ def _collect_blocks(
                 blocks[idx0].instructions.append(instruction)
                 blocks[idx0].members.append(key)
             else:
-                for qubit in pair:
-                    existing = open_block_for_qubit.get(qubit)
-                    if existing is not None:
-                        close_qubit(qubit)
-                blocks.append(
-                    TwoQubitBlock(
-                        qubits=pair,
-                        instructions=[instruction],
-                        start_position=key,
-                        members=[key],
-                    )
-                )
-                index = len(blocks) - 1
-                open_block_for_qubit[pair[0]] = index
-                open_block_for_qubit[pair[1]] = index
+                blocks.append(TwoQubitBlock(qubits=pair, instructions=[instruction], members=[key]))
+                open_block_for_qubit[pair[0]] = open_block_for_qubit[pair[1]] = len(blocks) - 1
         elif instruction.num_qubits == 1:
-            qubit = qubits[0]
-            index = open_block_for_qubit.get(qubit)
+            index = open_block_for_qubit.get(qubits[0])
             if index is not None:
                 blocks[index].instructions.append(instruction)
                 blocks[index].members.append(key)
-            else:
-                leftovers.append((key, instruction))
         else:
             for qubit in qubits:
-                if open_block_for_qubit.get(qubit) is not None:
-                    close_qubit(qubit)
-            leftovers.append((key, instruction))
-    return blocks, leftovers
-
-
-def collect_two_qubit_blocks(circuit: QuantumCircuit) -> Tuple[List[TwoQubitBlock], List[Tuple[int, Instruction]]]:
-    """Partition a circuit into 2Q blocks plus leftover standalone instructions.
-
-    Returns ``(blocks, leftovers)`` where every instruction of the circuit is
-    either a member of exactly one block or listed (with its position) in
-    ``leftovers``.  Blocks contain at least one two-qubit gate; single-qubit
-    gates sandwiched inside a run join the surrounding block.
-    """
-    return _collect_blocks(enumerate(circuit))
-
-
-def _fuse_block(
-    block: TwoQubitBlock, form: OutputForm, only_if_fewer_gates: bool
-) -> Optional[List[Instruction]]:
-    """Replacement instructions for one block (shared by both entry points).
-
-    Returns ``None`` when ``only_if_fewer_gates`` keeps the original run —
-    the block is still *collapsed* onto its start position (matching the
-    historical emission order), but callers can skip the rewrite entirely
-    when the members are already contiguous.
-    """
-    from repro.synthesis.two_qubit import two_qubit_to_can_circuit, two_qubit_to_cnot_circuit
-
-    matrix = block_unitary(block)
-    if form == "unitary":
-        return [Instruction(UnitaryGate(matrix, label="su4"), block.qubits)]
-    if form == "can":
-        synthesized = two_qubit_to_can_circuit(matrix, qubits=(0, 1))
-    else:
-        synthesized = two_qubit_to_cnot_circuit(matrix, qubits=(0, 1))
-    mapping = {0: block.qubits[0], 1: block.qubits[1]}
-    replacement = [instr.remap(mapping) for instr in synthesized]
-    if only_if_fewer_gates:
-        new_count = sum(1 for instr in replacement if instr.is_two_qubit)
-        if new_count >= block.num_two_qubit_gates:
-            return None
-    return replacement
+                open_block_for_qubit[qubit] = None
+    return blocks
 
 
 def _fuse_blocks(
@@ -164,19 +95,19 @@ def _fuse_blocks(
 ) -> List[Optional[List[Instruction]]]:
     """Replacement lists for ``blocks`` (``None`` = keep the original run).
 
-    The ``"can"`` form collects every block unitary and runs the KAK
-    decompositions as one vectorized batch; batch items are
-    composition-independent, so the flat-vs-IR entry point cannot perturb
-    any block's synthesis.  Other forms fuse one block at a time.
+    ``"unitary"`` wraps each block matrix in one opaque ``su4`` gate.  The
+    ``"can"`` form runs all the KAK decompositions as one vectorized batch;
+    batch items are composition-independent, so no block's synthesis depends
+    on its neighbours.  ``"cx"`` synthesizes one block at a time.
     """
-    if form != "can":
-        return [_fuse_block(block, form, only_if_fewer_gates) for block in blocks]
-    if not blocks:
-        return []
-
-    from repro.synthesis.two_qubit import two_qubit_to_can_circuits_batch
-
-    circuits = two_qubit_to_can_circuits_batch([block_unitary(block) for block in blocks], qubits=(0, 1))
+    if form == "unitary":
+        return [
+            [Instruction(UnitaryGate(block_unitary(block), label="su4"), block.qubits)] for block in blocks
+        ]
+    if form == "can":
+        circuits = two_qubit_to_can_circuits_batch([block_unitary(block) for block in blocks], qubits=(0, 1))
+    else:
+        circuits = [two_qubit_to_cnot_circuit(block_unitary(block), qubits=(0, 1)) for block in blocks]
     results: List[Optional[List[Instruction]]] = []
     for block, circuit in zip(blocks, circuits):
         mapping = {0: block.qubits[0], 1: block.qubits[1]}
@@ -190,63 +121,42 @@ def _fuse_blocks(
 
 
 def consolidate_blocks(
-    circuit: QuantumCircuit,
+    ir: CircuitIR,
     form: OutputForm = "unitary",
     only_if_fewer_gates: bool = False,
-) -> QuantumCircuit:
-    """Fuse every maximal 2Q run of ``circuit`` into a single operation.
+) -> None:
+    """Fuse every maximal 2Q run of ``ir`` into a single operation, in place.
 
     ``form`` selects the representation of the fused block: an opaque
     ``UnitaryGate`` (``"unitary"``), a ``{Can, U3}`` synthesis (``"can"``) or a
     minimal-CNOT synthesis (``"cx"``).  With ``only_if_fewer_gates`` the
     original run is kept whenever re-synthesis would not reduce its 2Q count
-    (used by the CNOT baselines).  ``circuit`` may also be a
-    :class:`~repro.ir.CircuitIR`; the result is always a new circuit.
+    (used by the CNOT baselines).  Each run goes in at the position of its
+    first member (:func:`replace_run`); nodes in no run are left untouched.
     """
-    blocks, leftovers = collect_two_qubit_blocks(circuit)
-    emissions: Dict[int, List[Instruction]] = {}
-    for position, instruction in leftovers:
-        emissions.setdefault(position, []).append(instruction)
-
+    blocks = _collect_blocks([(node, ir.instruction(node)) for node in ir.nodes()])
+    if not blocks:
+        return
     for block, replacement in zip(blocks, _fuse_blocks(blocks, form, only_if_fewer_gates)):
-        if replacement is None:  # kept run, emitted at its start position
-            replacement = list(block.instructions)
-        emissions.setdefault(block.start_position, []).extend(replacement)
-
-    result = QuantumCircuit(circuit.num_qubits, circuit.name)
-    for position in range(len(circuit)):
-        for instruction in emissions.get(position, []):
-            result.append(instruction.gate, instruction.qubits)
-    return result
+        replace_run(ir, block.members, replacement)
 
 
-def consolidate_blocks_ir(
-    ir,
-    form: OutputForm = "unitary",
-    only_if_fewer_gates: bool = False,
-) -> None:
-    """In-place block consolidation of a :class:`repro.ir.CircuitIR`.
+def replace_run(ir: CircuitIR, members: Sequence[int], replacement: Optional[List[Instruction]]) -> None:
+    """Put ``replacement`` where the first of ``members`` stands and drop the members.
 
-    Identical fusion decisions (and arithmetic) to :func:`consolidate_blocks`
-    — each maximal run is collapsed onto the position of its first member via
-    :meth:`~repro.ir.CircuitIR.replace_block`, leftovers keep their nodes
-    untouched — so the resulting instruction sequence is bit-identical to the
-    flat-circuit path.
+    ``None`` keeps the run: it is still collapsed onto its first member, which
+    moves it only when other instructions are interleaved with the members,
+    so a run that is already contiguous is left as it is (no rewrite and no
+    cache invalidation).
     """
-    blocks, _ = _collect_blocks([(node, ir.instruction(node)) for node in ir.nodes()])
-    for block, replacement in zip(blocks, _fuse_blocks(blocks, form, only_if_fewer_gates)):
-        if replacement is None:
-            # Kept run: the flat path still collapses it onto the block's
-            # start position, which only matters when other instructions are
-            # interleaved with the members — skip the rewrite (and the cache
-            # invalidation) when they are already contiguous.
-            if _members_contiguous(ir, block.members):
-                continue
-            replacement = list(block.instructions)
-        ir.replace_block(block.members, replacement)
+    if replacement is None:
+        if _members_contiguous(ir, members):
+            return
+        replacement = [ir.instruction(node) for node in members]
+    ir.replace_block(members, replacement)
 
 
-def _members_contiguous(ir, members: List[int]) -> bool:
+def _members_contiguous(ir: CircuitIR, members: Sequence[int]) -> bool:
     """True when ``members`` occupy consecutive program-order positions."""
     node = members[0]
     for expected in members:

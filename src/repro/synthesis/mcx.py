@@ -12,8 +12,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.instruction import Instruction
-from repro.gates import standard
 
 __all__ = ["decompose_mcx", "expand_mcx_gates", "required_ancillas"]
 

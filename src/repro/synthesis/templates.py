@@ -13,15 +13,24 @@ fusion with neighbouring templates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.gates import standard
+from repro.ir import CircuitIR
 from repro.synthesis.blocks import consolidate_blocks
 
 __all__ = ["Template", "TemplateLibrary", "default_template_library", "template_ir_key"]
+
+
+def _fused_can(circuit: QuantumCircuit) -> QuantumCircuit:
+    """``circuit`` with every maximal 2Q run fused into one ``{Can, U3}`` block."""
+    ir = CircuitIR.from_instructions(circuit.num_qubits, circuit, circuit.name)
+    consolidate_blocks(ir, form="can")
+    fused = QuantumCircuit(circuit.num_qubits, circuit.name)
+    fused.extend(ir.instructions())
+    return fused
 
 
 def _ccx_reference() -> QuantumCircuit:
@@ -180,7 +189,7 @@ class TemplateLibrary:
             raise ValueError(
                 f"template {name!r} does not implement its reference (overlap {overlap:.6f})"
             )
-        fused = consolidate_blocks(realization, form="can")
+        fused = _fused_can(realization)
         variants = []
         self_inverse = np.allclose(ref_unitary @ ref_unitary, np.eye(dim), atol=1e-9)
         if self_inverse:
@@ -204,8 +213,7 @@ class TemplateLibrary:
         unitary while starting/ending on different qubit pairs, which gives
         the assembly stage fusion opportunities with neighbouring templates.
         """
-        reversed_circuit = realization.inverse()
-        return consolidate_blocks(reversed_circuit, form="can")
+        return _fused_can(realization.inverse())
 
     def _optimize_template(
         self, target: np.ndarray, fallback: QuantumCircuit

@@ -22,8 +22,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.gates import standard
-from repro.linalg.predicates import allclose_up_to_global_phase, unitary_infidelity
+from repro.linalg.predicates import allclose_up_to_global_phase
 from repro.linalg.su2 import u3_params_from_matrix
 from repro.linalg.weyl import (
     canonical_gate,

@@ -8,7 +8,6 @@ the evaluation harness can scale them to the available compute budget.
 
 from __future__ import annotations
 
-from typing import Optional
 
 import numpy as np
 

@@ -1,0 +1,184 @@
+"""Flat-circuit reference twins of the in-place IR kernels (test oracles).
+
+The compiler rewrites one :class:`~repro.ir.CircuitIR` in place.  The
+functions here compute the same results the older way, by re-emitting a new
+:class:`QuantumCircuit`:
+
+* :func:`consolidate_blocks_flat` collects the same 2Q runs and fuses them
+  with the same arithmetic as :func:`repro.synthesis.blocks.consolidate_blocks`,
+  then emits every run at the position of its first member;
+* :func:`peephole_optimize` with :func:`_merge_one_qubit_runs` and
+  :func:`_cancel_adjacent_two_qubit` are the flat-list peephole kernels.
+
+They are deliberately *independent* of the IR kernels they check: a change
+to one side must be made to the other in lockstep, or
+``tests/test_ir.py`` fails.  Do not "deduplicate" them through the IR
+kernels; that would make the equivalence tests tautological.
+"""
+
+from typing import Dict, List, Optional
+
+import numpy as np
+
+from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.instruction import Instruction
+from repro.compiler.passes.peephole import (
+    _DIAGONAL_GATES,
+    _DIAGONAL_ROTATIONS,
+    _MERGEABLE_ROTATIONS,
+    _SELF_INVERSE_2Q,
+)
+from repro.linalg.predicates import allclose_up_to_global_phase
+from repro.linalg.su2 import u3_params_from_matrix
+from repro.synthesis.blocks import _collect_blocks, _fuse_blocks
+
+
+def consolidate_blocks_flat(
+    circuit: QuantumCircuit, form: str = "unitary", only_if_fewer_gates: bool = False
+) -> QuantumCircuit:
+    """Flat twin of :func:`repro.synthesis.blocks.consolidate_blocks`.
+
+    Returns a new circuit in which every run's replacement (or, when
+    ``only_if_fewer_gates`` keeps it, the run itself) is emitted at the
+    position of its first member and every other instruction at its own.
+    """
+    blocks = _collect_blocks(enumerate(circuit))
+    emissions: Dict[int, List[Instruction]] = {}
+    in_block = set()
+    for block, replacement in zip(blocks, _fuse_blocks(blocks, form, only_if_fewer_gates)):
+        in_block.update(block.members)
+        emissions[block.members[0]] = block.instructions if replacement is None else replacement
+    for position, instruction in enumerate(circuit):
+        if position not in in_block:
+            emissions[position] = [instruction]
+
+    result = QuantumCircuit(circuit.num_qubits, circuit.name)
+    for position in range(len(circuit)):
+        for instruction in emissions.get(position, []):
+            result.append(instruction.gate, instruction.qubits)
+    return result
+
+
+def _merge_one_qubit_runs(circuit: QuantumCircuit) -> QuantumCircuit:
+    """Fuse consecutive single-qubit gates on each wire into one ``U3``."""
+    pending: Dict[int, np.ndarray] = {}
+    result = QuantumCircuit(circuit.num_qubits, circuit.name)
+
+    def flush(qubit: int) -> None:
+        matrix = pending.pop(qubit, None)
+        if matrix is None:
+            return
+        if allclose_up_to_global_phase(matrix, np.eye(2), atol=1e-10):
+            return
+        _, theta, phi, lam = u3_params_from_matrix(matrix)
+        result.u3(theta, phi, lam, qubit)
+
+    for instruction in circuit:
+        if instruction.num_qubits == 1:
+            qubit = instruction.qubits[0]
+            pending[qubit] = instruction.gate.matrix @ pending.get(qubit, np.eye(2, dtype=complex))
+        else:
+            for qubit in instruction.qubits:
+                flush(qubit)
+            result.append(instruction.gate, instruction.qubits)
+    for qubit in list(pending):
+        flush(qubit)
+    return result
+
+
+def _cancel_adjacent_two_qubit(circuit: QuantumCircuit) -> QuantumCircuit:
+    """Cancel adjacent identical self-inverse 2Q gates and merge rotations.
+
+    Adjacency is evaluated per qubit pair: two 2Q gates cancel when no other
+    instruction touches either qubit in between.
+    """
+    instructions: List[Optional[Instruction]] = list(circuit)
+    last_on_pair: Dict[tuple, int] = {}
+    last_touch: Dict[int, int] = {}
+    last_nondiagonal_touch: Dict[int, int] = {}
+    for index, instruction in enumerate(circuit):
+        qubits = instruction.qubits
+        if instruction.num_qubits == 2:
+            pair = tuple(sorted(qubits))
+            previous = last_on_pair.get(pair)
+            previous_index = previous if previous is not None else -1
+            blocked = any(last_touch.get(q, -1) > previous_index for q in qubits)
+            blocked_nondiagonal = any(
+                last_nondiagonal_touch.get(q, -1) > previous_index for q in qubits
+            )
+            if previous is not None and instructions[previous] is not None:
+                prev_instr = instructions[previous]
+                same_orientation = prev_instr.qubits == qubits
+                name = instruction.gate.name
+                if (
+                    not blocked
+                    and name in _SELF_INVERSE_2Q
+                    and prev_instr.gate.name == name
+                    and same_orientation
+                ):
+                    instructions[previous] = None
+                    instructions[index] = None
+                    last_on_pair.pop(pair, None)
+                    for q in qubits:
+                        last_touch[q] = index
+                    continue
+                # Diagonal rotations merge across any intervening diagonal
+                # gates; other rotations only merge when strictly adjacent.
+                merge_allowed = (not blocked) or (
+                    name in _DIAGONAL_ROTATIONS and not blocked_nondiagonal
+                )
+                if (
+                    merge_allowed
+                    and name in _MERGEABLE_ROTATIONS
+                    and prev_instr.gate.name == name
+                    and same_orientation
+                ):
+                    angle = prev_instr.gate.params[0] + instruction.gate.params[0]
+                    instructions[previous] = None
+                    if abs(angle) < 1e-12:
+                        instructions[index] = None
+                    else:
+                        instructions[index] = Instruction(
+                            instruction.gate.with_params([angle]), qubits
+                        )
+                    last_on_pair[pair] = index
+                    for q in qubits:
+                        last_touch[q] = index
+                    continue
+            last_on_pair[pair] = index
+        for q in qubits:
+            last_touch[q] = index
+            if instruction.gate.name not in _DIAGONAL_GATES:
+                last_nondiagonal_touch[q] = index
+
+    result = QuantumCircuit(circuit.num_qubits, circuit.name)
+    for instruction in instructions:
+        if instruction is not None:
+            result.append(instruction.gate, instruction.qubits)
+    return result
+
+
+def peephole_optimize(
+    circuit: QuantumCircuit,
+    consolidate: bool = True,
+    max_rounds: int = 4,
+) -> QuantumCircuit:
+    """Iterate 1Q merging and 2Q cancellation to a fixed point.
+
+    With ``consolidate`` the final round re-synthesizes maximal two-qubit
+    runs with the minimal number of CNOTs (block consolidation), keeping the
+    original run whenever re-synthesis would not help.
+    """
+    current = circuit
+    for _ in range(max_rounds):
+        merged = _merge_one_qubit_runs(current)
+        cancelled = _cancel_adjacent_two_qubit(merged)
+        if len(cancelled) == len(current) and cancelled.count_two_qubit_gates() == current.count_two_qubit_gates():
+            current = cancelled
+            break
+        current = cancelled
+    if consolidate:
+        consolidated = consolidate_blocks_flat(current, form="cx", only_if_fewer_gates=True)
+        if consolidated.count_two_qubit_gates() <= current.count_two_qubit_gates():
+            current = _merge_one_qubit_runs(consolidated)
+    return current

@@ -12,6 +12,9 @@ path in :mod:`repro.compiler.routing.sabre`.  It exists for two reasons:
   previous version (``tests/test_sabre_fast_path.py`` routes a 64-qubit,
   2000-gate circuit through both).
 
+Test modules import it as ``from sabre_reference import ReferenceSabreRouter``
+(pytest puts ``tests/`` on ``sys.path``); no library code uses it.
+
 Do not optimize this module; it is intentionally the slow O(n·front) loop
 (``front.remove``, per-candidate Python heuristic sums, dict-based
 in-degrees over the :class:`DependencyGraph` arrays).

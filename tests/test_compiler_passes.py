@@ -17,12 +17,11 @@ from repro.compiler.passes.hierarchical import (
     partition_into_blocks,
 )
 from repro.compiler.passes.mirror import MirrorNearIdentityPass
-from repro.compiler.passes.peephole import peephole_optimize
+from repro.compiler.passes.peephole import PeepholeOptimizationPass
 from repro.compiler.passes.template_synthesis import TemplateSynthesisPass
 from repro.gates import standard
 from repro.ir import CircuitIR
 from repro.linalg.predicates import allclose_up_to_global_phase
-from repro.simulators.unitary import embed_unitary
 
 from repro.workloads.suite import benchmark_suite
 
@@ -117,7 +116,7 @@ def test_lower_high_level_gates_keeps_ccx():
 def test_peephole_cancels_cnot_pairs():
     circuit = QuantumCircuit(2)
     circuit.cx(0, 1).cx(0, 1).h(0).h(0).t(1)
-    optimized = peephole_optimize(circuit)
+    optimized = run_pass(PeepholeOptimizationPass(), circuit)
     assert optimized.count_two_qubit_gates() == 0
     assert allclose_up_to_global_phase(optimized.to_unitary(), circuit.to_unitary(), atol=1e-7)
 
@@ -125,7 +124,7 @@ def test_peephole_cancels_cnot_pairs():
 def test_peephole_merges_rotations():
     circuit = QuantumCircuit(2)
     circuit.rzz(0.3, 0, 1).rzz(0.4, 0, 1).rz(0.1, 0).rz(0.2, 0)
-    optimized = peephole_optimize(circuit, consolidate=False)
+    optimized = run_pass(PeepholeOptimizationPass(consolidate=False), circuit)
     assert optimized.count_two_qubit_gates() == 1
     assert allclose_up_to_global_phase(optimized.to_unitary(), circuit.to_unitary(), atol=1e-7)
 
@@ -134,7 +133,7 @@ def test_peephole_consolidates_dense_runs():
     circuit = QuantumCircuit(2)
     for _ in range(4):
         circuit.cx(0, 1).t(1).cx(1, 0).h(0)
-    optimized = peephole_optimize(circuit, consolidate=True)
+    optimized = run_pass(PeepholeOptimizationPass(consolidate=True), circuit)
     assert optimized.count_two_qubit_gates() <= 3
     assert allclose_up_to_global_phase(optimized.to_unitary(), circuit.to_unitary(), atol=1e-6)
 
@@ -142,7 +141,7 @@ def test_peephole_consolidates_dense_runs():
 def test_peephole_does_not_cancel_across_blockers():
     circuit = QuantumCircuit(2)
     circuit.cx(0, 1).t(1).cx(0, 1)
-    optimized = peephole_optimize(circuit, consolidate=False)
+    optimized = run_pass(PeepholeOptimizationPass(consolidate=False), circuit)
     # The T gate blocks naive cancellation.
     assert optimized.count_two_qubit_gates() == 2
 
@@ -172,8 +171,8 @@ def test_fuse_pass_reduces_gate_objects():
 def test_partition_into_blocks_three_qubit():
     circuit = QuantumCircuit(4)
     circuit.cx(0, 1).cx(1, 2).cx(0, 2).cx(2, 3)
-    blocks, leftovers = partition_into_blocks(circuit, block_size=3)
-    assert not leftovers
+    blocks = partition_into_blocks(circuit, block_size=3)
+    assert sorted(p for block in blocks for p in block.members) == list(range(len(circuit)))
     assert len(blocks) == 2
     assert blocks[0].qubits == (0, 1, 2)
     assert blocks[0].num_two_qubit_gates == 3
@@ -184,11 +183,11 @@ def test_partition_respects_ordering():
     circuit.cx(0, 1)
     circuit.cx(2, 3)
     circuit.cx(1, 2)
-    blocks, _ = partition_into_blocks(circuit, block_size=3)
+    blocks = partition_into_blocks(circuit, block_size=3)
     rebuilt = QuantumCircuit(4)
     emissions = {}
     for block in blocks:
-        emissions.setdefault(block.start_position, []).extend(block.instructions)
+        emissions.setdefault(block.members[0], []).extend(block.instructions)
     for position in range(len(circuit)):
         for instr in emissions.get(position, []):
             rebuilt.append(instr.gate, instr.qubits)
@@ -213,7 +212,7 @@ def test_dag_compacting_preserves_unitary_and_improves_compactness():
         circuit.cx(0, 1).t(1).cx(0, 1)
     circuit.cz(1, 2)
     circuit.cz(0, 1)
-    compacted = dag_compacting(circuit, threshold=4)
+    compacted = QuantumCircuit(3).extend(dag_compacting(list(circuit), threshold=4))
     assert allclose_up_to_global_phase(compacted.to_unitary(), circuit.to_unitary(), atol=1e-6)
     assert compactness(compacted, threshold=4) >= compactness(circuit, threshold=4)
 

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.experiments.common import format_rows, reduction_percent

@@ -7,13 +7,13 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.instruction import Instruction
 from repro.compiler.passes.base import CompilerPass, PassManager
 from repro.compiler.passes.fuse import Fuse2QBlocksPass
-from repro.compiler.passes.peephole import PeepholeOptimizationPass, peephole_optimize
+from repro.compiler.passes.peephole import PeepholeOptimizationPass
 from repro.gates import standard
-from repro.ir import CircuitIR, ExecutionFront, conversion_stats, reset_conversion_stats
-from repro.synthesis.blocks import consolidate_blocks
+from repro.ir import CircuitIR, conversion_stats, reset_conversion_stats
 from repro.target.pipeline import pipeline_names
 
 from circuit_helpers import run_pass
+from flat_oracles import consolidate_blocks_flat, peephole_optimize
 
 
 def random_standard_circuit(num_qubits, num_gates, seed):
@@ -79,7 +79,6 @@ def test_append_remove_substitute_and_views():
     n2 = ir.append(Instruction(standard.cx_gate(), (1, 2)))
     assert len(ir) == 3
     assert ir.two_qubit_count() == 2
-    assert ir.gate_counts() == {"h": 1, "cx": 2}
     assert ir.max_gate_arity() == 2
     assert ir.depth() == 3
 
@@ -89,8 +88,8 @@ def test_append_remove_substitute_and_views():
     assert ir.depth() == 1  # h(0) and cx(1,2) are now disjoint
 
     ir.substitute_node(n2, Instruction(standard.swap_gate(), (0, 2)))
-    assert ir.gate_counts() == {"h": 1, "swap": 1}
     assert [instr.gate.name for instr in ir] == ["h", "swap"]
+    assert ir.two_qubit_count() == 1 and ir.depth() == 2
     with pytest.raises(KeyError):
         ir.instruction(n1)
 
@@ -99,9 +98,10 @@ def test_insert_before_after_order():
     ir = CircuitIR(2)
     middle = ir.append(_instr(standard.h_gate, 0))
     ir.insert_before(middle, _instr(standard.x_gate, 0))
-    ir.insert_after(middle, _instr(standard.z_gate, 0))
-    assert [instr.gate.name for instr in ir] == ["x", "h", "z"]
-    assert ir.depth() == 3
+    last = ir.append(_instr(standard.z_gate, 0))
+    ir.insert_before(last, _instr(standard.y_gate, 0))
+    assert [instr.gate.name for instr in ir] == ["x", "h", "y", "z"]
+    assert ir.depth() == 4
 
 
 def test_replace_block_collapses_at_first_node():
@@ -128,43 +128,32 @@ def test_replace_block_is_transactional():
     assert len(ir) == 1
 
 
-def test_next_prev_node_navigation():
+def test_next_node_navigation():
     ir = CircuitIR(2)
     a = ir.append(_instr(standard.h_gate, 0))
     b = ir.append(_instr(standard.x_gate, 1))
-    assert ir.next_node(a) == b and ir.prev_node(b) == a
-    assert ir.prev_node(a) is None and ir.next_node(b) is None
+    assert ir.next_node(a) == b and ir.next_node(b) is None
     ir.remove_node(b)
     assert ir.next_node(a) is None
     with pytest.raises(KeyError):
         ir.next_node(b)
 
 
-def test_wire_nodes_and_front_layer():
-    ir = CircuitIR(3)
-    n0 = ir.append(Instruction(standard.cx_gate(), (0, 1)))
-    n1 = ir.append(_instr(standard.h_gate, 2))
-    n2 = ir.append(Instruction(standard.cx_gate(), (1, 2)))
-    assert ir.wire_nodes(1) == [n0, n2]
-    assert ir.front_layer() == [n0, n1]
-    assert ir.layers() == [[n0, n1], [n2]]
-    # Cached until mutation; a removal invalidates and recomputes.
-    ir.remove_node(n0)
-    assert ir.front_layer() == [n1]
+def test_removed_ir_and_flat_oracle_names_are_gone():
+    import importlib
 
+    import repro.compiler.passes
+    import repro.ir
+    import repro.synthesis.blocks
 
-def test_execution_front_incremental_release():
-    circuit = QuantumCircuit(3)
-    circuit.cx(0, 1).h(2).cx(1, 2)
-    ir = CircuitIR.from_circuit(circuit)
-    front = ExecutionFront(ir.dependency_graph())
-    assert front.front == [0, 1]
-    assert front.execute(0) == []
-    assert front.execute(1) == [2]
-    assert front.execute(2) == []
-    assert not front
-    with pytest.raises(ValueError):
-        front.execute(0)
+    assert not hasattr(repro.ir, "ExecutionFront")
+    for name in ("layers", "front_layer", "wire_nodes", "prev_node", "insert_after", "gate_counts"):
+        assert not hasattr(CircuitIR, name)
+    for name in ("consolidate_blocks_ir", "collect_two_qubit_blocks"):
+        assert not hasattr(repro.synthesis.blocks, name)
+    assert not hasattr(repro.compiler.passes, "peephole_optimize")
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.compiler.routing.sabre_reference")
 
 
 def test_rewrite_and_adopt():
@@ -238,7 +227,7 @@ def test_every_named_pipeline_converts_once_in_and_once_out(name):
 
 
 # ---------------------------------------------------------------------------
-# IR-native passes: equivalence with the flat kernels and manager contracts.
+# IR-native passes: equivalence with the flat oracles and manager contracts.
 # ---------------------------------------------------------------------------
 
 
@@ -258,9 +247,10 @@ def test_ir_fuse_matches_flat_kernel(seed):
     from repro.compiler.passes.decompose import decompose_to_cnot
 
     lowered = decompose_to_cnot(random_standard_circuit(5, 40, seed))
-    flat = consolidate_blocks(lowered, form="unitary")
-    via_ir = run_pass(Fuse2QBlocksPass(), lowered)
-    assert bit_identical(flat, via_ir)
+    for form in ("unitary", "can"):
+        flat = consolidate_blocks_flat(lowered, form=form)
+        via_ir = run_pass(Fuse2QBlocksPass(form=form), lowered)
+        assert bit_identical(flat, via_ir)
 
 
 @pytest.mark.parametrize("seed", range(6))

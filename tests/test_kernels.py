@@ -19,7 +19,6 @@ from repro.compiler.passes.route import SabreRoutingPass
 from repro.compiler.routing.coupling_map import CouplingMap
 from repro.compiler.routing.noise import NoiseRoutingModel
 from repro.compiler.routing.sabre import SabreRouter
-from repro.compiler.routing.sabre_reference import ReferenceSabreRouter
 from repro.kernels import (
     backend_info,
     kak_decompose_batch,
@@ -32,6 +31,7 @@ from repro.simulators.statevector import apply_gate, apply_gate_sequence
 from repro.target.target import resolve_target
 
 from circuit_helpers import circuits_bit_identical, random_two_qubit_circuit, run_pass
+from sabre_reference import ReferenceSabreRouter
 
 NATIVE_AVAILABLE = backend_info()["native_available"]
 

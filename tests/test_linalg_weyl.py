@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.linalg.constants import MAGIC_BASIS, PAULI_X, PAULI_Y, PAULI_Z, XX, YY, ZZ
+from repro.linalg.constants import MAGIC_BASIS, XX, YY, ZZ
 from repro.linalg.predicates import (
     allclose_up_to_global_phase,
     is_special_unitary,

@@ -6,11 +6,11 @@ import pytest
 
 from repro.compiler.routing.coupling_map import CouplingMap
 from repro.compiler.routing.sabre import SabreRouter
-from repro.compiler.routing.sabre_reference import ReferenceSabreRouter
 from repro.experiments.common import reference_cnot_circuit
 from repro.workloads.suite import benchmark_suite, suite_categories
 
 from circuit_helpers import circuits_bit_identical, random_two_qubit_circuit
+from sabre_reference import ReferenceSabreRouter
 
 
 def _assert_identical(fast, reference):

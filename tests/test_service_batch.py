@@ -7,7 +7,7 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.compiler.passes.hierarchical import HierarchicalSynthesisPass, partition_into_blocks
 from repro.compiler.passes.template_synthesis import TemplateSynthesisPass
 from repro.service.batch import BatchCompiler
-from repro.service.cache import SynthesisCache
+from repro.service.cache import SynthesisCache, circuit_fingerprint
 from repro.target.api import compile as target_compile
 from repro.workloads.suite import benchmark_suite
 
@@ -180,7 +180,7 @@ def test_hierarchical_resynthesis_consults_cache():
     pass_ = HierarchicalSynthesisPass(
         tolerance=1e-3, synthesizer=synthesizer, cache=cache
     )
-    blocks, _ = partition_into_blocks(_dense_three_qubit_circuit(), block_size=3)
+    blocks = partition_into_blocks(_dense_three_qubit_circuit(), block_size=3)
     dense = [b for b in blocks if b.num_two_qubit_gates > pass_.threshold]
     assert dense, "test circuit must produce at least one dense block"
     first = pass_._resynthesize(dense[0])
@@ -213,6 +213,26 @@ def test_template_pass_memoizes_whole_output():
     fourth = run_pass(pass_, renamed)
     assert cache.stats.hits >= 2
     assert fourth.name == "other_name"
+
+
+def test_template_pass_hits_an_entry_holding_a_circuit():
+    # Entries written before the pass rewrote the IR in place hold the output
+    # program as a QuantumCircuit; the key is unchanged, so they still hit.
+    circuit = QuantumCircuit(4, "ccx_chain")
+    circuit.ccx(0, 1, 2).h(1).ccx(2, 1, 0).cswap(3, 0, 2)
+    expected = run_pass(TemplateSynthesisPass(), circuit)
+    cache = SynthesisCache()
+    pass_ = TemplateSynthesisPass(cache=cache)
+    key = circuit_fingerprint(
+        circuit, "template_synthesis", pass_._library_fingerprint(), "selective=True", "fuse=True"
+    )
+    cache.put(key, expected.copy())
+    assert _circuits_identical(run_pass(pass_, circuit), expected)
+    assert cache.stats.hits == 1 and cache.stats.misses == 0
+    # A miss stores the same program under the same key.
+    fresh = SynthesisCache()
+    run_pass(TemplateSynthesisPass(cache=fresh), circuit)
+    assert _circuits_identical(QuantumCircuit(4).extend(fresh.get(key)), expected)
 
 
 def test_batch_accepts_qasm_paths_bit_identical_to_in_memory(tmp_path):

@@ -1,7 +1,6 @@
 """Tests for the content-addressed synthesis cache (repro.service.cache)."""
 
 import numpy as np
-import pytest
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.linalg.random import haar_random_su4

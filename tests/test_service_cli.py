@@ -176,6 +176,29 @@ def test_unknown_compiler_exits_before_any_compile(argv, monkeypatch):
         main(argv + (["--no-cache"] if argv[0] != "chaos" else []))
 
 
+def test_chaos_window_fits_the_soak_when_not_given(monkeypatch):
+    import repro.resilience
+
+    plans = []
+
+    def fake_run_chaos(plan, **kwargs):
+        plans.append(plan)
+        return {"ok": True}
+
+    monkeypatch.setattr(repro.resilience, "run_chaos", fake_run_chaos)
+    argv = ["chaos", "--scale", "tiny", "--requests-per-circuit", "1", "--faults", "10", "--json"]
+    assert main(argv) == 0
+    assert main(argv + ["--window", "40"]) == 0
+    derived, given = plans
+    # The 17 distinct tiny programs are dispatched at least once each, so the
+    # worker and clock layers draw at least 17 times and the socket layer
+    # (one draw per response) as often: every such fault must land below 17.
+    assert derived.window == 17
+    for layer in ("worker", "clock", "socket"):
+        assert derived.schedule(layer) and max(derived.schedule(layer)) < 17
+    assert given.window == 40
+
+
 def test_parser_rejects_json_and_csv_together():
     parser = build_parser()
     with pytest.raises(SystemExit):

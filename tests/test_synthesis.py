@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.instruction import Instruction
 from repro.gates import standard
 from repro.linalg.predicates import allclose_up_to_global_phase, unitary_infidelity
 from repro.linalg.random import haar_random_su2, haar_random_unitary
@@ -22,11 +23,8 @@ from repro.synthesis.approximate import (
     _infidelity_and_gradient,
     default_pair_order,
 )
-from repro.synthesis.blocks import (
-    block_unitary,
-    collect_two_qubit_blocks,
-    consolidate_blocks,
-)
+from repro.ir import CircuitIR
+from repro.synthesis.blocks import _collect_blocks, block_unitary, consolidate_blocks, replace_run
 from repro.synthesis.mcx import decompose_mcx, expand_mcx_gates, required_ancillas
 from repro.synthesis.one_qubit import u3_from_matrix
 from repro.synthesis.templates import TemplateLibrary, default_template_library, template_ir_key
@@ -168,21 +166,28 @@ def _run_heavy_circuit():
     return circuit
 
 
+def _consolidated(circuit, form, only_if_fewer_gates=False):
+    ir = CircuitIR.from_instructions(circuit.num_qubits, circuit)
+    consolidate_blocks(ir, form=form, only_if_fewer_gates=only_if_fewer_gates)
+    return QuantumCircuit(circuit.num_qubits).extend(ir)
+
+
 def test_collect_two_qubit_blocks_structure():
-    blocks, leftovers = collect_two_qubit_blocks(_run_heavy_circuit())
+    circuit = _run_heavy_circuit()
+    blocks = _collect_blocks(enumerate(circuit))
     assert len(blocks) == 2
     assert blocks[0].qubits == (0, 1)
     assert blocks[0].num_two_qubit_gates == 2
     assert blocks[1].qubits == (1, 2)
-    # h(0) precedes any block on qubit 0 and stays standalone; the trailing
+    # h(0) precedes any block on qubit 0 and stays in no block; the trailing
     # t(2) joins the open (1, 2) block.
-    leftover_names = sorted(instr.gate.name for _, instr in leftovers)
-    assert leftover_names == ["h"]
+    in_block = {key for block in blocks for key in block.members}
+    assert [circuit[key].gate.name for key in range(len(circuit)) if key not in in_block] == ["h"]
     assert "t" in [instr.gate.name for instr in blocks[1].instructions]
 
 
 def test_block_unitary_matches_subcircuit():
-    blocks, _ = collect_two_qubit_blocks(_run_heavy_circuit())
+    blocks = _collect_blocks(enumerate(_run_heavy_circuit()))
     sub = QuantumCircuit(2)
     sub.cx(0, 1).rz(0.3, 1).cx(0, 1)
     assert np.allclose(block_unitary(blocks[0]), sub.to_unitary())
@@ -191,7 +196,7 @@ def test_block_unitary_matches_subcircuit():
 @pytest.mark.parametrize("form", ["unitary", "can", "cx"])
 def test_consolidate_blocks_preserves_unitary(form):
     circuit = _run_heavy_circuit()
-    consolidated = consolidate_blocks(circuit, form=form)
+    consolidated = _consolidated(circuit, form)
     assert allclose_up_to_global_phase(
         consolidated.to_unitary(), circuit.to_unitary(), atol=1e-6
     )
@@ -199,7 +204,7 @@ def test_consolidate_blocks_preserves_unitary(form):
 
 def test_consolidate_blocks_reduces_cx_count():
     circuit = _run_heavy_circuit()
-    consolidated = consolidate_blocks(circuit, form="cx", only_if_fewer_gates=True)
+    consolidated = _consolidated(circuit, "cx", only_if_fewer_gates=True)
     # The (1,2) block is two cancelling CNOTs -> 0 gates; the (0,1) block is a
     # controlled-RZ class -> 2 CNOTs.
     assert consolidated.count_two_qubit_gates() <= 2
@@ -209,10 +214,23 @@ def test_consolidate_blocks_reduces_cx_count():
 
 
 def test_consolidate_blocks_unitary_form_counts():
-    consolidated = consolidate_blocks(_run_heavy_circuit(), form="unitary")
+    consolidated = _consolidated(_run_heavy_circuit(), "unitary")
     assert consolidated.count_two_qubit_gates() == 2
     names = consolidated.count_by_name()
     assert names.get("su4", 0) == 2
+
+
+def test_replace_run_collapses_a_kept_interleaved_run_onto_its_first_member():
+    ir = CircuitIR(3)
+    first = ir.append(Instruction(standard.cx_gate(), (0, 1)))
+    between = ir.append(Instruction(standard.h_gate(), (2,)))
+    last = ir.append(Instruction(standard.cx_gate(), (1, 0)))
+    replace_run(ir, [first, last], None)
+    assert [instr.qubits for instr in ir] == [(0, 1), (1, 0), (2,)]
+    # A kept run that is already contiguous keeps its nodes.
+    nodes = list(ir.nodes())
+    replace_run(ir, nodes[:2], None)
+    assert list(ir.nodes()) == nodes and between in ir
 
 
 # ---------------------------------------------------------------------------

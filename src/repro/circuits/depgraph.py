@@ -156,23 +156,6 @@ class DependencyGraph:
             for successor in self.successors(node):
                 yield node, int(successor)
 
-    # ------------------------------------------------------------------
-    def topological_layers(self) -> List[List[int]]:
-        """ASAP layering: lists of node indices at equal dependency depth.
-
-        Equivalent to repeatedly peeling the front layer off the DAG; nodes
-        within a layer are ascending.
-        """
-        depth = np.zeros(self.num_nodes, dtype=np.int64)
-        for node in range(self.num_nodes):
-            preds = self.predecessors(node)
-            if preds.shape[0]:
-                depth[node] = int(depth[preds].max()) + 1
-        layers: List[List[int]] = [[] for _ in range(int(depth.max()) + 1)] if self.num_nodes else []
-        for node in range(self.num_nodes):
-            layers[depth[node]].append(node)
-        return layers
-
     def to_circuit(self, name: str = "circuit") -> QuantumCircuit:
         """Rebuild the circuit (nodes are already topologically ordered)."""
         circuit = QuantumCircuit(self.num_qubits, name)

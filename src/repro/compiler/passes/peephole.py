@@ -141,9 +141,9 @@ def peephole_optimize_ir(
 
     With ``consolidate`` the final round re-synthesizes maximal two-qubit
     runs with the minimal number of CNOTs (block consolidation), keeping the
-    original run whenever re-synthesis would not help.  Fixed-point detection
-    reads the IR's O(1) gate/2Q counters; the consolidation round snapshots
-    the program so a non-improving rewrite can be rolled back.
+    original run whenever re-synthesis would not lower its 2Q count, so the
+    round never adds a 2Q gate.  Fixed-point detection reads the IR's O(1)
+    gate/2Q counters.
     """
     from repro.synthesis.blocks import consolidate_blocks
 
@@ -155,13 +155,8 @@ def peephole_optimize_ir(
         if len(ir) == gates_before and ir.two_qubit_count() == two_qubit_before:
             break
     if consolidate:
-        two_qubit_before = ir.two_qubit_count()
-        snapshot = list(ir.instructions())
         consolidate_blocks(ir, form="cx", only_if_fewer_gates=True)
-        if ir.two_qubit_count() <= two_qubit_before:
-            _merge_one_qubit_runs_ir(ir)
-        else:  # pragma: no cover - only_if_fewer_gates never increases #2Q
-            ir.rewrite(snapshot)
+        _merge_one_qubit_runs_ir(ir)
 
 
 class PeepholeOptimizationPass(CompilerPass):

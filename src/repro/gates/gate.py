@@ -170,7 +170,7 @@ class Gate:
     ) -> None:
         self.name = name
         self.num_qubits = int(num_qubits)
-        self.params: Tuple[float, ...] = tuple(float(p) for p in params)
+        self.params: Tuple[float, ...] = tuple(map(float, params))
         self._matrix = None if matrix is None else _freeze(matrix)
 
     # -- matrix ------------------------------------------------------------

@@ -26,6 +26,7 @@ Design
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.circuits.circuit import QuantumCircuit
@@ -337,21 +338,26 @@ class CircuitIR:
 
         The bulk primitive behind pass kernels that rebuild the whole
         sequence (synthesis, lowering, finalization, routing adoption);
-        validates every instruction before clearing the current program.
+        validates every instruction before clearing the current program,
+        then installs the list and its links in one step.
         """
         instructions = list(instructions)
-        for instruction in instructions:
-            self._validate(instruction)
+        qubits = [qubit for instruction in instructions for qubit in instruction.qubits]
+        if qubits and not (0 <= min(qubits) and max(qubits) < self.num_qubits):
+            for instruction in instructions:
+                self._validate(instruction)
         self._reset_storage()
-        for instruction in instructions:
-            node = self._new_node(instruction)
-            if self._tail < 0:
-                self._head = self._tail = node
-            else:
-                self._next[self._tail] = node
-                self._prev[node] = self._tail
-                self._tail = node
-            self._account(instruction, +1)
+        count = len(instructions)
+        if not count:
+            return
+        self._instructions = instructions
+        self._next = list(range(1, count))
+        self._next.append(-1)
+        self._prev = list(range(-1, count - 1))
+        self._head, self._tail = 0, count - 1
+        self._size = count
+        self._arity_counts = dict(Counter(len(instruction.qubits) for instruction in instructions))
+        self._two_qubit_count = self._arity_counts.get(2, 0)
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:

@@ -19,29 +19,36 @@ Two properties make the batch path safe to wire into the compiler:
   benchmark programs), and the per-family interning statistics are exposed
   through :func:`batch_stats` for the benchmark.
 
-The per-item arithmetic mirrors the scalar ``kak_decompose`` step for step
-(same mixing angle, same residue fix, same canonicalization), and the two
-paths agree to 1e-12 on every coordinate/local factor across the benchmark
-suite (property-tested).  Batch results are nevertheless kept out of the
-scalar path's synthesis-cache namespace (context tag ``("kak", "batch")``
-instead of ``("kak",)``) so the two populations can never alias on a
-platform where stacked and scalar LAPACK calls round differently.
+The arithmetic mirrors the scalar ``kak_decompose`` step for step (same
+mixing angle, same residue fix, same canonicalization), and the two paths
+agree to 1e-12 on every coordinate/local factor across the benchmark suite
+(property-tested).  The Weyl tail after the stacked LAPACK calls is stacked
+too, and bitwise equal to the scalar helpers that ``kak_decompose`` keeps:
+:func:`_phases_to_coordinates_batch` tries the scalar offsets in order with
+one multi-right-hand-side ``lstsq`` over the rows still unsolved, and
+:func:`_canonicalize_batch` applies each chamber move of
+``weyl._canonicalize_record`` to the rows that need it as a broadcast 2x2
+matmul.  Batch results are nevertheless kept out of the scalar path's
+synthesis-cache namespace (context tag ``("kak", "batch")`` instead of
+``("kak",)``) so the two populations can never alias on a platform where
+stacked and scalar LAPACK calls round differently.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.linalg.constants import COORD_TO_PHASE, MAGIC_BASIS, MAGIC_BASIS_DAG
+from repro.linalg.constants import AXIS_SWAP, COORD_TO_PHASE, MAGIC_BASIS, MAGIC_BASIS_DAG, PAULIS
 from repro.linalg import weyl as _weyl
 from repro.linalg.weyl import (
+    _BOUNDARY_TOL,
+    PI_2,
+    PI_4,
     KAKDecomposition,
-    _canonicalize_record,
-    _DecompositionRecord,
-    _phases_to_coordinates,
     _simultaneously_diagonalize,
 )
 
@@ -134,20 +141,116 @@ def _decompose_tensor_product_batch(matrices: np.ndarray, atol: float = 1e-6):
     return phase, a, b
 
 
-def _reconstruct_batch(records: Sequence[KAKDecomposition]) -> np.ndarray:
-    """Stack of reconstructed unitaries of ``records`` (validation only)."""
-    n = len(records)
-    l1 = np.stack([rec.l1 for rec in records])
-    l2 = np.stack([rec.l2 for rec in records])
-    r1 = np.stack([rec.r1 for rec in records])
-    r2 = np.stack([rec.r2 for rec in records])
+#: Offsets tried by :func:`_phases_to_coordinates_batch`, in the scalar order.
+_OFFSETS = tuple(itertools.product((0, 1, -1, 2, -2), repeat=3))
+
+
+def _phases_to_coordinates_batch(thetas: np.ndarray) -> np.ndarray:
+    """Stacked :func:`weyl._phases_to_coordinates` over ``(N, 4)`` phases.
+
+    Tries the scalar path's offsets in its order; each step solves only the
+    rows still unsolved, as one multi-right-hand-side ``lstsq`` whose columns
+    equal the scalar single-right-hand-side solutions bit for bit, and
+    accepts a row by the same ``1e-9`` test.
+    """
+    coords = np.empty((len(thetas), 3))
+    pending = np.arange(len(thetas))
+    for offsets in _OFFSETS:
+        if not len(pending):
+            break
+        targets = -thetas[pending]
+        targets[:, :3] += 2.0 * math.pi * np.array(offsets)
+        solution = np.linalg.lstsq(COORD_TO_PHASE, targets.T, rcond=None)[0].T
+        mismatch = np.exp(-1j * (solution @ COORD_TO_PHASE.T)) - np.exp(1j * thetas[pending])
+        solved = np.max(np.abs(mismatch), axis=1) < 1e-9
+        coords[pending[solved]] = solution[solved]
+        pending = pending[~solved]
+    if len(pending):
+        raise np.linalg.LinAlgError("could not map magic-basis phases to canonical coordinates")
+    return coords
+
+
+def _canonicalize_batch(
+    coords: np.ndarray,
+    phase: np.ndarray,
+    l1: np.ndarray,
+    l2: np.ndarray,
+    r1: np.ndarray,
+    r2: np.ndarray,
+) -> None:
+    """Stacked :func:`weyl._canonicalize_record`, in place on ``(N, ...)`` arrays.
+
+    Every chamber move of the scalar record is applied, in the record's
+    order, to the rows whose condition holds; its Pauli or ``AXIS_SWAP``
+    factor is a broadcast 2x2 matmul over those rows only, so each row sees
+    exactly the scalar sequence of products.
+    """
+
+    def shift(rows, axis, direction):
+        pauli = PAULIS[axis]
+        coords[rows, axis] += direction * PI_2
+        phase[rows] *= 1j if direction > 0 else -1j
+        r1[rows] = pauli @ r1[rows]
+        r2[rows] = pauli @ r2[rows]
+
+    def flip_pair(rows, axis_a, axis_b):
+        pauli = PAULIS[3 - axis_a - axis_b]
+        coords[rows, axis_a] *= -1.0
+        coords[rows, axis_b] *= -1.0
+        l1[rows] = l1[rows] @ pauli
+        r1[rows] = pauli @ r1[rows]
+
+    def swap_axes(rows, axis_a, axis_b):
+        clifford = AXIS_SWAP[(axis_a, axis_b)]
+        coords[rows, axis_a], coords[rows, axis_b] = coords[rows, axis_b], coords[rows, axis_a]
+        l1[rows] = l1[rows] @ clifford
+        l2[rows] = l2[rows] @ clifford
+        r1[rows] = clifford @ r1[rows]
+        r2[rows] = clifford @ r2[rows]
+
+    # Step 1: fold each coordinate into (-pi/4, pi/4].
+    for axis in range(3):
+        while len(rows := np.flatnonzero(coords[:, axis] > PI_4 + _BOUNDARY_TOL)):
+            shift(rows, axis, -1)
+        while len(rows := np.flatnonzero(coords[:, axis] <= -PI_4 + _BOUNDARY_TOL)):
+            shift(rows, axis, +1)
+    # Step 2: sort by decreasing absolute value (the record's bubble sort).
+    for _ in range(3):
+        for axis in range(2):
+            magnitude = np.abs(coords)
+            rows = np.flatnonzero(magnitude[:, axis] < magnitude[:, axis + 1] - 1e-15)
+            if len(rows):
+                swap_axes(rows, axis, axis + 1)
+    # Step 3: make the two largest coordinates non-negative (one branch per row).
+    negative = coords < -_BOUNDARY_TOL
+    both = negative[:, 0] & negative[:, 1]
+    for mask, axes in (
+        (both, (0, 1)),
+        (negative[:, 0] & ~both, (0, 2)),
+        (negative[:, 1] & ~negative[:, 0], (1, 2)),
+    ):
+        rows = np.flatnonzero(mask)
+        if len(rows):
+            flip_pair(rows, *axes)
+    # Step 4: at x == pi/4 choose the representative with z >= 0.
+    rows = np.flatnonzero((np.abs(coords[:, 0] - PI_4) < _BOUNDARY_TOL) & (coords[:, 2] < -_BOUNDARY_TOL))
+    if len(rows):
+        flip_pair(rows, 0, 2)
+        shift(rows, 0, +1)
+        magnitude = np.abs(coords[rows])
+        rows = rows[magnitude[:, 1] < magnitude[:, 2] - 1e-15]
+        if len(rows):
+            swap_axes(rows, 1, 2)
+
+
+def _reconstruct_batch(phase, l1, l2, coords, r1, r2) -> np.ndarray:
+    """Reconstructed unitaries of stacked decompositions (validation only)."""
+    n = len(phase)
     left = np.einsum("nij,nkl->nikjl", l1, l2).reshape(n, 4, 4)
     right = np.einsum("nij,nkl->nikjl", r1, r2).reshape(n, 4, 4)
-    coords = np.array([[rec.x, rec.y, rec.z] for rec in records], dtype=float)
     phases = coords @ COORD_TO_PHASE.T  # (N, 4)
     can = MAGIC_BASIS @ (np.exp(-1j * phases)[:, :, None] * MAGIC_BASIS_DAG)
-    gp = np.array([rec.global_phase for rec in records], dtype=complex)
-    return gp[:, None, None] * (left @ can @ right)
+    return phase[:, None, None] * (left @ can @ right)
 
 
 def _kak_decompose_stack(stack: np.ndarray, validate: bool) -> List[KAKDecomposition]:
@@ -165,13 +268,11 @@ def _kak_decompose_stack(stack: np.ndarray, validate: bool) -> List[KAKDecomposi
     p = _diagonalize_batch(m2)
     d = np.einsum("nii->ni", p.transpose(0, 2, 1) @ m2 @ p)
     thetas = np.angle(d) / 2.0
-    # Enforce sum(thetas) == 0 (mod 2 pi) per item — scalar Python floats so
-    # the residue branch is the exact computation of the scalar path.
-    for i in range(n):
-        total = float(np.sum(thetas[i]))
-        residue = (total + math.pi) % (2.0 * math.pi) - math.pi
-        if abs(residue) > 1e-6:
-            thetas[i, 3] += math.pi if residue < 0 else -math.pi
+    # Enforce sum(thetas) == 0 (mod 2 pi) per item: the scalar path's residue
+    # fix, elementwise (row sums and float remainder round as the scalar ones).
+    residue = (np.sum(thetas, axis=1) + math.pi) % (2.0 * math.pi) - math.pi
+    fix = np.flatnonzero(np.abs(residue) > 1e-6)
+    thetas[fix, 3] += np.where(residue[fix] < 0, math.pi, -math.pi)
 
     a_diag = np.exp(1j * thetas)
     conj = a_diag.conj()
@@ -188,28 +289,17 @@ def _kak_decompose_stack(stack: np.ndarray, validate: bool) -> List[KAKDecomposi
     phase_left, l1s, l2s = _decompose_tensor_product_batch(left_local)
     phase_right, r1s, r2s = _decompose_tensor_product_batch(right_local)
 
-    results: List[KAKDecomposition] = []
-    for i in range(n):
-        coords = _phases_to_coordinates(thetas[i])
-        gp = global_phase[i] * phase_left[i] * phase_right[i]
-        record = _DecompositionRecord(gp, l1s[i], l2s[i], coords, r1s[i], r2s[i])
-        _canonicalize_record(record)
-        cx, cy, cz = record.coords
-        results.append(
-            KAKDecomposition(
-                global_phase=complex(record.phase),
-                l1=record.l1,
-                l2=record.l2,
-                r1=record.r1,
-                r2=record.r2,
-                x=float(cx),
-                y=float(cy),
-                z=float(cz),
-            )
-        )
+    coords = _phases_to_coordinates_batch(thetas)
+    # Scalar complex products: numpy's array multiply rounds differently.
+    phase = np.array([g * a * b for g, a, b in zip(global_phase, phase_left, phase_right)], dtype=complex)
+    _canonicalize_batch(coords, phase, l1s, l2s, r1s, r2s)
+    results = [
+        KAKDecomposition(global_phase=gp, l1=l1s[i], l2=l2s[i], r1=r1s[i], r2=r2s[i], x=cx, y=cy, z=cz)
+        for i, (gp, (cx, cy, cz)) in enumerate(zip(phase.tolist(), coords.tolist()))
+    ]
     if validate:
         errors = np.linalg.norm(
-            (_reconstruct_batch(results) - stack).reshape(n, -1), axis=1
+            (_reconstruct_batch(phase, l1s, l2s, coords, r1s, r2s) - stack).reshape(n, -1), axis=1
         )
         if np.any(errors > 1e-6):
             worst = float(errors.max())

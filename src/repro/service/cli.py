@@ -1139,6 +1139,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             with open(spec, "r", encoding="utf-8") as handle:
                 spec = handle.read()
         try:
+            parsed = json.loads(spec)
+        except ValueError:
+            parsed = None  # from_spec reports the JSON error
+        try:
+            if isinstance(parsed, dict) and "faults" in parsed and "window" not in parsed:
+                # A balanced plan without a window fits it to the soak, as --faults does.
+                programs = len(benchmark_suite(scale=args.scale))
+                spec = dict(parsed, window=soak_window(programs, int(parsed["faults"])))
             plan = FaultPlan.from_spec(spec)
         except (ValueError, TypeError, KeyError) as exc:
             raise SystemExit(f"invalid --spec: {exc}")

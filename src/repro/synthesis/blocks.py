@@ -18,10 +18,10 @@ import numpy as np
 from repro.circuits.instruction import Instruction
 from repro.gates.gate import UnitaryGate
 from repro.ir import CircuitIR
-from repro.simulators.statevector import apply_gate_sequence
+from repro.simulators.statevector import _sequence_plan
 from repro.synthesis.two_qubit import two_qubit_to_can_circuits_batch, two_qubit_to_cnot_circuit
 
-__all__ = ["TwoQubitBlock", "consolidate_blocks", "replace_run", "block_unitary"]
+__all__ = ["TwoQubitBlock", "consolidate_blocks", "replace_run", "block_unitaries"]
 
 OutputForm = Literal["unitary", "can", "cx"]
 
@@ -44,14 +44,33 @@ class TwoQubitBlock:
         return sum(1 for instr in self.instructions if instr.is_two_qubit)
 
 
-def block_unitary(block: TwoQubitBlock) -> np.ndarray:
-    """4x4 unitary of a block, with ``block.qubits[0]`` as the first qubit."""
-    local_index = {block.qubits[0]: 0, block.qubits[1]: 1}
-    operations = [
-        (instruction.gate.matrix, [local_index[q] for q in instruction.qubits])
-        for instruction in block.instructions
-    ]
-    return apply_gate_sequence(np.eye(4, dtype=complex), operations, 2)
+def block_unitaries(blocks: Sequence[TwoQubitBlock]) -> List[np.ndarray]:
+    """4x4 unitaries of ``blocks``, each with ``block.qubits[0]`` as the first qubit.
+
+    Blocks with the same local qubit signature (the local qubits of each
+    member, in order) share one :func:`apply_gate_sequence` plan, so each
+    group runs the plan once as stacked ``(B, 2^k, 2^k) @ (B, 2^k, rest)``
+    products.  Every item of a stacked product is the per-block product,
+    so each unitary is bitwise the one ``apply_gate_sequence`` builds alone.
+    """
+    groups: Dict[Tuple[Tuple[int, ...], ...], List[int]] = {}
+    for position, block in enumerate(blocks):
+        first = block.qubits[0]
+        signature = tuple(tuple(int(q != first) for q in instr.qubits) for instr in block.instructions)
+        groups.setdefault(signature, []).append(position)
+    unitaries: List[np.ndarray] = [None] * len(blocks)  # type: ignore[list-item]
+    for signature, members in groups.items():
+        steps, final = _sequence_plan(2, signature, True)
+        tensor = np.tile(np.eye(4, dtype=complex), (len(members), 1, 1)).reshape(-1, 2, 2, 4)
+        for step, (qubits, perm) in enumerate(zip(signature, steps)):
+            matrices = np.stack([blocks[b].instructions[step].gate.matrix for b in members])
+            tensor = tensor.transpose((0,) + tuple(axis + 1 for axis in perm))
+            shape = tensor.shape
+            tensor = (matrices @ tensor.reshape(len(members), 2 ** len(qubits), -1)).reshape(shape)
+        tensor = tensor.transpose((0,) + tuple(axis + 1 for axis in final)).reshape(-1, 4, 4)
+        for b, unitary in zip(members, tensor):
+            unitaries[b] = unitary
+    return unitaries
 
 
 def _collect_blocks(items: Iterable[Tuple[int, Instruction]]) -> List[TwoQubitBlock]:
@@ -100,14 +119,16 @@ def _fuse_blocks(
     batch items are composition-independent, so no block's synthesis depends
     on its neighbours.  ``"cx"`` synthesizes one block at a time.
     """
+    unitaries = block_unitaries(blocks)
     if form == "unitary":
         return [
-            [Instruction(UnitaryGate(block_unitary(block), label="su4"), block.qubits)] for block in blocks
+            [Instruction(UnitaryGate(unitary, label="su4"), block.qubits)]
+            for block, unitary in zip(blocks, unitaries)
         ]
     if form == "can":
-        circuits = two_qubit_to_can_circuits_batch([block_unitary(block) for block in blocks], qubits=(0, 1))
+        circuits = two_qubit_to_can_circuits_batch(unitaries, qubits=(0, 1))
     else:
-        circuits = [two_qubit_to_cnot_circuit(block_unitary(block), qubits=(0, 1)) for block in blocks]
+        circuits = [two_qubit_to_cnot_circuit(unitary, qubits=(0, 1)) for unitary in unitaries]
     results: List[Optional[List[Instruction]]] = []
     for block, circuit in zip(blocks, circuits):
         mapping = {0: block.qubits[0], 1: block.qubits[1]}

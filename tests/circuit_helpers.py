@@ -53,3 +53,20 @@ def run_pass(compiler_pass, circuit: QuantumCircuit, properties=None) -> Quantum
     ir = CircuitIR.from_circuit(circuit)
     compiler_pass.run(ir, {} if properties is None else properties)
     return ir.to_circuit()
+
+
+def topological_layers(graph) -> list:
+    """ASAP layering of a :class:`~repro.circuits.depgraph.DependencyGraph`.
+
+    Lists of node indices at equal dependency depth, ascending within a
+    layer: what repeatedly peeling the front layer off the DAG yields.
+    """
+    depth = np.zeros(graph.num_nodes, dtype=np.int64)
+    for node in range(graph.num_nodes):
+        preds = graph.predecessors(node)
+        if preds.shape[0]:
+            depth[node] = int(depth[preds].max()) + 1
+    layers = [[] for _ in range(int(depth.max()) + 1)] if graph.num_nodes else []
+    for node in range(graph.num_nodes):
+        layers[depth[node]].append(node)
+    return layers

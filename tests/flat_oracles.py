@@ -8,7 +8,10 @@ functions here compute the same results the older way, by re-emitting a new
   with the same arithmetic as :func:`repro.synthesis.blocks.consolidate_blocks`,
   then emits every run at the position of its first member;
 * :func:`peephole_optimize` with :func:`_merge_one_qubit_runs` and
-  :func:`_cancel_adjacent_two_qubit` are the flat-list peephole kernels.
+  :func:`_cancel_adjacent_two_qubit` are the flat-list peephole kernels;
+* :func:`finalize_closure_scan` is the per-wire running-product scan of
+  :class:`repro.compiler.passes.finalize.FinalizeToCanPass`, one 2x2
+  product per fold, which the pass now computes as array work.
 
 They are deliberately *independent* of the IR kernels they check: a change
 to one side must be made to the other in lockstep, or
@@ -16,7 +19,7 @@ to one side must be made to the other in lockstep, or
 kernels; that would make the equivalence tests tautological.
 """
 
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,7 +32,10 @@ from repro.compiler.passes.peephole import (
     _SELF_INVERSE_2Q,
 )
 from repro.linalg.predicates import allclose_up_to_global_phase
-from repro.linalg.su2 import u3_params_from_matrix
+from repro.compiler.passes.finalize import _needs_synthesis
+from repro.gates import standard
+from repro.linalg.su2 import is_identity_class_batch, u3_params_batch, u3_params_from_matrix
+from repro.linalg.weyl import kak_decompose_batch
 from repro.synthesis.blocks import _collect_blocks, _fuse_blocks
 
 
@@ -182,3 +188,89 @@ def peephole_optimize(
         if consolidated.count_two_qubit_gates() <= current.count_two_qubit_gates():
             current = _merge_one_qubit_runs(consolidated)
     return current
+
+
+def finalize_closure_scan(
+    program: Sequence[Instruction], merge_single_qubit: bool = True
+) -> List[Instruction]:
+    """Closure-scan twin of ``FinalizeToCanPass``: the output program of ``program``.
+
+    One forward scan keeps, per wire, the running 2x2 product of the 1Q
+    gates and KAK local factors, flushing it where a 2Q gate is emitted on
+    the wire and, at the end, in the order the products started.
+    """
+    program = list(program)
+    block_keys: Dict[int, bytes] = {}
+    unique: Dict[bytes, Any] = {}
+    for position, instruction in enumerate(program):
+        if _needs_synthesis(instruction.gate):
+            content = instruction.gate.matrix.tobytes()
+            block_keys[position] = content
+            unique.setdefault(content, instruction.gate)
+    decomposed: Dict[bytes, Any] = {}
+    if unique:
+        matrices = [gate.matrix for gate in unique.values()]
+        decomposed = dict(zip(unique, kak_decompose_batch(matrices)))
+
+    emitted: List[Union[Instruction, int]] = []
+    products: List[np.ndarray] = []
+    flushed_wires: List[int] = []
+    running: Dict[int, np.ndarray] = {}
+
+    def flush(qubit: int) -> None:
+        product = running.pop(qubit, None)
+        if product is not None:
+            emitted.append(len(products))
+            products.append(product)
+            flushed_wires.append(qubit)
+
+    def fold(qubit: int, matrix: np.ndarray) -> None:
+        product = running.get(qubit)
+        running[qubit] = matrix if product is None else matrix @ product
+        if not merge_single_qubit:
+            flush(qubit)
+
+    can_gates: Dict[bytes, Any] = {}
+    for position, instruction in enumerate(program):
+        qubits = instruction.qubits
+        if len(qubits) == 1:
+            fold(qubits[0], instruction.gate.matrix)
+            continue
+        content = block_keys.get(position)
+        if content is None:
+            for qubit in qubits:
+                flush(qubit)
+            emitted.append(instruction)
+            continue
+        decomposition = decomposed[content]
+        q0, q1 = qubits
+        fold(q0, decomposition.r1)
+        fold(q1, decomposition.r2)
+        can = can_gates.get(content)
+        if can is None:
+            coords = decomposition.coordinates
+            can = standard.can_gate(*coords) if any(abs(c) > 1e-9 for c in coords) else False
+            can_gates[content] = can
+        if can is not False:
+            flush(q0)
+            flush(q1)
+            emitted.append(Instruction.unchecked(can, qubits))
+        fold(q0, decomposition.l1)
+        fold(q1, decomposition.l2)
+    for qubit in list(running):
+        flush(qubit)
+
+    u3s: List[Optional[Instruction]] = [None] * len(products)
+    if products:
+        stack = np.stack(products)
+        keep = np.flatnonzero(~is_identity_class_batch(stack))
+        _, thetas, phis, lams = u3_params_batch(stack[keep])
+        params = zip(thetas.tolist(), phis.tolist(), lams.tolist())
+        for index, (theta, phi, lam) in zip(keep.tolist(), params):
+            gate = standard.u3_gate(theta, phi, lam)
+            u3s[index] = Instruction.unchecked(gate, (flushed_wires[index],))
+    return [
+        u3s[entry] if isinstance(entry, int) else entry
+        for entry in emitted
+        if not isinstance(entry, int) or u3s[entry] is not None
+    ]

@@ -21,6 +21,8 @@ from repro.qasm import dumps, loads
 from repro.linalg.predicates import allclose_up_to_global_phase
 from repro.linalg.random import haar_random_unitary
 
+from circuit_helpers import topological_layers
+
 
 def bell_circuit():
     circuit = QuantumCircuit(2, "bell")
@@ -166,7 +168,7 @@ def test_layers_partition():
     circuit = QuantumCircuit(4)
     circuit.cx(0, 1).cx(2, 3).cx(1, 2).h(0)
     graph = DependencyGraph.from_circuit(circuit)
-    layering = [[graph.instructions[node] for node in layer] for layer in graph.topological_layers()]
+    layering = [[graph.instructions[node] for node in layer] for layer in topological_layers(graph)]
     assert len(layering) == 2
     assert len(layering[0]) == 2
     names = sorted(instr.gate.name for instr in layering[1])

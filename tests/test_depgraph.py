@@ -8,7 +8,7 @@ import networkx as nx
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.depgraph import DependencyGraph
 
-from circuit_helpers import random_two_qubit_circuit
+from circuit_helpers import random_two_qubit_circuit, topological_layers
 
 
 def _reference_nx_dag(circuit):
@@ -70,7 +70,7 @@ def test_depgraph_topological_layers_match_peeling(seed):
         layer = sorted(n for n in oracle.nodes if oracle.in_degree(n) == 0)
         expected.append(layer)
         oracle.remove_nodes_from(layer)
-    assert graph.topological_layers() == expected
+    assert topological_layers(graph) == expected
 
 
 def test_depgraph_round_trip():
@@ -87,7 +87,7 @@ def test_depgraph_empty_circuit():
     assert graph.num_nodes == 0
     assert graph.num_edges == 0
     assert graph.front_layer() == []
-    assert graph.topological_layers() == []
+    assert topological_layers(graph) == []
 
 
 def test_layers_match_greedy_qubit_frontier():
@@ -104,5 +104,5 @@ def test_layers_match_greedy_qubit_frontier():
             for qubit in instruction.qubits:
                 frontier[qubit] = level + 1
         graph = DependencyGraph.from_circuit(circuit)
-        layering = [[graph.instructions[node] for node in layer] for layer in graph.topological_layers()]
+        layering = [[graph.instructions[node] for node in layer] for layer in topological_layers(graph)]
         assert layering == expected

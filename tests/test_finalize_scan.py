@@ -1,7 +1,8 @@
 """The batched finalize/mirror path: vectorized SU(2) kernels against their
-scalar twins, composition independence, semantic equivalence of compiled
-programs up to ``CompilationResult.final_permutation``, and mirror's
-per-gate fallback when the batched decomposition raises."""
+scalar twins, the array finalize scan against the closure scan it replaced,
+composition independence, semantic equivalence of compiled programs up to
+``CompilationResult.final_permutation``, and mirror's per-gate fallback when
+the batched decomposition raises."""
 
 import cmath
 import dataclasses
@@ -12,7 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.instruction import Instruction
+from repro.compiler.passes.finalize import FinalizeToCanPass
 from repro.compiler.passes.mirror import MirrorNearIdentityPass
+from repro.gates import standard
 from repro.gates.gate import UnitaryGate
 from repro.linalg.predicates import allclose_up_to_global_phase
 from repro.linalg.random import haar_random_unitary
@@ -31,6 +35,7 @@ from repro.target.api import compile as target_compile
 from repro.target.pipeline import named_pipeline
 
 from circuit_helpers import run_pass
+from flat_oracles import finalize_closure_scan
 
 
 def _edge_cases():
@@ -114,6 +119,94 @@ def test_batch_split_in_two_is_bit_identical_to_the_whole_batch():
     head, tail = u3_params_batch(stack[:split]), u3_params_batch(stack[split:])
     for full, first, second in zip(whole, head, tail):
         assert full.tobytes() == np.concatenate([first, second]).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The array finalize scan against the closure scan it replaced.
+# ---------------------------------------------------------------------------
+
+
+def _scan_program(num_qubits, num_gates, seed):
+    """Random finalize input: every instruction kind the scan distinguishes.
+
+    Haar ``su4`` blocks (some repeated, as one shared gate and as equal
+    copies), cx and swap (synthesized), identity-class blocks (local
+    products: no Can, so their factors join longer segments), named ``can``
+    gates and a 3-qubit ``ccx`` (flushed and passed through), and 1Q gates
+    including identities (dropped products).
+    """
+    rng = np.random.default_rng(seed)
+    shared = UnitaryGate(haar_random_unitary(4, rng), label="su4")
+    program = []
+    for _ in range(num_gates):
+        kind = rng.choice(["u3", "id", "su4", "shared", "copy", "local", "cx", "swap", "can", "ccx"])
+        a, b, c = (int(q) for q in rng.choice(num_qubits, size=3, replace=False))
+        if kind == "u3":
+            gate, qubits = standard.u3_gate(*rng.uniform(-math.pi, math.pi, 3)), (a,)
+        elif kind == "id":
+            gate, qubits = UnitaryGate(np.eye(2), label="id"), (a,)
+        elif kind == "su4":
+            gate, qubits = UnitaryGate(haar_random_unitary(4, rng), label="su4"), (a, b)
+        elif kind == "shared":
+            gate, qubits = shared, (a, b)
+        elif kind == "copy":
+            gate, qubits = UnitaryGate(shared.matrix.copy(), label="su4"), (a, b)
+        elif kind == "local":
+            local = np.kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng))
+            gate, qubits = UnitaryGate(local, label="su4"), (a, b)
+        elif kind == "cx":
+            gate, qubits = standard.cx_gate(), (a, b)
+        elif kind == "swap":
+            gate, qubits = standard.swap_gate(), (a, b)
+        elif kind == "can":
+            gate, qubits = standard.can_gate(*rng.uniform(-0.5, 0.5, 3)), (a, b)
+        else:
+            gate, qubits = standard.ccx_gate(), (a, b, c)
+        program.append(Instruction(gate, qubits))
+    return program
+
+
+def _bits(instructions):
+    return [
+        (instr.gate.name, instr.qubits, tuple(float(p).hex() for p in instr.gate.params))
+        for instr in instructions
+    ]
+
+
+@pytest.mark.parametrize("merge", [True, False])
+@pytest.mark.parametrize("seed", range(6))
+def test_array_scan_matches_the_closure_scan_bit_for_bit(merge, seed):
+    program = _scan_program(5, 120, seed)
+    circuit = QuantumCircuit(5)
+    for instruction in program:
+        circuit.append(instruction.gate, instruction.qubits)
+    result = run_pass(FinalizeToCanPass(merge_single_qubit=merge), circuit)
+    expected = finalize_closure_scan(program, merge_single_qubit=merge)
+    assert _bits(result) == _bits(expected)
+    names = [instr.gate.name for instr in result]
+    assert set(names) <= {"u3", "can", "ccx"}
+    # Identity-class blocks emitted no Can, so some segments ran longer.
+    assert 0 < names.count("can") < sum(len(instr.qubits) == 2 for instr in program)
+
+
+@pytest.mark.parametrize("merge", [True, False])
+def test_array_scan_edge_programs_match_the_closure_scan(merge):
+    rng = np.random.default_rng(3)
+    local = UnitaryGate(np.kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng)), label="su4")
+    programs = [
+        [],
+        [Instruction(standard.u3_gate(0.1, 0.2, 0.3), (1,)), Instruction(standard.h_gate(), (1,))],
+        [Instruction(standard.can_gate(0.3, 0.2, 0.1), (0, 1))],
+        [Instruction(standard.ccx_gate(), (0, 1, 2))],
+        # Identity-class blocks only: one segment per wire, 2 factors each.
+        [Instruction(local, (0, 1)), Instruction(local, (1, 2)), Instruction(standard.h_gate(), (0,))],
+    ]
+    for program in programs:
+        circuit = QuantumCircuit(3)
+        for instruction in program:
+            circuit.append(instruction.gate, instruction.qubits)
+        result = run_pass(FinalizeToCanPass(merge_single_qubit=merge), circuit)
+        assert _bits(result) == _bits(finalize_closure_scan(program, merge_single_qubit=merge))
 
 
 # ---------------------------------------------------------------------------

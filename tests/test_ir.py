@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.depgraph import DependencyGraph
 from repro.circuits.instruction import Instruction
 from repro.compiler.passes.base import CompilerPass, PassManager
 from repro.compiler.passes.fuse import Fuse2QBlocksPass
@@ -149,9 +150,10 @@ def test_removed_ir_and_flat_oracle_names_are_gone():
     assert not hasattr(repro.ir, "ExecutionFront")
     for name in ("layers", "front_layer", "wire_nodes", "prev_node", "insert_after", "gate_counts"):
         assert not hasattr(CircuitIR, name)
-    for name in ("consolidate_blocks_ir", "collect_two_qubit_blocks"):
+    for name in ("consolidate_blocks_ir", "collect_two_qubit_blocks", "block_unitary"):
         assert not hasattr(repro.synthesis.blocks, name)
     assert not hasattr(repro.compiler.passes, "peephole_optimize")
+    assert not hasattr(DependencyGraph, "topological_layers")
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.compiler.routing.sabre_reference")
 

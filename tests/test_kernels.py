@@ -296,6 +296,75 @@ def test_batch_kak_is_composition_independent():
         assert _kak_bit_identical(a, c)
 
 
+def _weyl_tail_coordinates(count, seed):
+    """Coordinate triples for the stacked Weyl tail: random, named and boundary rows.
+
+    Random triples span several chamber shifts; the named gates (identity,
+    CX, iSWAP, SWAP, B) come in permuted and sign-flipped representatives;
+    boundary rows sit on x = pi/4 with z < 0 and within ``_BOUNDARY_TOL``
+    of a chamber face (x = pi/4, x = y, y = |z|, z = 0).
+    """
+    from repro.linalg.weyl import _BOUNDARY_TOL, PI_4
+
+    rng = np.random.default_rng(seed)
+    named = [(0, 0, 0), (PI_4, 0, 0), (PI_4, PI_4, 0), (PI_4, PI_4, PI_4), (PI_4, PI_4 / 2, 0)]
+    rows = [list(rng.uniform(-2.0, 2.0, 3)) for _ in range(count)]
+    for x, y, z in named:
+        for perm in ((x, y, z), (y, x, z), (z, y, x), (-x, -y, z), (x, -y, -z), (-x, y, -z)):
+            rows.append(list(perm))
+    tol = _BOUNDARY_TOL
+    for _ in range(count // 10):
+        x, y, z = sorted(rng.uniform(0.0, PI_4, 3), reverse=True)
+        eps = rng.uniform(-tol, tol)
+        rows += [
+            [PI_4, y, -z],
+            [PI_4 + eps, y, -z],
+            [PI_4 - 0.5 * tol, y, z - 2 * tol],
+            [x, x + eps, z],
+            [x, y, y + eps],
+            [x, y, eps],
+            [eps, 0.0, -eps],
+            [-PI_4 + eps, y, z],
+            [x + 2 * PI_4, -y - 2 * PI_4, z],
+        ]
+    return np.array(rows)
+
+
+def test_stacked_weyl_tail_matches_the_scalar_helpers_bit_for_bit():
+    from repro.kernels.kak_batch import _canonicalize_batch, _phases_to_coordinates_batch
+    from repro.linalg.constants import COORD_TO_PHASE
+    from repro.linalg.random import haar_random_unitary
+    from repro.linalg.weyl import _canonicalize_record, _DecompositionRecord, _phases_to_coordinates
+
+    rng = np.random.default_rng(11)
+    coords = _weyl_tail_coordinates(700, seed=4)
+    # Phases as the magic-basis eigenvalues give them: angle / 2, sum 0 mod 2 pi.
+    thetas = np.angle(np.exp(-2j * (coords @ COORD_TO_PHASE.T))) / 2.0
+    residue = (thetas.sum(axis=1) + np.pi) % (2.0 * np.pi) - np.pi
+    thetas[:, 3] -= residue
+    count = len(coords)
+    assert count > 900
+    phase = np.exp(1j * rng.uniform(-np.pi, np.pi, count))
+    factors = [np.stack([haar_random_unitary(2, rng) for _ in range(count)]) for _ in range(4)]
+
+    for size in (1, 7, count):
+        solved = _phases_to_coordinates_batch(thetas[:size])
+        expected = np.stack([_phases_to_coordinates(row) for row in thetas[:size]])
+        assert solved.tobytes() == expected.tobytes()
+
+        for start in (coords[:size], solved):
+            stacked = [start.copy(), phase[:size].copy()] + [f[:size].copy() for f in factors]
+            _canonicalize_batch(*stacked)
+            for i in range(size):
+                l1, l2, r1, r2 = (f[i] for f in factors)
+                record = _DecompositionRecord(phase[i], l1, l2, start[i], r1, r2)
+                _canonicalize_record(record)
+                assert stacked[0][i].tobytes() == record.coords.tobytes()
+                assert stacked[1][i].tobytes() == np.complex128(record.phase).tobytes()
+                for got, want in zip(stacked[2:], (record.l1, record.l2, record.r1, record.r2)):
+                    assert got[i].tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 def test_batch_kak_interns_exact_duplicates():
     from repro.kernels import batch_stats, reset_batch_stats
 

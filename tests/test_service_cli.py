@@ -199,6 +199,30 @@ def test_chaos_window_fits_the_soak_when_not_given(monkeypatch):
     assert given.window == 40
 
 
+def test_chaos_spec_without_window_fits_the_soak(monkeypatch):
+    import repro.resilience
+
+    plans = []
+
+    def fake_run_chaos(plan, **kwargs):
+        plans.append(plan)
+        return {"ok": True}
+
+    monkeypatch.setattr(repro.resilience, "run_chaos", fake_run_chaos)
+    argv = ["chaos", "--scale", "tiny", "--requests-per-circuit", "1", "--json", "--spec"]
+    assert main(argv + ['{"seed": 42, "faults": 10}']) == 0
+    assert main(argv + ['{"seed": 42, "faults": 10, "window": 40}']) == 0
+    derived, given = plans
+    # Same window as the --faults path: the 17 distinct tiny programs.
+    assert derived.window == 17
+    assert derived.seed == 42 and derived.total_faults() == 10
+    for layer in ("worker", "clock", "socket"):
+        assert derived.schedule(layer) and max(derived.schedule(layer)) < 17
+    assert given.window == 40
+    with pytest.raises(SystemExit, match="not valid JSON"):
+        main(argv + ["{faults"])
+
+
 def test_parser_rejects_json_and_csv_together():
     parser = build_parser()
     with pytest.raises(SystemExit):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.instruction import Instruction
 from repro.gates import standard
+from repro.gates.gate import UnitaryGate
 from repro.linalg.predicates import allclose_up_to_global_phase, unitary_infidelity
 from repro.linalg.random import haar_random_su2, haar_random_unitary
 from repro.linalg.weyl import canonical_gate, weyl_coordinates
@@ -24,7 +25,7 @@ from repro.synthesis.approximate import (
     default_pair_order,
 )
 from repro.ir import CircuitIR
-from repro.synthesis.blocks import _collect_blocks, block_unitary, consolidate_blocks, replace_run
+from repro.synthesis.blocks import _collect_blocks, block_unitaries, consolidate_blocks, replace_run
 from repro.synthesis.mcx import decompose_mcx, expand_mcx_gates, required_ancillas
 from repro.synthesis.one_qubit import u3_from_matrix
 from repro.synthesis.templates import TemplateLibrary, default_template_library, template_ir_key
@@ -190,7 +191,38 @@ def test_block_unitary_matches_subcircuit():
     blocks = _collect_blocks(enumerate(_run_heavy_circuit()))
     sub = QuantumCircuit(2)
     sub.cx(0, 1).rz(0.3, 1).cx(0, 1)
-    assert np.allclose(block_unitary(blocks[0]), sub.to_unitary())
+    assert np.allclose(block_unitaries(blocks[:1])[0], sub.to_unitary())
+
+
+def test_block_unitaries_equal_per_block_sequences_bit_for_bit():
+    """Stacked per-signature products against one ``apply_gate_sequence`` per block."""
+    rng = np.random.default_rng(17)
+    circuit = QuantumCircuit(5)
+    for _ in range(600):
+        a, b = (int(q) for q in rng.choice(5, size=2, replace=False))
+        kind = rng.integers(5)
+        if kind == 0:
+            circuit.u3(*rng.uniform(-math.pi, math.pi, 3), a)
+        elif kind == 1:
+            circuit.rz(float(rng.uniform(-math.pi, math.pi)), a)
+        elif kind == 2:
+            circuit.cx(a, b)
+        elif kind == 3:
+            circuit.append(UnitaryGate(haar_random_unitary(4, rng), label="su4"), (a, b))
+        else:
+            circuit.can(*rng.uniform(-0.7, 0.7, 3), a, b)
+    blocks = _collect_blocks(enumerate(circuit))
+    signatures = {
+        tuple(tuple(q != block.qubits[0] for q in instr.qubits) for instr in block.instructions)
+        for block in blocks
+    }
+    assert len(blocks) > 100 and len(signatures) > 20
+    for block, unitary in zip(blocks, block_unitaries(blocks)):
+        local = {block.qubits[0]: 0, block.qubits[1]: 1}
+        operations = [(instr.gate.matrix, [local[q] for q in instr.qubits]) for instr in block.instructions]
+        expected = apply_gate_sequence(np.eye(4, dtype=complex), operations, 2)
+        assert unitary.tobytes() == expected.tobytes()
+    assert block_unitaries([]) == []
 
 
 @pytest.mark.parametrize("form", ["unitary", "can", "cx"])

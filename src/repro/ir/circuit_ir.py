@@ -226,11 +226,25 @@ class CircuitIR:
     def depth(self) -> int:
         """Circuit depth; cached, recomputed only after a mutation."""
         if self._depth is None:
+            # Walk the links directly, with the 1Q and 2Q cases unrolled: the
+            # pass manager reads the depth after every pass.
             frontier = [0] * self.num_qubits
-            for instruction in self.instructions():
-                level = max(frontier[q] for q in instruction.qubits) + 1
-                for qubit in instruction.qubits:
-                    frontier[qubit] = level
+            instructions, successor = self._instructions, self._next
+            node = self._head
+            while node >= 0:
+                qubits = instructions[node].qubits
+                arity = len(qubits)
+                if arity == 1:
+                    frontier[qubits[0]] += 1
+                elif arity == 2:
+                    a, b = qubits
+                    level = frontier[a] if frontier[a] > frontier[b] else frontier[b]
+                    frontier[a] = frontier[b] = level + 1
+                else:
+                    level = max(frontier[q] for q in qubits) + 1
+                    for qubit in qubits:
+                        frontier[qubit] = level
+                node = successor[node]
             self._depth = max(frontier, default=0)
         return self._depth
 

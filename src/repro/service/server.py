@@ -6,11 +6,13 @@ socket speaking the NDJSON protocol of :mod:`repro.service.protocol`, a
 persistent sharded :class:`~repro.service.pool.WorkerPool`, and three
 layers of request coalescing in front of it:
 
-1. **Result cache** — a bounded LRU of completed responses keyed by the
-   request's content hash; a repeat submission answers without touching
-   the pool at all.  In front of it, a raw-request pre-key (a hash of the
-   exact QASM bytes and options) aliases requests that were already
-   answered, so an exact repeat answers before its QASM is even parsed.
+1. **Result cache** — a bounded LRU of completed answers keyed by the
+   request's content hash, each held as its encoded response body; a
+   repeat submission answers without touching the pool at all, and
+   encodes nothing but its own request id.  In front of it, a raw-request
+   pre-key (a hash of the exact QASM bytes and options) aliases requests
+   that were already answered, so an exact repeat answers before its QASM
+   is even parsed.
 2. **In-flight dedup** — concurrent submissions of the same circuit
    (same :func:`~repro.service.cache.circuit_fingerprint`, compiler,
    target, seed and fault) attach to the one running job and all
@@ -75,6 +77,14 @@ def _raw_request_key(qasm_bytes: bytes, request: Dict[str, Any]) -> str:
     digest.update(b"\n")
     digest.update(qasm_bytes)
     return digest.hexdigest()
+
+
+@dataclass
+class _InFlight:
+    """One running compile; ``body`` is its encoded answer once a waiter has it."""
+
+    future: "Future[JobOutcome]"
+    body: Optional[bytes] = None
 
 
 @dataclass
@@ -149,10 +159,11 @@ class CompileServer:
         self._lock = threading.Lock()
         self._shutdown = threading.Event()
         self._started = False
-        # Dedup state: content-hash -> future (in flight) / response payload
-        # fields (result LRU).  Aggregated worker-side cache counters.
-        self._inflight: Dict[str, "Future[JobOutcome]"] = {}
-        self._result_cache: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        # Dedup state: content-hash -> running compile (in flight) / encoded
+        # response body, ``protocol.encode_body`` of the answer's fields
+        # (result LRU).  Aggregated worker-side cache counters.
+        self._inflight: Dict[str, _InFlight] = {}
+        self._result_cache: "OrderedDict[str, bytes]" = OrderedDict()
         # Raw pre-key (exact QASM bytes + options) -> content key, recorded
         # only once that request was answered with a result; bounded like
         # the result LRU.
@@ -324,8 +335,13 @@ class CompileServer:
             except OSError:
                 pass
 
-    def _send(self, conn: socket.socket, message: Dict[str, Any], faultable: bool = False) -> bool:
+    def _send(
+        self, conn: socket.socket, message: Union[Dict[str, Any], bytes], faultable: bool = False
+    ) -> bool:
         """Send one frame; returns False when the connection is unusable.
+
+        ``message`` is a response dict, or a frame already encoded by
+        :func:`protocol.ok_frame`, which goes out as it is.
 
         When a chaos :class:`FaultPlan` arms the ``socket`` layer and this
         frame is faultable, a scheduled fault may fire instead of a clean
@@ -333,7 +349,7 @@ class CompileServer:
         sends a torn half-frame then hangs up, ``delay`` withholds the
         response briefly (tail latency — the client's hedging trigger).
         """
-        payload = protocol.encode_frame(message)
+        payload = message if isinstance(message, bytes) else protocol.encode_frame(message)
         if faultable and self._socket_faults is not None:
             mode = self._socket_faults.draw()
             if mode == "reset":
@@ -371,7 +387,7 @@ class CompileServer:
     # ------------------------------------------------------------------
     # Request handling.
     # ------------------------------------------------------------------
-    def _handle_frame(self, frame: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+    def _handle_frame(self, frame: Dict[str, Any]) -> Optional[Union[Dict[str, Any], bytes]]:
         request_id = frame.get("id") if isinstance(frame, dict) else None
         try:
             request = protocol.validate_request(
@@ -402,7 +418,7 @@ class CompileServer:
             return protocol.ok_response(request_id, op="shutdown")
         return self._handle_compile(request)
 
-    def _handle_compile(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _handle_compile(self, request: Dict[str, Any]) -> Union[Dict[str, Any], bytes]:
         request_id = request["id"]
         with self._lock:
             self.stats.received += 1
@@ -428,14 +444,14 @@ class CompileServer:
         with self._lock:
             aliased = self._result_aliases.get(raw_key)
             if aliased is not None:
-                cached = self._result_cache.get(aliased)
-                if cached is not None:
+                body = self._result_cache.get(aliased)
+                if body is not None:
                     self._result_aliases.move_to_end(raw_key)
                     self._result_cache.move_to_end(aliased)
                     self.stats.dedup_raw_key += 1
                     self.stats.dedup_result_cache += 1
                     self.stats.completed += 1
-                    return protocol.ok_response(request_id, cached="result", **cached)
+                    return protocol.ok_frame(request_id, "result", body)
                 del self._result_aliases[raw_key]  # its result was evicted
 
         # Parse up front: a syntactically broken program is the client's
@@ -487,19 +503,17 @@ class CompileServer:
         )
         timeout = request["timeout"] or self.config.job_timeout
 
-        future: Optional["Future[JobOutcome]"] = None
         with self._lock:
-            cached = self._result_cache.get(key)
-            if cached is not None:
+            body = self._result_cache.get(key)
+            if body is not None:
                 self._result_cache.move_to_end(key)
                 self._remember_alias(raw_key, key)
                 self.stats.dedup_result_cache += 1
                 self.stats.completed += 1
-                return protocol.ok_response(request_id, cached="result", **cached)
-            existing = self._inflight.get(key)
-            if existing is not None:
+                return protocol.ok_frame(request_id, "result", body)
+            running = self._inflight.get(key)
+            if running is not None:
                 self.stats.dedup_inflight += 1
-                future = existing
             else:
                 if self._degraded and request["priority"] < self.config.shed_priority:
                     # Degraded mode refuses sheddable work at the door: the
@@ -533,12 +547,11 @@ class CompileServer:
                     fault=request["fault"],
                     priority=request["priority"],
                 )
-                future = self._pool.submit(job)
-                self._inflight[key] = future
-        assert future is not None
+                running = _InFlight(self._pool.submit(job))
+                self._inflight[key] = running
 
         try:
-            outcome = future.result(timeout=timeout + _WAIT_GRACE_SECONDS)
+            outcome = running.future.result(timeout=timeout + _WAIT_GRACE_SECONDS)
         except Exception as exc:  # noqa: BLE001 — defensive: pool must answer
             outcome = JobOutcome(
                 key=key,
@@ -548,30 +561,14 @@ class CompileServer:
             )
 
         with self._lock:
-            self._inflight.pop(key, None)
+            if self._inflight.get(key) is running:
+                del self._inflight[key]
             if outcome.ok and outcome.payload is not None:
-                fields = {
-                    "key": key,
-                    "qasm": outcome.payload["qasm"],
-                    "summary": outcome.payload["summary"],
-                    "compile_seconds": outcome.payload["compile_seconds"],
-                    "worker": outcome.worker,
-                }
-                for name, count in outcome.payload.get("cache", {}).items():
-                    self._cache_totals[name] = self._cache_totals.get(name, 0) + count
-                seconds = outcome.payload["compile_seconds"]
-                if self._ewma_compile_seconds is None:
-                    self._ewma_compile_seconds = seconds
-                else:
-                    self._ewma_compile_seconds = (
-                        _EWMA_ALPHA * seconds + (1.0 - _EWMA_ALPHA) * self._ewma_compile_seconds
-                    )
-                self._result_cache[key] = fields
-                while len(self._result_cache) > self.config.result_cache_size:
-                    self._result_cache.popitem(last=False)
+                if running.body is None:  # first waiter: account, encode, cache
+                    running.body = self._store_result(key, outcome)
                 self._remember_alias(raw_key, key)
                 self.stats.completed += 1
-                return protocol.ok_response(request_id, cached="no", **fields)
+                return protocol.ok_frame(request_id, "no", running.body)
             self.stats.failed += 1
             extra: Dict[str, Any] = {}
             if outcome.error_code == protocol.ERR_OVERLOADED:
@@ -586,6 +583,33 @@ class CompileServer:
                 worker=outcome.worker,
                 **extra,
             )
+
+    def _store_result(self, key: str, outcome: JobOutcome) -> bytes:
+        """Fold a compile's counters into the daemon's, then encode its answer
+        once and put it in the result LRU (lock held); returns the body."""
+        payload = outcome.payload
+        for name, count in payload.get("cache", {}).items():
+            self._cache_totals[name] = self._cache_totals.get(name, 0) + count
+        seconds = payload["compile_seconds"]
+        if self._ewma_compile_seconds is None:
+            self._ewma_compile_seconds = seconds
+        else:
+            self._ewma_compile_seconds = (
+                _EWMA_ALPHA * seconds + (1.0 - _EWMA_ALPHA) * self._ewma_compile_seconds
+            )
+        body = protocol.encode_body(
+            {
+                "key": key,
+                "qasm": payload["qasm"],
+                "summary": payload["summary"],
+                "compile_seconds": seconds,
+                "worker": outcome.worker,
+            }
+        )
+        self._result_cache[key] = body
+        while len(self._result_cache) > self.config.result_cache_size:
+            self._result_cache.popitem(last=False)
+        return body
 
     def _remember_alias(self, raw_key: str, key: str) -> None:
         """Alias an answered request's raw pre-key to its content key (lock held)."""

@@ -172,6 +172,42 @@ def test_rewrite_and_adopt():
     assert [instr.qubits for instr in ir] == [(2, 3)]
 
 
+def _frontier_depth(num_qubits, instructions):
+    """The generic frontier formula: the reference for ``CircuitIR.depth``."""
+    frontier = [0] * num_qubits
+    for instruction in instructions:
+        level = max(frontier[q] for q in instruction.qubits) + 1
+        for qubit in instruction.qubits:
+            frontier[qubit] = level
+    return max(frontier, default=0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_depth_matches_the_generic_frontier_formula(seed):
+    # 1Q, 2Q and ccx gates, read fresh, after removals that leave the node
+    # ids out of program order, and after a rewrite.
+    circuit = random_standard_circuit(5, 120, seed)
+    assert {len(instr.qubits) for instr in circuit} == {1, 2, 3}
+    ir = CircuitIR.from_circuit(circuit)
+    assert ir.depth() == _frontier_depth(5, circuit)
+    for node in list(ir.nodes())[::7]:
+        ir.remove_node(node)
+    first = next(ir.nodes())
+    ir.insert_before(first, Instruction(standard.ccx_gate(), (4, 0, 2)))
+    assert ir.depth() == _frontier_depth(5, ir.instructions())
+    ir.rewrite(reversed(list(ir.instructions())))
+    assert ir.depth() == _frontier_depth(5, ir.instructions())
+
+
+def test_depth_of_an_empty_program_is_zero():
+    ir = CircuitIR(3)
+    assert ir.depth() == 0
+    ir.append(_instr(standard.h_gate, 1))
+    assert ir.depth() == 1
+    ir.rewrite([])
+    assert ir.depth() == 0
+
+
 # ---------------------------------------------------------------------------
 # Round-trip and conversion accounting.
 # ---------------------------------------------------------------------------

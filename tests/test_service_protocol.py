@@ -10,9 +10,11 @@ from repro.service.protocol import (
     ERROR_CODES,
     FrameReader,
     ProtocolError,
+    encode_body,
     encode_frame,
     error_response,
     format_address,
+    ok_frame,
     ok_response,
     parse_address,
     validate_request,
@@ -76,6 +78,52 @@ def test_frame_reader_bounds_single_oversized_line():
     with pytest.raises(ProtocolError) as excinfo:
         reader.feed(payload)
     assert excinfo.value.code == ERR_TOO_LARGE
+
+
+def _chunks(data, size):
+    return [data[start:start + size] for start in range(0, len(data), size)]
+
+
+def _stream():
+    """Frames of mixed sizes, one larger than 64 KB, with blank lines between."""
+    messages = [
+        {"op": "ping", "id": 1},
+        {"op": "compile", "id": "big", "qasm": "x" * 150_000},
+        {"op": "stats", "id": [2, "three"]},
+        {"op": "compile", "id": None, "qasm": "h q[0];\n" * 900},
+    ]
+    return messages, b"\n".join(encode_frame(message) for message in messages)
+
+
+@pytest.mark.parametrize("size", [1, 7, 65536])
+def test_frame_reader_chunking_does_not_change_the_frames(size):
+    messages, data = _stream()
+    reader = FrameReader()
+    frames = [frame for chunk in _chunks(data, size) for frame in reader.feed(chunk)]
+    assert frames == messages
+    assert reader.feed(b"") == []
+
+
+@pytest.mark.parametrize("size", [1, 7, 64])
+def test_frame_reader_chunked_bound_fires_as_soon_as_it_is_passed(size):
+    limit = 200
+    reader = FrameReader(max_frame_bytes=limit)
+    data = b"y" * (limit + 1 + size)
+    fed = 0
+    with pytest.raises(ProtocolError) as excinfo:
+        for chunk in _chunks(data, size):
+            fed += len(chunk)
+            reader.feed(chunk)
+    assert excinfo.value.code == ERR_TOO_LARGE
+    assert limit < fed <= limit + size
+
+
+@pytest.mark.parametrize("size", [1, 7, 64])
+def test_frame_reader_passes_a_frame_of_exactly_the_limit(size):
+    frame = encode_frame({"op": "compile", "qasm": "z" * 100})
+    reader = FrameReader(max_frame_bytes=len(frame) - 1)  # the newline is not counted
+    frames = [got for chunk in _chunks(frame * 3, size) for got in reader.feed(chunk)]
+    assert frames == [{"op": "compile", "qasm": "z" * 100}] * 3
 
 
 def test_default_frame_bound_is_generous():
@@ -164,6 +212,24 @@ def test_ok_and_error_response_shapes():
     assert response["ok"] is False
     assert response["error"] == {"code": ERR_BAD_REQUEST, "message": "nope"}
     assert response["pending"] == 3
+
+
+@pytest.mark.parametrize(
+    "request_id",
+    [7, -3, 2.5, 1e300, "req-\u00e9\"\\", "", None, True, False, [1, "x", None], {"a": {"b": [1.5]}}],
+)
+@pytest.mark.parametrize("cached", ["no", "result"])
+def test_ok_frame_equals_a_fresh_encode(request_id, cached):
+    fields = {
+        "key": "k" * 64,
+        "qasm": 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\ncx q[0],q[1];\n',
+        "summary": {"num_2q": np.int64(5), "duration": np.float64(2.25), "compiler": "reqisc-eff"},
+        "compile_seconds": 0.125,
+        "worker": 1,
+    }
+    expected = encode_frame(ok_response(request_id, cached=cached, **fields))
+    assert ok_frame(request_id, cached, encode_body(fields)) == expected
+    assert encode_body(fields) == encode_frame(fields)[1:-2]
 
 
 def test_error_codes_are_unique():

@@ -13,7 +13,9 @@ Covers the tentpole service contracts end-to-end against live daemons:
   structured refusals instead of hangs or crashes;
 * the raw-request pre-key answers exact repeats without parsing, never
   answers one option set with another's result, and stays correct while
-  a tiny result LRU evicts (differential fuzz, concurrent clients).
+  a tiny result LRU evicts (differential fuzz, concurrent clients);
+* answers from the result LRU, which holds encoded bodies, are the bytes
+  a fresh encode of the same fields gives, chaos-torn ones included.
 """
 
 import functools
@@ -26,7 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.qasm import dumps, loads
-from repro.service.protocol import FrameReader
+from repro.service.protocol import FrameReader, encode_frame, ok_response
 from repro.service.server import CompileServer, ServeClient, ServeConfig, ServeError
 from repro.workloads.algorithms import hamiltonian_simulation, qft_circuit
 
@@ -551,6 +553,74 @@ def test_failed_requests_never_create_an_alias(server, client, parse_calls):
             client.compile(dumps(qft_circuit(3)), fault="raise", seed=31)
         assert excinfo.value.code == "compile-error"
     assert server.snapshot()["result_cache_aliases"] == aliases
+
+
+# ---------------------------------------------------------------------------
+# Encoded answers: the result LRU holds response bodies, hits splice the id.
+# ---------------------------------------------------------------------------
+
+
+def _raw_exchange(sock, message):
+    """Send one request frame; the raw bytes received up to a newline or EOF."""
+    sock.sendall(encode_frame(message))
+    received = b""
+    while not received.endswith(b"\n"):
+        chunk = sock.recv(65536)
+        if not chunk:
+            break
+        received += chunk
+    return received
+
+
+def _hit_frame(request_id, cold_frame):
+    """What a fresh encode of a result-LRU answer to ``cold_frame`` gives."""
+    (cold,) = FrameReader().feed(cold_frame)
+    return encode_frame(ok_response(request_id, cached="result", **_result_fields(cold)))
+
+
+def test_cold_content_and_raw_key_answers_carry_one_result(server):
+    qasm = dumps(hamiltonian_simulation(4))
+    request = {"op": "compile", "qasm": qasm, "seed": 43}
+    raw = _raw_connect(server)
+    try:
+        cold = _raw_exchange(raw, dict(request, id=1))
+        by_content = _raw_exchange(raw, dict(request, id={"n": [2, 2.5]}, qasm=_other_text(qasm, "hit")))
+        by_raw_key = _raw_exchange(raw, dict(request, id="three"))
+    finally:
+        raw.close()
+    answers = [FrameReader().feed(frame)[0] for frame in (cold, by_content, by_raw_key)]
+    assert [answer["cached"] for answer in answers] == ["no", "result", "result"]
+    assert answers[0]["qasm"] == _sequential_qasm(hamiltonian_simulation(4), seed=43)
+    for answer in answers[1:]:
+        assert _result_fields(answer) == _result_fields(answers[0])
+    # Byte for byte what encoding the response dict would have sent.
+    assert cold == encode_frame(ok_response(1, cached="no", **_result_fields(answers[0])))
+    assert by_content == _hit_frame({"n": [2, 2.5]}, cold)
+    assert by_raw_key == _hit_frame("three", cold)
+
+
+def test_chaos_partial_fault_tears_a_hit_at_half_its_length(tmp_path):
+    from repro.resilience import FaultPlan
+
+    # The plan whose one torn frame is the second compile answer: a hit.
+    plan = next(
+        plan
+        for plan in (FaultPlan(seed=seed, window=2, counts={"socket.partial": 1}) for seed in range(64))
+        if plan.schedule("socket") == {1: "partial"}
+    )
+    config = ServeConfig(address=str(tmp_path / "torn.sock"), workers=1, cache_dir=None, fault_plan=plan)
+    request = {"op": "compile", "qasm": dumps(qft_circuit(4)), "seed": 5}
+    with CompileServer(config) as instance:
+        raw = _raw_connect(instance)
+        try:
+            cold = _raw_exchange(raw, dict(request, id=1))
+            torn = _raw_exchange(raw, dict(request, id=2))
+            assert raw.recv(65536) == b""  # the server hung up after the torn half
+        finally:
+            raw.close()
+        assert instance.snapshot()["server"]["dedup_raw_key"] == 1
+    full = _hit_frame(2, cold)
+    assert torn == full[: len(full) // 2]
 
 
 @pytest.fixture(scope="module")

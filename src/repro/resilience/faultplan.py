@@ -1,14 +1,15 @@
 """Seeded, deterministic fault plans for chaos testing the serve stack.
 
-The daemon shipped with an ad-hoc, per-request fault hook (the test-only
-``fault`` field of the wire protocol): useful for unit tests, but it only
-exercises one failure at a time, always at a moment the test chose.  A
-:class:`FaultPlan` generalizes that hook into a *composable, seeded
-schedule* of faults across every layer of the stack:
+A :class:`FaultPlan` is the only way a fault enters the serve stack: a
+*composable, seeded schedule* of faults across every layer of it.  A test
+that needs one worker fault at a known moment schedules it at the first
+dispatches (``FaultPlan(seed=0, window=1, counts={"worker.hang": 1})``
+hangs the first job).  The layers:
 
 ``worker``
-    ``raise`` (the compile raises), ``hang`` (the worker stalls past its
-    deadline and is killed), ``exit`` (the worker process dies mid-job).
+    ``raise`` (the job fails with a retriable ``internal`` error),
+    ``hang`` (the worker stalls past its deadline and is killed), ``exit``
+    (the worker process dies mid-job).
 ``clock``
     ``skew`` — the dispatched job's deadline is clamped to (almost) *now*,
     modelling a clock-skewed deadline: the pump kills the worker and the

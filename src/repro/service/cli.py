@@ -33,7 +33,8 @@ the batch engine and the daemon:
     Run the long-lived compile daemon (:mod:`repro.service.server`): job
     intake over a Unix-domain or local TCP socket, a persistent sharded
     worker pool, content-hash request dedup and bounded-queue backpressure
-    (see ``docs/serving.md``).
+    (see ``docs/serving.md``).  Settings under which the daemon could never
+    answer (``--max-pending 0``, say) are refused before the socket is bound.
 
 ``submit``
     Client for a running daemon: compile OpenQASM 2.0 files over the
@@ -326,11 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--compact-on-shutdown",
         action="store_true",
         help="fold the on-disk cache's segment files into one on clean shutdown",
-    )
-    serve_parser.add_argument(
-        "--enable-fault-injection",
-        action="store_true",
-        help="accept the test-only 'fault' request field (fault-injection harnesses)",
     )
 
     submit_parser = subparsers.add_parser(
@@ -943,20 +939,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.protocol import format_address
     from repro.service.server import CompileServer, ServeConfig
 
-    if args.workers < 1:
-        raise SystemExit("--workers must be >= 1")
     cache_dir = None if args.no_cache else (args.cache_dir or None)
-    config = ServeConfig(
-        address=args.address,
-        workers=args.workers,
-        max_pending=args.max_pending,
-        job_timeout=args.job_timeout,
-        max_qubits=args.max_qubits,
-        cache_dir=cache_dir,
-        cache_capacity=args.cache_capacity,
-        enable_fault_injection=args.enable_fault_injection,
-        compact_cache_on_shutdown=args.compact_on_shutdown,
-    )
+    try:
+        config = ServeConfig(
+            address=args.address,
+            workers=args.workers,
+            max_pending=args.max_pending,
+            job_timeout=args.job_timeout,
+            max_qubits=args.max_qubits,
+            cache_dir=cache_dir,
+            cache_capacity=args.cache_capacity,
+            compact_cache_on_shutdown=args.compact_on_shutdown,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"invalid serve setting: {exc}") from exc
     server = CompileServer(config).start()
     for signum in (signal.SIGINT, signal.SIGTERM):
         signal.signal(signum, lambda *_: server.close())

@@ -21,7 +21,7 @@ Isolation properties (proven by ``tests/test_service_server.py``):
   per-shard deques; a worker only ever holds the job it is running.  The
   pump thread can therefore enforce per-job deadlines exactly: kill the
   process, fail that job alone, respawn, dispatch the shard's next job.
-* **Crash containment.**  A worker that dies (injected ``exit`` fault,
+* **Crash containment.**  A worker that dies (a fault plan's ``exit``,
   segfault, OOM kill) fails only the job it was running; the pool respawns
   the worker and the shard keeps draining.  Results are never reordered
   across a respawn because the shard's pending deque lives in the parent.
@@ -58,8 +58,9 @@ class PoolJob:
     """One compile job, picklable for the worker boundary.
 
     ``key`` is the request's content-hash (dedup identity); it also selects
-    the shard.  ``fault`` is the test-only injected failure mode (see
-    :data:`repro.service.protocol.FAULT_MODES`).
+    the shard.  ``fault`` carries the worker fault (``raise``/``hang``/
+    ``exit``) that the pool's fault plan drew for this dispatch; only
+    :meth:`WorkerPool._dispatch` sets it.
     ``priority`` (0–9, higher first) orders each shard's backlog and decides
     what :meth:`WorkerPool.shed` drops under degraded load.
     """
@@ -98,15 +99,16 @@ class _WorkerSlot:
     running: Optional[Tuple[PoolJob, Future, float]] = None  # job, future, deadline
     backlog: Deque[Tuple[PoolJob, Future]] = field(default_factory=collections.deque)
     generation: int = 0
-    injected: Optional[str] = None  # chaos fault riding on the running job
 
 
 def _execute_job(job: PoolJob, cache) -> Tuple[bool, Any, Optional[str], Optional[str]]:
     """Worker-side job body; returns (ok, payload, error_code, error_message)."""
-    from repro.service.protocol import ERR_COMPILE
+    from repro.service.protocol import ERR_COMPILE, ERR_INTERNAL
 
     if job.fault == "raise":
-        raise RuntimeError("injected fault: raise")
+        # A transient internal failure, not a property of the circuit: the
+        # answer is retriable.
+        return False, None, ERR_INTERNAL, "injected transient worker fault (chaos)"
     if job.fault == "hang":
         time.sleep(3600.0)
     if job.fault == "exit":
@@ -186,9 +188,9 @@ class WorkerPool:
     fault_plan:
         Optional :class:`~repro.resilience.faultplan.FaultPlan`.  The pool
         arms its ``worker`` layer (inject ``raise``/``hang``/``exit`` into
-        dispatched jobs that do not already carry an explicit test fault)
-        and its ``clock`` layer (collapse a job's deadline to now, modelling
-        a skewed clock).  Chaos soaks only — never in production.
+        dispatched jobs) and its ``clock`` layer (collapse a job's deadline
+        to now, modelling a skewed clock).  Chaos soaks and fault tests
+        only — never in production.
     """
 
     def __init__(
@@ -428,13 +430,10 @@ class WorkerPool:
         if not future.set_running_or_notify_cancel():
             self._dispatch(slot)
             return
-        slot.injected = None
-        if self._worker_faults is not None and job.fault is None:
+        if self._worker_faults is not None:
             # Chaos: piggyback a scheduled worker fault on this dispatch.
-            # Explicit test faults are never overridden.
             mode = self._worker_faults.draw()
             if mode is not None:
-                slot.injected = mode
                 job = dataclasses.replace(job, fault=mode)
         deadline = time.monotonic() + (job.timeout or self.default_timeout)
         if self._clock_faults is not None and self._clock_faults.draw() == "skew":
@@ -460,7 +459,7 @@ class WorkerPool:
         )
 
     def _pump(self) -> None:
-        from repro.service.protocol import ERR_INTERNAL, ERR_TIMEOUT, ERR_WORKER_CRASH
+        from repro.service.protocol import ERR_TIMEOUT, ERR_WORKER_CRASH
 
         while not self._closed.is_set():
             progressed = False
@@ -479,13 +478,6 @@ class WorkerPool:
                         if slot.running is not None and slot.running[0].key == key:
                             job, future, _ = slot.running
                             slot.running = None
-                            if not ok and slot.injected == "raise":
-                                # A chaos-injected raise is a *transient*
-                                # internal failure, not a property of the
-                                # circuit: surface it as retriable.
-                                code = ERR_INTERNAL
-                                message = "injected transient worker fault (chaos)"
-                            slot.injected = None
                             outcome = JobOutcome(
                                 key=key,
                                 ok=ok,

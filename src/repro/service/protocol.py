@@ -16,8 +16,6 @@ Requests carry an ``op``:
     "seed": 0, "target": null, "timeout": 30.0}`` — compile an OpenQASM 2.0
     program.  ``id`` is an arbitrary client token echoed back verbatim;
     ``compiler`` must be a registered pipeline name.
-    ``fault`` (``raise`` / ``hang`` / ``exit``) is only accepted when the
-    server was started with fault injection enabled (test harnesses).
     ``priority`` (optional int 0–9, default 5; higher is more important)
     orders queued work and decides what the daemon sheds first when its
     watchdog declares the queue degraded (see ``docs/resilience.md``).
@@ -60,7 +58,6 @@ __all__ = [
     "DEFAULT_PRIORITY",
     "MAX_PRIORITY",
     "MIN_PRIORITY",
-    "FAULT_MODES",
     "FrameReader",
     "ProtocolError",
     "encode_body",
@@ -96,9 +93,6 @@ ERROR_CODES = (
     ERR_SHUTDOWN,
     ERR_INTERNAL,
 )
-
-#: Faults a test harness may inject into a worker (server opt-in only).
-FAULT_MODES = ("raise", "hang", "exit")
 
 _OPS = ("compile", "ping", "stats", "shutdown", "health")
 
@@ -197,7 +191,7 @@ class FrameReader:
         return frames
 
 
-def validate_request(frame: Dict[str, Any], *, allow_fault: bool = False) -> Dict[str, Any]:
+def validate_request(frame: Dict[str, Any]) -> Dict[str, Any]:
     """Check shape and types of a request frame; return it normalized.
 
     Raises :class:`ProtocolError` with a human-readable message on any
@@ -209,7 +203,7 @@ def validate_request(frame: Dict[str, Any], *, allow_fault: bool = False) -> Dic
         raise ProtocolError(f"unknown op {op!r}; expected one of {', '.join(_OPS)}")
     allowed = {"op", "id"}
     if op == "compile":
-        allowed |= {"qasm", "compiler", "seed", "target", "timeout", "fault", "priority"}
+        allowed |= {"qasm", "compiler", "seed", "target", "timeout", "priority"}
     unknown = set(frame) - allowed
     if unknown:
         raise ProtocolError(f"unknown field(s) for op {op!r}: {', '.join(sorted(unknown))}")
@@ -237,12 +231,6 @@ def validate_request(frame: Dict[str, Any], *, allow_fault: bool = False) -> Dic
         if not isinstance(timeout, (int, float)) or isinstance(timeout, bool) or timeout <= 0:
             raise ProtocolError("'timeout' must be a positive number of seconds")
         timeout = float(timeout)
-    fault = frame.get("fault")
-    if fault is not None:
-        if fault not in FAULT_MODES:
-            raise ProtocolError(f"unknown fault {fault!r}; expected one of {', '.join(FAULT_MODES)}")
-        if not allow_fault:
-            raise ProtocolError("fault injection is disabled on this server")
     priority = frame.get("priority", DEFAULT_PRIORITY)
     if (
         not isinstance(priority, int)
@@ -254,7 +242,7 @@ def validate_request(frame: Dict[str, Any], *, allow_fault: bool = False) -> Dic
         )
     request.update(
         {"qasm": qasm, "compiler": compiler, "seed": seed, "target": target,
-         "timeout": timeout, "fault": fault, "priority": priority}
+         "timeout": timeout, "priority": priority}
     )
     return request
 

@@ -15,7 +15,7 @@ layers of request coalescing in front of it:
    is even parsed.
 2. **In-flight dedup** — concurrent submissions of the same circuit
    (same :func:`~repro.service.cache.circuit_fingerprint`, compiler,
-   target, seed and fault) attach to the one running job and all
+   target and seed) attach to the one running job and all
    receive the identical result; only one compile ever runs.
 3. **Synthesis cache** — inside the workers, the segment-backed
    :class:`~repro.service.cache.SynthesisCache` shares KAK/template
@@ -26,8 +26,10 @@ Backpressure is a bounded queue: when ``queued + running`` jobs reach
 response instead of building an unbounded backlog (the client retries
 later).  Per-job deadlines and crash containment come from the pool: a
 poisoned circuit, hung worker or dying process fails only its own job and
-the worker is respawned — proven by the fault-injection suite in
-``tests/test_service_server.py``.
+the worker is respawned — proven by the tests in
+``tests/test_service_server.py``, which inject worker faults through a
+seeded :class:`~repro.resilience.faultplan.FaultPlan` (``fault_plan``),
+the daemon's only fault-injection path.
 
 Determinism contract: for every registered pipeline name, a daemon
 response is bit-identical to ``BatchCompiler`` output, to ``repro compile``
@@ -72,7 +74,7 @@ _EWMA_ALPHA = 0.2
 def _raw_request_key(qasm_bytes: bytes, request: Dict[str, Any]) -> str:
     """Hash of a compile request's exact QASM bytes and every option the
     content key covers.  ``repr`` keeps ``None`` apart from ``"None"``."""
-    options = tuple(request[name] for name in ("compiler", "target", "seed", "fault"))
+    options = tuple(request[name] for name in ("compiler", "target", "seed"))
     digest = hashlib.blake2b(repr(options).encode("utf-8"), digest_size=32)
     digest.update(b"\n")
     digest.update(qasm_bytes)
@@ -101,14 +103,26 @@ class ServeConfig:
     cache_dir: Optional[str] = None
     cache_capacity: Optional[int] = 4096
     result_cache_size: int = 256
-    enable_fault_injection: bool = False  # accept the test-only `fault` field
     allow_shutdown_op: bool = True
     compact_cache_on_shutdown: bool = False
     # Resilience layer (docs/resilience.md):
-    fault_plan: Optional[Any] = None  # repro.resilience.FaultPlan — chaos soaks only
+    fault_plan: Optional[Any] = None  # repro.resilience.FaultPlan — chaos and fault tests only
     watchdog_interval: float = 1.0  # seconds between watchdog sweeps (<= 0 disables)
     shed_after: float = 5.0  # sustained seconds at max_pending before degraded mode
     shed_priority: int = 5  # queued jobs below this priority are shed when degraded
+
+    def __post_init__(self) -> None:
+        # Settings under which the daemon could never answer a compile.
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, not {self.workers}")
+        if self.max_pending < 1:
+            raise ValueError(f"max_pending must be >= 1, not {self.max_pending}")
+        if not self.job_timeout > 0:
+            raise ValueError(f"job_timeout must be > 0 seconds, not {self.job_timeout}")
+        for name in ("max_qubits", "cache_capacity"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be None or >= 1, not {value}")
 
 
 @dataclass
@@ -144,11 +158,9 @@ class ServeStats:
 class CompileServer:
     """Socket front end + dedup layer over a persistent :class:`WorkerPool`."""
 
-    def __init__(self, config: Optional[ServeConfig] = None, **overrides: Any) -> None:
+    def __init__(self, config: Optional[ServeConfig] = None) -> None:
         if config is None:
-            config = ServeConfig(**overrides)
-        elif overrides:
-            raise ValueError("pass either a ServeConfig or keyword overrides, not both")
+            config = ServeConfig()
         self.config = config
         self.stats = ServeStats()
         self.address = protocol.parse_address(config.address)
@@ -390,9 +402,7 @@ class CompileServer:
     def _handle_frame(self, frame: Dict[str, Any]) -> Optional[Union[Dict[str, Any], bytes]]:
         request_id = frame.get("id") if isinstance(frame, dict) else None
         try:
-            request = protocol.validate_request(
-                frame, allow_fault=self.config.enable_fault_injection
-            )
+            request = protocol.validate_request(frame)
         except protocol.ProtocolError as exc:
             with self._lock:
                 self.stats.rejected_invalid += 1
@@ -491,15 +501,9 @@ class CompileServer:
                 )
 
         # Job identity: exact circuit content + everything that can change
-        # the compiled bytes.  The injected fault participates so a hanging
-        # probe never coalesces with a real compile of the same circuit.
+        # the compiled bytes.
         key = circuit_fingerprint(
-            circuit,
-            "serve",
-            request["compiler"],
-            str(target),
-            str(request["seed"]),
-            str(request["fault"]),
+            circuit, "serve", request["compiler"], str(target), str(request["seed"])
         )
         timeout = request["timeout"] or self.config.job_timeout
 
@@ -544,7 +548,6 @@ class CompileServer:
                     seed=request["seed"],
                     target=target,
                     timeout=timeout,
-                    fault=request["fault"],
                     priority=request["priority"],
                 )
                 running = _InFlight(self._pool.submit(job))
@@ -1021,7 +1024,6 @@ class ServeClient:
         seed: int = 0,
         target: Optional[str] = None,
         timeout: Optional[float] = None,
-        fault: Optional[str] = None,
         priority: Optional[int] = None,
     ) -> Dict[str, Any]:
         """Compile one OpenQASM 2.0 program; raises :class:`ServeError` on failure.
@@ -1048,8 +1050,6 @@ class ServeClient:
         }
         if timeout is not None:
             message["timeout"] = timeout
-        if fault is not None:
-            message["fault"] = fault
         if priority is not None:
             message["priority"] = priority
         return self._resilient(message)

@@ -338,7 +338,7 @@ def test_degraded_mode_sheds_low_priority_queued_jobs(tmp_path):
     config = _serve_config(
         tmp_path,
         "shed.sock",
-        enable_fault_injection=True,
+        fault_plan=FaultPlan(seed=0, window=1, counts={"worker.hang": 1}),
         max_pending=3,
         watchdog_interval=0.05,
         shed_after=0.15,
@@ -347,18 +347,17 @@ def test_degraded_mode_sheds_low_priority_queued_jobs(tmp_path):
     with CompileServer(config) as server:
         outcomes = {}
 
-        def submit(tag, circuit, priority=None, fault=None, timeout=None):
+        def submit(tag, circuit, priority=None, timeout=None):
             with ServeClient(config.address, timeout=30.0) as client:
                 try:
-                    outcomes[tag] = client.compile(
-                        dumps(circuit), fault=fault, priority=priority, timeout=timeout
-                    )
+                    outcomes[tag] = client.compile(dumps(circuit), priority=priority, timeout=timeout)
                 except ServeError as exc:
                     outcomes[tag] = exc
 
-        # One hang occupies the single worker until its 3s deadline; two
-        # low-priority jobs queue behind it, pinning pending at max_pending.
-        hang = threading.Thread(target=submit, args=("hang", qft_circuit(3)), kwargs={"fault": "hang", "timeout": 3.0})
+        # The plan's hang, on the first dispatch, occupies the single worker
+        # until its 3s deadline; two low-priority jobs queue behind it,
+        # pinning pending at max_pending.
+        hang = threading.Thread(target=submit, args=("hang", qft_circuit(3)), kwargs={"timeout": 3.0})
         hang.start()
         time.sleep(0.3)  # let the hang job reach the worker
         queued = [
@@ -377,6 +376,7 @@ def test_degraded_mode_sheds_low_priority_queued_jobs(tmp_path):
         assert server.stats.as_dict()  # server still healthy
         hang.join(timeout=15.0)
         assert not hang.is_alive()
+        assert outcomes["hang"].code == "timeout"
         stats = server._pool.stats()
         assert stats["shed_jobs"] >= 2
 
@@ -396,7 +396,10 @@ def test_priority_is_validated_and_orders_queued_work(tmp_path):
 
 def test_overload_refusal_carries_retry_after_hint(tmp_path):
     config = _serve_config(
-        tmp_path, "full.sock", enable_fault_injection=True, max_pending=1
+        tmp_path,
+        "full.sock",
+        fault_plan=FaultPlan(seed=0, window=1, counts={"worker.hang": 1}),
+        max_pending=1,
     )
     with CompileServer(config):
         filler_done = threading.Event()
@@ -404,7 +407,7 @@ def test_overload_refusal_carries_retry_after_hint(tmp_path):
         def fill():
             with ServeClient(config.address, timeout=30.0) as client:
                 try:
-                    client.compile(dumps(qft_circuit(3)), fault="hang", timeout=3.0)
+                    client.compile(dumps(qft_circuit(3)), timeout=3.0)
                 except ServeError:
                     pass
                 finally:

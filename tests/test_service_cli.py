@@ -243,6 +243,35 @@ def test_removed_memo_flags_are_usage_errors(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_removed_fault_injection_flag_is_a_usage_error(tmp_path, capsys):
+    sock = tmp_path / "serve.sock"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["serve", "--address", str(sock), "--enable-fault-injection"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --enable-fault-injection" in capsys.readouterr().err
+    assert not sock.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--workers", "0"),
+        ("--max-pending", "0"),
+        ("--job-timeout", "0"),
+        ("--max-qubits", "0"),
+        ("--cache-capacity", "0"),
+    ],
+)
+def test_serve_refuses_settings_that_can_never_answer(tmp_path, flag, value):
+    sock = tmp_path / "serve.sock"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["serve", "--address", str(sock), "--no-cache", flag, value])
+    assert excinfo.value.code not in (0, None)
+    assert "invalid" in str(excinfo.value.code)
+    assert flag.lstrip("-").replace("-", "_") in str(excinfo.value.code)
+    assert not sock.exists()  # refused before the socket was bound
+
+
 def _run_removed_perf_subcommand():
     main(["perf", "--quick"])
 

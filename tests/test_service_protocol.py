@@ -145,7 +145,6 @@ def test_validate_compile_fills_defaults():
         "seed": 0,
         "target": None,
         "timeout": None,
-        "fault": None,
         "priority": 5,
     }
 
@@ -164,6 +163,9 @@ def test_validate_rejects_unknown_fields():
     # Sessions are gone: a frame that still names one is a bad request.
     with pytest.raises(ProtocolError, match="unknown field.*session"):
         validate_request({"op": "compile", "qasm": "x", "session": "edits"})
+    # So is the per-request fault hook: faults come from a FaultPlan only.
+    with pytest.raises(ProtocolError, match="unknown field.*fault"):
+        validate_request({"op": "compile", "qasm": "x", "fault": "raise"})
 
 
 @pytest.mark.parametrize(
@@ -178,7 +180,7 @@ def test_validate_rejects_unknown_fields():
         ({"timeout": 0}, "timeout"),
         ({"timeout": -1.0}, "timeout"),
         ({"timeout": True}, "timeout"),
-        ({"fault": "explode"}, "fault"),
+        ({"priority": 10}, "priority"),
         ({"compiler": "nope"}, "unknown compiler 'nope'"),
     ],
 )
@@ -186,14 +188,7 @@ def test_validate_rejects_bad_compile_fields(overrides, match):
     frame = {"op": "compile", "qasm": "OPENQASM 2.0;"}
     frame.update(overrides)
     with pytest.raises(ProtocolError, match=match):
-        validate_request(frame, allow_fault=True)
-
-
-def test_validate_fault_requires_server_opt_in():
-    frame = {"op": "compile", "qasm": "OPENQASM 2.0;", "fault": "raise"}
-    with pytest.raises(ProtocolError, match="disabled"):
         validate_request(frame)
-    assert validate_request(frame, allow_fault=True)["fault"] == "raise"
 
 
 def test_validate_normalizes_timeout_to_float():

@@ -6,9 +6,11 @@ Covers the tentpole service contracts end-to-end against live daemons:
   to :class:`~repro.service.batch.BatchCompiler` output;
 * concurrent identical submissions coalesce into one compile (proven by
   the daemon's own counters);
-* injected faults (raise / hang-past-timeout / worker exit) fail only
-  their own job, the pool respawns the worker, and later jobs still
-  produce bit-identical results;
+* worker faults (raise / hang-past-timeout / worker exit), scheduled by a
+  seeded :class:`~repro.resilience.FaultPlan` on the first dispatches,
+  fail only their own job, the pool respawns the worker, and later jobs
+  still produce bit-identical results; a compile that really fails is a
+  ``compile-error`` and fails alone too;
 * malformed frames, oversized circuits and overload get explicit,
   structured refusals instead of hangs or crashes;
 * the raw-request pre-key answers exact repeats without parsing, never
@@ -18,6 +20,7 @@ Covers the tentpole service contracts end-to-end against live daemons:
   a fresh encode of the same fields gives, chaos-torn ones included.
 """
 
+import contextlib
 import functools
 import socket
 import sys
@@ -48,7 +51,6 @@ def server(tmp_path_factory):
         workers=2,
         job_timeout=30.0,
         cache_dir=None,
-        enable_fault_injection=True,
     )
     with CompileServer(config) as instance:
         yield instance
@@ -212,51 +214,88 @@ def test_concurrent_suite_load_matches_sequential(server):
 
 
 # ---------------------------------------------------------------------------
-# Fault injection: each failure mode fails alone, the pool self-heals.
+# Worker faults: each failure mode fails alone, the pool self-heals.
 # ---------------------------------------------------------------------------
 
 
-def test_fault_raise_is_a_compile_error(client):
-    with pytest.raises(ServeError) as excinfo:
-        client.compile(dumps(qft_circuit(3)), fault="raise")
-    assert excinfo.value.code == "compile-error"
-    assert client.ping() is True  # the daemon is unharmed
+@contextlib.contextmanager
+def _fault_server(tmp_path, window, counts):
+    """A daemon whose seeded fault plan fires on its first dispatches."""
+    from repro.resilience import FaultPlan
+
+    config = ServeConfig(
+        address=str(tmp_path / "faults.sock"),
+        workers=2,
+        cache_dir=None,
+        fault_plan=FaultPlan(seed=0, window=window, counts=counts),
+    )
+    with CompileServer(config) as instance:
+        with ServeClient(instance.config.address) as client:
+            yield instance, client
 
 
-def test_fault_exit_is_contained_and_worker_respawns(server, client):
-    before = server.snapshot()["pool"]
-    with pytest.raises(ServeError) as excinfo:
-        client.compile(dumps(qft_circuit(3)), fault="exit")
-    assert excinfo.value.code == "worker-crash"
-    after = server.snapshot()["pool"]
-    assert after["crashes"] == before["crashes"] + 1
-    assert after["respawns"] >= before["respawns"] + 1
-    assert after["alive"] == server.config.workers
-
-
-def test_fault_hang_hits_the_job_deadline(server, client):
-    before = server.snapshot()["pool"]
-    start = time.perf_counter()
-    with pytest.raises(ServeError) as excinfo:
-        client.compile(dumps(qft_circuit(3)), fault="hang", timeout=1.0)
-    elapsed = time.perf_counter() - start
-    assert excinfo.value.code == "timeout"
-    assert elapsed < 10.0  # the deadline fired, not the grace fallback
-    after = server.snapshot()["pool"]
-    assert after["timeouts"] == before["timeouts"] + 1
-    assert after["alive"] == server.config.workers
-
-
-def test_jobs_after_faults_are_bit_identical(client):
-    # A fresh seed forces a real recompile on the healed pool (the result
-    # cache cannot answer), and the output must still match the reference.
+def test_failing_compile_is_a_compile_error(client):
+    # reqisc-noise needs a calibrated target: the worker's compile raises.
     circuit = qft_circuit(3)
-    for fault in ("raise", "exit", "hang"):
-        with pytest.raises(ServeError):
-            client.compile(dumps(circuit), fault=fault, timeout=1.0, seed=7)
-    response = client.compile(dumps(circuit), seed=7)
-    assert response["cached"] == "no"
-    assert response["qasm"] == _sequential_qasm(circuit, seed=7)
+    with pytest.raises(ServeError) as excinfo:
+        client.compile(dumps(circuit), compiler="reqisc-noise", target="xy-line")
+    assert excinfo.value.code == "compile-error"
+    assert "calibrated target" in excinfo.value.message
+    assert client.ping() is True  # the daemon is unharmed
+    response = client.compile(dumps(circuit), seed=3)
+    assert response["qasm"] == _sequential_qasm(circuit, seed=3)
+
+
+def test_fault_raise_is_a_retriable_internal_error(tmp_path):
+    with _fault_server(tmp_path, 1, {"worker.raise": 1}) as (server, client):
+        with pytest.raises(ServeError) as excinfo:
+            client.compile(dumps(qft_circuit(3)))
+        assert excinfo.value.code == "internal"
+        assert client.ping() is True
+        assert server.fault_counts() == {"worker.raise": 1}
+
+
+def test_fault_exit_is_contained_and_worker_respawns(tmp_path):
+    with _fault_server(tmp_path, 1, {"worker.exit": 1}) as (server, client):
+        with pytest.raises(ServeError) as excinfo:
+            client.compile(dumps(qft_circuit(3)))
+        assert excinfo.value.code == "worker-crash"
+        pool = server.snapshot()["pool"]
+        assert pool["crashes"] == 1
+        assert pool["respawns"] >= 1
+        assert pool["alive"] == server.config.workers
+
+
+def test_fault_hang_hits_the_job_deadline(tmp_path):
+    with _fault_server(tmp_path, 1, {"worker.hang": 1}) as (server, client):
+        start = time.perf_counter()
+        with pytest.raises(ServeError) as excinfo:
+            client.compile(dumps(qft_circuit(3)), timeout=1.0)
+        elapsed = time.perf_counter() - start
+        assert excinfo.value.code == "timeout"
+        assert elapsed < 10.0  # the deadline fired, not the grace fallback
+        pool = server.snapshot()["pool"]
+        assert pool["timeouts"] == 1
+        assert pool["alive"] == server.config.workers
+
+
+def test_jobs_after_faults_are_bit_identical(tmp_path):
+    # Seed 0 schedules raise, exit, hang on dispatches 0, 1, 2.  Failures
+    # are never cached, so the fourth submission is a real compile on the
+    # healed pool, and its output must still match the reference.
+    counts = {"worker.raise": 1, "worker.exit": 1, "worker.hang": 1}
+    circuit = qft_circuit(3)
+    with _fault_server(tmp_path, 3, counts) as (server, client):
+        codes = []
+        for _ in range(3):
+            with pytest.raises(ServeError) as excinfo:
+                client.compile(dumps(circuit), timeout=1.0, seed=7)
+            codes.append(excinfo.value.code)
+        assert codes == ["internal", "worker-crash", "timeout"]
+        response = client.compile(dumps(circuit), seed=7)
+        assert response["cached"] == "no"
+        assert response["qasm"] == _sequential_qasm(circuit, seed=7)
+        assert server.fault_counts() == {"worker." + mode: 1 for mode in ("raise", "exit", "hang")}
 
 
 # ---------------------------------------------------------------------------
@@ -374,13 +413,15 @@ def test_oversized_frame_answers_then_closes(limits_server):
 def test_overload_is_an_explicit_refusal(tmp_path):
     # One worker, max_pending=1: while a hung job occupies the pool, a
     # second submission must be refused as `overloaded`, not queued forever.
+    from repro.resilience import FaultPlan
+
     config = ServeConfig(
         address=str(tmp_path / "overload.sock"),
         workers=1,
         max_pending=1,
         job_timeout=30.0,
         cache_dir=None,
-        enable_fault_injection=True,
+        fault_plan=FaultPlan(seed=0, window=1, counts={"worker.hang": 1}),
     )
     with CompileServer(config) as server:
         hang_error = []
@@ -388,7 +429,7 @@ def test_overload_is_an_explicit_refusal(tmp_path):
         def hang():
             try:
                 with ServeClient(server.config.address) as c:
-                    c.compile(dumps(qft_circuit(3)), fault="hang", timeout=5.0)
+                    c.compile(dumps(qft_circuit(3)), timeout=5.0)
             except ServeError as exc:
                 hang_error.append(exc.code)
 
@@ -461,8 +502,51 @@ def test_shutdown_op_can_be_disabled(tmp_path):
 
 
 def test_server_rejects_config_plus_overrides():
-    with pytest.raises(ValueError):
+    # A ServeConfig is the one way to configure a daemon.
+    with pytest.raises(TypeError):
+        CompileServer(workers=4)
+    with pytest.raises(TypeError):
         CompileServer(ServeConfig(), workers=4)
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"workers": 0},
+        {"max_pending": 0},
+        {"job_timeout": 0},
+        {"job_timeout": -1.0},
+        {"max_qubits": 0},
+        {"cache_capacity": 0},
+    ],
+    ids=lambda setting: "{}={}".format(*next(iter(setting.items()))),
+)
+def test_config_refuses_settings_that_can_never_answer(setting):
+    name = next(iter(setting))
+    with pytest.raises(ValueError, match=name):
+        ServeConfig(**setting)
+
+
+def test_config_accepts_disabled_bounds():
+    config = ServeConfig(max_qubits=None, cache_capacity=None, workers=1, max_pending=1)
+    assert config.max_qubits is None and config.cache_capacity is None
+
+
+def test_removed_fault_hook_surfaces_fail_loudly(client):
+    from repro.service import protocol
+
+    assert not hasattr(protocol, "FAULT_MODES")
+    with pytest.raises(TypeError):
+        protocol.validate_request({"op": "ping"}, allow_fault=True)
+    with pytest.raises(TypeError):
+        ServeConfig(enable_fault_injection=True)
+    with pytest.raises(TypeError):
+        client.compile(dumps(qft_circuit(3)), fault="raise")
+    # A raw frame that still carries the field is a bad request naming it.
+    response = client.request({"op": "compile", "qasm": dumps(qft_circuit(3)), "fault": "raise"})
+    assert response["ok"] is False
+    assert response["error"]["code"] == "bad-request"
+    assert "fault" in response["error"]["message"]
 
 
 def test_shared_disk_cache_across_daemon_restarts(tmp_path):
@@ -550,7 +634,7 @@ def test_failed_requests_never_create_an_alias(server, client, parse_calls):
     assert len(parse_calls) == 2  # both submissions were parsed
     for _ in range(2):
         with pytest.raises(ServeError) as excinfo:
-            client.compile(dumps(qft_circuit(3)), fault="raise", seed=31)
+            client.compile(dumps(qft_circuit(3)), compiler="reqisc-noise", target="xy-line")
         assert excinfo.value.code == "compile-error"
     assert server.snapshot()["result_cache_aliases"] == aliases
 
@@ -673,7 +757,7 @@ def _fuzz_reference(program, compiler, seed):
     from repro.service.cache import circuit_fingerprint
 
     circuit = _FUZZ_PROGRAMS[program]
-    key = circuit_fingerprint(loads(dumps(circuit)), "serve", compiler, "None", str(seed), "None")
+    key = circuit_fingerprint(loads(dumps(circuit)), "serve", compiler, "None", str(seed))
     return _sequential_qasm(circuit, compiler=compiler, seed=seed), key
 
 

@@ -14,10 +14,10 @@ Satellite suites for the compile-service PR:
   every live entry with its newest value.  The fast deterministic variant
   (raising a test hook instead of forking) runs in tier-1 —
   ``tests/test_resilience.py``.
-* **Serve soak** — several client threads mix real compiles with injected
-  raise/hang/exit faults against one daemon; every real compile must
-  still come back bit-identical to the sequential reference while the
-  pool keeps healing underneath.
+* **Serve soak** — several client threads mix probe and real compiles
+  against one daemon whose seeded worker-layer :class:`FaultPlan` injects
+  raise/hang/exit faults; every answer must still come back bit-identical
+  to the sequential reference while the pool keeps healing underneath.
 * **Chaos soak** — the acceptance-scale seeded :class:`FaultPlan` (50
   faults across the worker / clock / socket / cache layers) against a
   live daemon with resilient clients, mirroring the nightly
@@ -210,56 +210,90 @@ def test_sigkill_during_compact_never_loses_entries(tmp_path, stage):
 
 
 def test_serve_soak_mixed_faults_and_compiles(tmp_path):
+    import collections
     import threading
 
     from repro.qasm import dumps
+    from repro.resilience import FaultPlan
     from repro.service.server import CompileServer, ServeClient, ServeConfig, ServeError
     from repro.target.api import compile as target_compile
     from repro.workloads.algorithms import qft_circuit
 
     circuits = [qft_circuit(n) for n in (3, 4, 5)]
-    expected = {c.name: dumps(target_compile(c, spec="reqisc-eff", seed=0).circuit) for c in circuits}
+    threads, rounds = 4, 6
+    # Each round a thread sends a probe under its own seed (a fresh job
+    # every time), then a real compile at seed 0 that it resubmits until it
+    # is answered; the real compiles share three jobs.
+    probes = {
+        (thread_index, round_index): (
+            (thread_index + round_index) % len(circuits),
+            1 + thread_index * rounds + round_index,
+        )
+        for thread_index in range(threads)
+        for round_index in range(rounds)
+    }
+    expected = {
+        (index, seed): dumps(target_compile(circuits[index], spec="reqisc-eff", seed=seed).circuit)
+        for index, seed in [*probes.values(), *((index, 0) for index in range(len(circuits)))]
+    }
+    # The soak makes at least one dispatch per probe and per real job, so
+    # every fault scheduled in that window fires, wherever it lands.
+    window = len(probes) + len(circuits)
+    plan = FaultPlan(seed=0, window=window, counts={"worker.raise": 4, "worker.exit": 4, "worker.hang": 4})
+    fault_codes = {"raise": "internal", "exit": "worker-crash", "hang": "timeout"}
 
     config = ServeConfig(
         address=str(tmp_path / "soak.sock"),
         workers=2,
         job_timeout=30.0,
         cache_dir=None,
-        enable_fault_injection=True,
+        fault_plan=plan,
     )
-    failures = []
-    fault_codes = {"raise": "compile-error", "exit": "worker-crash", "hang": "timeout"}
+    failures, error_codes = [], []
     with CompileServer(config) as server:
+        def submit(client, index, seed):
+            """One compile: True when answered, False on an injected fault."""
+            try:
+                response = client.compile(dumps(circuits[index]), timeout=1.0, seed=seed)
+            except ServeError as exc:
+                error_codes.append(exc.code)
+                if exc.code not in fault_codes.values():
+                    failures.append(f"seed {seed}: {exc.code}")
+                return False
+            if response["qasm"] != expected[index, seed]:
+                failures.append(f"divergent output for {circuits[index].name} seed {seed}")
+            return True
+
         def soak(thread_index):
-            faults = ["raise", "exit", "hang"]
             try:
                 with ServeClient(server.config.address) as client:
-                    for round_index in range(6):
-                        circuit = circuits[(thread_index + round_index) % len(circuits)]
-                        qasm = dumps(circuit)
-                        fault = faults[(thread_index + round_index) % len(faults)]
-                        try:
-                            client.compile(qasm, fault=fault, timeout=0.5, seed=thread_index)
-                            failures.append(f"fault {fault} did not fail")
-                        except ServeError as exc:
-                            if exc.code != fault_codes[fault]:
-                                failures.append(f"fault {fault} -> {exc.code}")
-                        response = client.compile(qasm)
-                        if response["qasm"] != expected[circuit.name]:
-                            failures.append(f"divergent output for {circuit.name}")
+                    for round_index in range(rounds):
+                        submit(client, *probes[thread_index, round_index])
+                        index = (thread_index + round_index) % len(circuits)
+                        for _ in range(plan.total_faults() + 1):
+                            if submit(client, index, 0):
+                                break
+                        else:
+                            failures.append(f"real compile of {circuits[index].name} never answered")
             except Exception as exc:  # noqa: BLE001 — surfaced via `failures`
                 failures.append(f"thread {thread_index}: {type(exc).__name__}: {exc}")
 
-        threads = [threading.Thread(target=soak, args=(i,)) for i in range(4)]
-        for thread in threads:
+        clients = [threading.Thread(target=soak, args=(i,)) for i in range(threads)]
+        for thread in clients:
             thread.start()
-        for thread in threads:
+        for thread in clients:
             thread.join()
         pool_stats = server.snapshot()["pool"]
+        fired = server.fault_counts()
 
     assert failures == []
+    assert fired == plan.counts  # every scheduled fault fired
+    answered = collections.Counter(error_codes)
+    for mode, code in fault_codes.items():
+        assert answered[code] >= plan.counts[f"worker.{mode}"], (mode, answered)
     assert pool_stats["alive"] == config.workers  # the pool healed every time
-    assert pool_stats["crashes"] > 0 and pool_stats["timeouts"] > 0
+    assert pool_stats["crashes"] == plan.counts["worker.exit"]
+    assert pool_stats["timeouts"] == plan.counts["worker.hang"]
 
 
 def test_chaos_soak_full_fault_plan():

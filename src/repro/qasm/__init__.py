@@ -8,10 +8,18 @@ compiled circuit leave it in a widely readable format:
   :class:`~repro.circuits.circuit.QuantumCircuit` to OpenQASM 2.0 text /
   a file.  Deterministic, and exact: ``loads(dumps(c))`` is gate-for-gate
   identical to ``c`` (names, qubits, parameter floats).
-* :func:`loads` / :func:`load` — parse OpenQASM 2.0 text / a file through
-  a hand-written tokenizer and recursive-descent parser into a circuit.
-  :func:`parse` returns the full :class:`~repro.qasm.parser.QasmProgram`
-  including the ``creg``/``measure``/``barrier`` passthrough record.
+* :func:`loads` / :func:`load` — parse OpenQASM 2.0 text / a file into a
+  circuit.  :func:`parse` returns the full
+  :class:`~repro.qasm.parser.QasmProgram` including the
+  ``creg``/``measure``/``barrier`` passthrough record.  Two tiers read
+  the text: a one-regex reader takes straight-line programs (one
+  ``qreg``, built-in or ``mcx_<k>`` gates, literal parameters, indexed
+  qubits: what :func:`dumps` writes) and returns the parser's exact
+  result; everything else goes to a hand-written tokenizer and
+  recursive-descent parser, so errors always come from the parser.
+  CR LF, CR and LF each end one line.  ``max_qubits`` refuses a ``qreg``
+  past the cap at its declaration (:class:`QubitCapError`), and gate
+  macros may expand to at most a fixed number of instructions.
 * :class:`QasmError` — structured parse/serialization error with 1-based
   ``line``/``column`` (a :class:`ValueError` subclass).
 
@@ -21,24 +29,26 @@ See ``docs/qasm.md`` for the supported subset and the gate mapping table.
 from __future__ import annotations
 
 import os
-from typing import IO, Union
+from typing import IO, Optional, Union
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.qasm.emitter import dump, dumps
-from repro.qasm.errors import QasmError
+from repro.qasm.errors import QasmError, QubitCapError
 from repro.qasm.parser import QasmProgram, parse
 
-__all__ = ["QasmError", "QasmProgram", "dump", "dumps", "load", "loads", "parse"]
+__all__ = ["QasmError", "QasmProgram", "QubitCapError", "dump", "dumps", "load", "loads", "parse"]
 
 
-def loads(text: str, name: str = "qasm") -> QuantumCircuit:
+def loads(text: str, name: str = "qasm", max_qubits: Optional[int] = None) -> QuantumCircuit:
     """Parse OpenQASM 2.0 ``text`` into a :class:`QuantumCircuit`.
 
     ``measure``/``barrier`` statements are validated and dropped (use
     :func:`parse` to inspect them); everything unsupported raises
-    :class:`QasmError` with the source line/column.
+    :class:`QasmError` with the source line/column.  With ``max_qubits``,
+    a ``qreg`` past that many qubits raises :class:`QubitCapError` at its
+    declaration.
     """
-    return parse(text, name=name).circuit
+    return parse(text, name=name, max_qubits=max_qubits).circuit
 
 
 def load(file: Union[str, "os.PathLike[str]", IO[str]], name: str = None) -> QuantumCircuit:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-__all__ = ["QasmError"]
+__all__ = ["QasmError", "QubitCapError"]
 
 
 class QasmError(ValueError):
@@ -44,3 +44,16 @@ class QasmError(ValueError):
     def with_filename(self, filename: str) -> "QasmError":
         """Copy of this error carrying the source ``filename``."""
         return QasmError(self.message, self.line, self.column, filename)
+
+
+class QubitCapError(QasmError):
+    """A ``qreg`` took the program past the ``max_qubits`` a parse was given.
+
+    Raised at the declaration, before any gate is read; ``num_qubits`` is
+    the qubit count the program had reached there.
+    """
+
+    def __init__(self, message: str, line: int, column: int, num_qubits: int, max_qubits: int):
+        super().__init__(message, line, column)
+        self.num_qubits = num_qubits
+        self.max_qubits = max_qubits

@@ -2,9 +2,11 @@
 
 Produces a flat token stream with 1-based line/column positions so the
 parser can raise :class:`~repro.qasm.errors.QasmError` pointing at the
-offending source location.  Comments (``// ...``) are dropped here; the
-``// repro.unitary`` matrix pragmas emitted for :class:`UnitaryGate`
-instructions are extracted from the raw text by the parser before lexing.
+offending source location.  CR LF, a lone CR and a lone LF each end one
+line, and a comment (``// ...``) runs to whichever comes first; comments are
+dropped here.  The ``// repro.unitary`` matrix pragmas emitted for
+:class:`UnitaryGate` instructions are extracted from the raw text by the
+parser before lexing.
 """
 
 from __future__ import annotations
@@ -82,17 +84,17 @@ def _tokens(text: str) -> Iterator[Token]:
     n = len(text)
     while pos < n:
         ch = text[pos]
-        if ch == "\n":
+        if ch in "\r\n":
             line += 1
-            pos += 1
+            pos += 2 if text.startswith("\r\n", pos) else 1
             line_start = pos
             continue
-        if ch in " \t\r":
+        if ch in " \t":
             pos += 1
             continue
         column = pos - line_start + 1
         if ch == "/" and pos + 1 < n and text[pos + 1] == "/":
-            while pos < n and text[pos] != "\n":
+            while pos < n and text[pos] not in "\r\n":
                 pos += 1
             continue
         two = text[pos : pos + 2]
@@ -116,7 +118,7 @@ def _tokens(text: str) -> Iterator[Token]:
             continue
         if ch == '"':
             end = pos + 1
-            while end < n and text[end] not in '"\n':
+            while end < n and text[end] not in '"\r\n':
                 end += 1
             if end >= n or text[end] != '"':
                 raise QasmError("unterminated string literal", line, column)

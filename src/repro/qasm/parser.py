@@ -28,6 +28,12 @@ emitter:
 
 Everything else (``reset``, ``if``) raises a :class:`QasmError` carrying
 the 1-based source line/column.
+
+:func:`parse` first offers the text to :func:`_read_straight_line`, a
+one-regex reader for the straight-line subset :func:`~repro.qasm.dumps`
+writes (one ``qreg``, literal parameters, indexed qubits).  It returns the
+same program the parser would, or ``None`` for anything else, and then the
+parser runs; every error therefore comes from the parser.
 """
 
 from __future__ import annotations
@@ -35,13 +41,14 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.instruction import Instruction
 from repro.gates import standard
 from repro.gates.gate import Gate, UnitaryGate
-from repro.qasm.errors import QasmError
+from repro.qasm.errors import QasmError, QubitCapError
 from repro.qasm.lexer import Token, tokenize
 
 __all__ = ["QasmProgram", "parse", "UNITARY_PRAGMA"]
@@ -51,6 +58,9 @@ __all__ = ["QasmProgram", "parse", "UNITARY_PRAGMA"]
 UNITARY_PRAGMA = "// repro.unitary"
 
 _MAX_MACRO_DEPTH = 64
+#: Instructions that all gate-macro applications of one program may expand
+#: to; an application that would pass it is refused before it expands.
+_MAX_MACRO_GATES = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +178,7 @@ class _GateMacro:
     params: List[str]
     qargs: List[str]
     body: List[_MacroStmt]
+    size: int  # instructions one application expands to
 
 
 #: Machine shape of a pragma line: ``// repro.unitary <symbol> <label> <hex>``.
@@ -176,6 +187,7 @@ class _GateMacro:
 _PRAGMA_SHAPE = re.compile(
     r"([A-Za-z_][A-Za-z0-9_]*)\s+(\S+)\s+((?:[0-9a-fA-F]{2})+)"
 )
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
 
 def _scan_unitary_pragmas(text: str) -> Dict[str, UnitaryGate]:
@@ -183,7 +195,8 @@ def _scan_unitary_pragmas(text: str) -> Dict[str, UnitaryGate]:
     import numpy as np
 
     unitaries: Dict[str, UnitaryGate] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Lines break where the lexer breaks them: at CR LF, CR or LF only.
+    for lineno, raw in enumerate(_LINE_BREAK.split(text), start=1):
         line = raw.strip()
         rest = line[len(UNITARY_PRAGMA):]
         # Token boundary: '// repro.unitaryish ...' is an ordinary comment.
@@ -220,10 +233,12 @@ def _scan_unitary_pragmas(text: str) -> Dict[str, UnitaryGate]:
 
 
 class _Parser:
-    def __init__(self, text: str, name: str = "qasm") -> None:
+    def __init__(self, text: str, name: str = "qasm", max_qubits: Optional[int] = None) -> None:
         self.tokens = tokenize(text)
         self.pos = 0
         self.name = name
+        self.max_qubits = max_qubits
+        self.macro_gates = 0  # instructions expanded from gate macros so far
         self.qregs: Dict[str, Tuple[int, int]] = {}  # name -> (offset, size)
         self.cregs: Dict[str, int] = {}
         self.macros: Dict[str, _GateMacro] = {}
@@ -324,9 +339,20 @@ class _Parser:
             raise self._error(f"register {name!r} is already declared", name_token)
         self._expect_symbol("[")
         size_token = self._expect("nat")
-        size = int(size_token.value)
+        size = _to_int(size_token.value, size_token)
         if size < 1:
             raise self._error("register size must be at least 1", size_token)
+        if kind == "qreg" and self.max_qubits is not None:
+            total = self.num_qubits + size
+            if total > self.max_qubits:
+                raise QubitCapError(
+                    f"qreg {name!r} brings the program to {total} qubits, "
+                    f"over max_qubits={self.max_qubits}",
+                    size_token.line,
+                    size_token.column,
+                    total,
+                    self.max_qubits,
+                )
         self._expect_symbol("]")
         self._expect_symbol(";")
         if kind == "qreg":
@@ -379,7 +405,10 @@ class _Parser:
         if not shadowed:
             if name in self.macros:
                 raise self._error(f"gate {name!r} is already defined", name_token)
-            self.macros[name] = _GateMacro(name, params, qargs, body)
+            size = sum(
+                self.macros[stmt.name].size if stmt.name in self.macros else 1 for stmt in body
+            )
+            self.macros[name] = _GateMacro(name, params, qargs, body, size)
 
     def _parse_macro_statement(self, formals: set, bound_params: set) -> _MacroStmt:
         name_token = self._expect("id")
@@ -497,7 +526,7 @@ class _Parser:
         if self._peek().type == "symbol" and self._peek().value == "[":
             self._next()
             index_token = self._expect("nat")
-            index = int(index_token.value)
+            index = _to_int(index_token.value, index_token)
             self._expect_symbol("]")
         return token, index
 
@@ -548,6 +577,14 @@ class _Parser:
                 f"mismatched register sizes in broadcast: {sorted(widths)}", name_token
             )
         repeat = widths.pop() if widths else 1
+        macro = self.macros.get(name)
+        if macro is not None:
+            self.macro_gates += repeat * macro.size
+            if self.macro_gates > _MAX_MACRO_GATES:
+                raise self._error(
+                    f"gate macros expand to more than {_MAX_MACRO_GATES} instructions",
+                    name_token,
+                )
         for step in range(repeat):
             qubits = [
                 qubit_list[step] if len(qubit_list) > 1 else qubit_list[0]
@@ -598,12 +635,16 @@ class _Parser:
         if controls is None:
             match = _MCX_NAME.fullmatch(name)
             if match:
-                controls = int(match.group(1))
+                controls = _to_int(match.group(1), token)
         if name == "mcx":
             controls = len(qubits) - 1
             if params:
                 # An explicit control count is accepted but must agree.
-                if len(params) != 1 or int(round(params[0])) != controls:
+                if (
+                    len(params) != 1
+                    or not math.isfinite(params[0])
+                    or int(round(params[0])) != controls
+                ):
                     raise self._error(
                         f"mcx on {len(qubits)} qubits expects {controls} controls, "
                         f"got parameter(s) {tuple(params)}",
@@ -721,6 +762,16 @@ class _Parser:
         )
 
 
+def _to_int(digits: str, token: Token) -> int:
+    """``int(digits)``, or a :class:`QasmError` past ``int``'s digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise QasmError(
+            f"number of {len(digits)} digits is too long", token.line, token.column
+        ) from None
+
+
 def _free_identifiers(expr: Any):
     """Yield ``(name, token)`` for every unbound identifier in an AST."""
     tag = expr[0]
@@ -776,6 +827,113 @@ def _evaluate(expr: Any, env: Dict[str, float]) -> float:
         ) from None
 
 
-def parse(text: str, name: str = "qasm") -> QasmProgram:
-    """Parse OpenQASM 2.0 ``text`` into a :class:`QasmProgram`."""
-    return _Parser(text, name=name).parse()
+# ---------------------------------------------------------------------------
+# The straight-line reader: the subset dumps() writes, in one regex pass.
+# ---------------------------------------------------------------------------
+
+_WS = r"[ \t]*"
+_ID = r"[A-Za-z_][A-Za-z0-9_]*(?![A-Za-z0-9_])"
+_IDLIST = rf"{_ID}(?:{_WS},{_WS}{_ID})*"
+#: What may follow a statement: whitespace, line breaks and comments.  A
+#: comment must run to its line break, so a line of ``////...`` has one
+#: reading, not one per way of splitting it (exponential backtracking).
+_SKIP = r"[ \t\r\n]*(?://[^\r\n]*(?![^\r\n])[ \t\r\n]*)*"
+
+#: Optional version, ``include``/``opaque`` lines, then the one ``qreg``.
+_HEADER = re.compile(
+    rf"{_SKIP}(?:OPENQASM[ \t]+2\.0{_WS};{_SKIP})?"
+    rf"(?:(?:include{_WS}\"[^\"\r\n]*\"|opaque[ \t]+{_ID}{_WS}"
+    rf"(?:\({_WS}(?:{_IDLIST}{_WS})?\){_WS})?{_IDLIST}){_WS};{_SKIP})*"
+    rf"qreg[ \t]+({_ID}){_WS}\[{_WS}([0-9]+){_WS}\]{_WS};{_SKIP}"
+)
+_INDEX = re.compile(r"\[[ \t]*([0-9]+)")
+
+
+def _application_pattern(register: str) -> "re.Pattern[str]":
+    """``name[(literals)] reg[i][, reg[j] ...];`` over the one register.
+
+    The parameter text is only screened for the characters of signed
+    decimal and exponent literals; ``float`` then refuses any piece that is
+    not one, since on these characters its grammar is the lexer's.
+    """
+    arg = rf"{re.escape(register)}{_WS}\[{_WS}[0-9]+{_WS}\]"
+    return re.compile(
+        rf"([A-Za-z_][A-Za-z0-9_]*)(?:{_WS}\(([0-9.eE+\-, \t]*)\){_WS}|[ \t]+)"
+        rf"({arg}(?:{_WS},{_WS}{arg})*){_WS};{_SKIP}"
+    )
+
+
+def _read_straight_line(
+    text: str, name: str, max_qubits: Optional[int] = None
+) -> Optional[QasmProgram]:
+    """Read ``text`` if it is straight-line QASM, else return ``None``.
+
+    Accepted: the version line, ``include``, ``opaque`` and comment lines,
+    exactly one ``qreg``, then applications of built-in or ``mcx_<k>``
+    gates with literal parameters and indexed qubits.  Anything else,
+    including every program the parser would reject, returns ``None`` so
+    that :class:`_Parser` reads it (and raises its error).  Each statement
+    is matched where the last one ended; the match never searches ahead.
+    The gates come from the parser's constructors and ``float`` of a
+    literal is the parser's value, so an accepted program is identical.
+    """
+    if "repro.unitary" in text:
+        return None  # matrix pragmas are the parser's
+    header = _HEADER.match(text)
+    if header is None:
+        return None
+    instructions: List[Instruction] = []
+    append = instructions.append
+    indices = _INDEX.findall
+    shapes = dict(_BUILTINS)  # plus each mcx_<k> met
+    try:
+        register, size = header.group(1), int(header.group(2))
+        if size < 1 or (max_qubits is not None and size > max_qubits):
+            return None
+        statement = _application_pattern(register).match
+        pos, end = header.end(), len(text)
+        while pos < end:
+            match = statement(text, pos)
+            if match is None:
+                return None
+            gate_name, literals, args = match.groups()
+            pos = match.end()
+            shape = shapes.get(gate_name)
+            if shape is None:
+                mcx = _MCX_NAME.fullmatch(gate_name)
+                if mcx is None:
+                    return None
+                controls = int(mcx.group(1))
+                shape = shapes[gate_name] = (0, controls + 1, partial(standard.mcx_gate, controls))
+            n_params, arity, constructor = shape
+            qubits = tuple(map(int, indices(args)))
+            if len(qubits) != arity or max(qubits) >= size or len(set(qubits)) != arity:
+                return None
+            if literals:
+                params = tuple(map(float, literals.split(",")))
+                if len(params) != n_params or not all(map(math.isfinite, params)):
+                    return None
+                gate = constructor(*params)
+            elif n_params:
+                return None
+            else:
+                gate = constructor()
+            append(Instruction.unchecked(gate, qubits))
+    except ValueError:  # not a literal, or digits past int()'s limit
+        return None
+    circuit = QuantumCircuit(size, name=name)
+    circuit.instructions.extend(instructions)
+    return QasmProgram(circuit=circuit, qregs={register: size})
+
+
+def parse(text: str, name: str = "qasm", max_qubits: Optional[int] = None) -> QasmProgram:
+    """Parse OpenQASM 2.0 ``text`` into a :class:`QasmProgram`.
+
+    With ``max_qubits``, a ``qreg`` that takes the program past that many
+    qubits raises :class:`~repro.qasm.errors.QubitCapError` (a
+    :class:`QasmError`) at its declaration, before any gate is read.
+    """
+    program = _read_straight_line(text, name, max_qubits)
+    if program is None:
+        program = _Parser(text, name=name, max_qubits=max_qubits).parse()
+    return program

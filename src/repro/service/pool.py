@@ -7,16 +7,24 @@ workers alive across jobs: each worker owns a warm
 shared through the segment store) and module imports are paid once, not per
 request.  The design borrows the decoupled submit/complete structure of
 asynchronous device pools (CXLMemUring in PAPERS.md): callers get a future
-at submit time, a single pump thread moves jobs and completions.
+at submit time, a single pump thread moves jobs and completions.  The pump
+is event-driven: it blocks in :func:`multiprocessing.connection.wait` on
+every worker's result pipe, the sentinel of every busy worker and a wake
+pipe, with a timeout that ends at the nearest running job's deadline (none
+when no job runs).  ``submit``, ``probe`` and ``shutdown`` write one byte to
+the wake pipe when they dispatch, respawn or close, so a fresh deadline is
+enforced on time; an idle pool costs no CPU.
 
 Isolation properties (proven by ``tests/test_service_server.py``):
 
 * **Sharding.**  A job's content-hash key pins it to one worker
   (``int(key, 16) % workers``), so repeated submissions of the same circuit
-  hit the same warm memory cache.  Each worker has its *own* request and
-  response queues — a wedged worker never blocks another worker's traffic,
-  and a killed worker's queues are discarded wholesale (a queue shared with
-  other workers could be corrupted by killing a process mid-``put``).
+  hit the same warm memory cache.  Each worker has its *own* job and
+  result pipes — a wedged worker never blocks another worker's traffic,
+  and a killed worker's pipes are discarded wholesale (a channel shared
+  with other workers could be corrupted by killing a process mid-write).
+  The parent closes its copy of a worker's result-pipe write end, so a
+  dead worker's pipe reads as end-of-file.
 * **One outstanding job per worker.**  Queued jobs wait server-side in
   per-shard deques; a worker only ever holds the job it is running.  The
   pump thread can therefore enforce per-job deadlines exactly: kill the
@@ -33,11 +41,11 @@ import collections
 import dataclasses
 import multiprocessing
 import os
-import queue
 import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Any, Deque, Dict, Optional, Tuple
 
 __all__ = ["PoolJob", "JobOutcome", "WorkerPool"]
@@ -47,8 +55,6 @@ __all__ = ["PoolJob", "JobOutcome", "WorkerPool"]
 #: wildly skewed clock — kill, fail with a retriable ``timeout``, respawn.
 _CLOCK_SKEW_DEADLINE_SECONDS = 0.02
 
-#: Pump-thread poll interval; bounds added latency per completion.
-_POLL_SECONDS = 0.005
 #: Grace given to workers to drain their sentinel at shutdown.
 _SHUTDOWN_GRACE_SECONDS = 2.0
 
@@ -90,12 +96,12 @@ class JobOutcome:
 
 @dataclass
 class _WorkerSlot:
-    """Parent-side state of one worker: process, queues, shard backlog."""
+    """Parent-side state of one worker: process, pipes, shard backlog."""
 
     index: int
     process: Optional[multiprocessing.Process] = None
-    inbox: Optional[Any] = None  # mp.Queue of PoolJob
-    outbox: Optional[Any] = None  # mp.Queue of (key, ok, payload, code, message, elapsed)
+    jobs: Optional[Any] = None  # send end: PoolJob, or None to stop
+    results: Optional[Any] = None  # receive end: (key, ok, payload, code, message, elapsed)
     running: Optional[Tuple[PoolJob, Future, float]] = None  # job, future, deadline
     backlog: Deque[Tuple[PoolJob, Future]] = field(default_factory=collections.deque)
     generation: int = 0
@@ -140,7 +146,7 @@ def _execute_job(job: PoolJob, cache) -> Tuple[bool, Any, Optional[str], Optiona
     return True, payload, None, None
 
 
-def _worker_main(worker_index: int, inbox, outbox, cache_spec, fault_plan=None) -> None:
+def _worker_main(worker_index: int, jobs, results, cache_spec, fault_plan=None) -> None:
     """Worker process loop: one job at a time until the ``None`` sentinel."""
     from repro.service.cache import SynthesisCache
     from repro.service.protocol import ERR_COMPILE
@@ -155,7 +161,10 @@ def _worker_main(worker_index: int, inbox, outbox, cache_spec, fault_plan=None) 
             cache.fault_injector = fault_plan.injector("cache")
     try:
         while True:
-            job = inbox.get()
+            try:
+                job = jobs.recv()
+            except EOFError:  # the parent is gone
+                break
             if job is None:
                 break
             start = time.perf_counter()
@@ -165,7 +174,7 @@ def _worker_main(worker_index: int, inbox, outbox, cache_spec, fault_plan=None) 
                 ok, payload = False, None
                 code, message = ERR_COMPILE, f"{type(exc).__name__}: {exc}"
             elapsed = time.perf_counter() - start
-            outbox.put((job.key, ok, payload, code, message, elapsed))
+            results.send((job.key, ok, payload, code, message, elapsed))
     finally:
         if cache is not None:
             cache.close()
@@ -222,6 +231,9 @@ class WorkerPool:
         self._fault_plan = fault_plan
         self._worker_faults = fault_plan.injector("worker") if fault_plan is not None else None
         self._clock_faults = fault_plan.injector("clock") if fault_plan is not None else None
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_r, False)
+        os.set_blocking(self._wake_w, False)
         for slot in self._slots:
             self._spawn(slot)
         self._pump_thread = threading.Thread(target=self._pump, name="repro-pool-pump", daemon=True)
@@ -232,12 +244,12 @@ class WorkerPool:
     # ------------------------------------------------------------------
     def submit(self, job: PoolJob) -> "Future[JobOutcome]":
         """Queue ``job`` on its shard; the future resolves to a :class:`JobOutcome`."""
-        if self._closed.is_set():
-            raise RuntimeError("pool is shut down")
         future: "Future[JobOutcome]" = Future()
         # Jobs shard by content hash (warm memory-tier synthesis cache).
         slot = self._slots[self._shard(job.key)]
         with self._lock:
+            if self._closed.is_set():
+                raise RuntimeError("pool is shut down")
             slot.backlog.append((job, future))
             if len(slot.backlog) > 1 and job.priority > slot.backlog[-2][0].priority:
                 # Higher-priority work jumps the shard's queue.  The backlog
@@ -247,7 +259,10 @@ class WorkerPool:
                 slot.backlog = collections.deque(
                     sorted(slot.backlog, key=lambda item: -item[0].priority)
                 )
+            running = slot.running
             self._dispatch(slot)
+            if slot.running is not running:
+                self._wake()  # the pump must learn the new deadline
         return future
 
     def pending_jobs(self) -> int:
@@ -294,11 +309,13 @@ class WorkerPool:
                         and not slot.process.is_alive()
                     ):
                         dead_idle += 1
-                        self._discard_queues(slot)
+                        self._discard_channels(slot)
                         self._respawns += 1
                         self._probe_respawns += 1
                         self._spawn(slot)
                         self._dispatch(slot)
+                if dead_idle:
+                    self._wake()  # the pump must watch the new pipes
             return {"workers": self.workers, "respawned_idle": dead_idle}
 
     def shed(self, min_priority: int) -> int:
@@ -349,9 +366,11 @@ class WorkerPool:
 
     def shutdown(self) -> None:
         """Stop the pump, fail queued jobs, terminate the workers."""
-        if self._closed.is_set():
-            return
-        self._closed.set()
+        with self._lock:
+            if self._closed.is_set():
+                return
+            self._closed.set()
+            self._wake()
         self._pump_thread.join(timeout=_SHUTDOWN_GRACE_SECONDS + 1.0)
         from repro.service.protocol import ERR_SHUTDOWN
 
@@ -365,6 +384,8 @@ class WorkerPool:
                     slot.running = None
                     self._fail(future, slot, ERR_SHUTDOWN, "server shutting down")
                 self._stop_worker(slot)
+            os.close(self._wake_r)
+            os.close(self._wake_w)
 
     # ------------------------------------------------------------------
     # Internals (pump thread + process management).
@@ -372,24 +393,35 @@ class WorkerPool:
     def _shard(self, key: str) -> int:
         return int(key[:8], 16) % self.workers
 
+    def _wake(self) -> None:
+        """Wake the pump from its wait.  Caller holds the lock, pool open."""
+        try:
+            os.write(self._wake_w, b"\0")
+        except BlockingIOError:
+            pass  # the pipe is full of wake-ups the pump has yet to read
+
     def _spawn(self, slot: _WorkerSlot) -> None:
-        slot.inbox = self._ctx.Queue()
-        slot.outbox = self._ctx.Queue()
+        job_recv, slot.jobs = self._ctx.Pipe(duplex=False)
+        slot.results, result_send = self._ctx.Pipe(duplex=False)
         slot.generation += 1
         slot.process = self._ctx.Process(
             target=_worker_main,
-            args=(slot.index, slot.inbox, slot.outbox, self.cache_spec, self._fault_plan),
+            args=(slot.index, job_recv, result_send, self.cache_spec, self._fault_plan),
             name=f"repro-serve-worker-{slot.index}",
             daemon=True,
         )
         slot.process.start()
+        # Only the worker holds these ends now: its death closes the result
+        # pipe's last writer, so the pump reads end-of-file.
+        job_recv.close()
+        result_send.close()
 
     def _kill_and_respawn(self, slot: _WorkerSlot) -> None:
         process = slot.process
         if process is not None and process.is_alive():
             process.kill()
             process.join(timeout=_SHUTDOWN_GRACE_SECONDS)
-        self._discard_queues(slot)
+        self._discard_channels(slot)
         self._respawns += 1
         self._spawn(slot)
 
@@ -399,28 +431,23 @@ class WorkerPool:
             return
         try:
             if process.is_alive():
-                slot.inbox.put(None)
+                slot.jobs.send(None)
                 process.join(timeout=_SHUTDOWN_GRACE_SECONDS)
             if process.is_alive():
                 process.kill()
                 process.join(timeout=_SHUTDOWN_GRACE_SECONDS)
         except (OSError, ValueError):
             pass
-        self._discard_queues(slot)
+        self._discard_channels(slot)
         slot.process = None
 
     @staticmethod
-    def _discard_queues(slot: _WorkerSlot) -> None:
-        for q in (slot.inbox, slot.outbox):
-            if q is None:
-                continue
-            try:
-                q.close()
-                q.cancel_join_thread()
-            except (OSError, ValueError):
-                pass
-        slot.inbox = None
-        slot.outbox = None
+    def _discard_channels(slot: _WorkerSlot) -> None:
+        for conn in (slot.jobs, slot.results):
+            if conn is not None:
+                conn.close()
+        slot.jobs = None
+        slot.results = None
 
     def _dispatch(self, slot: _WorkerSlot) -> None:
         """Hand the shard's next job to its (idle) worker.  Caller holds the lock."""
@@ -441,7 +468,10 @@ class WorkerPool:
             # badly skewed clock would make it — a retriable timeout.
             deadline = time.monotonic() + _CLOCK_SKEW_DEADLINE_SECONDS
         slot.running = (job, future, deadline)
-        slot.inbox.put(job)
+        try:
+            slot.jobs.send(job)
+        except OSError:
+            pass  # the worker is gone; the pump fails the job as a crash
 
     @staticmethod
     def _resolve(future: Future, outcome: JobOutcome) -> None:
@@ -461,20 +491,22 @@ class WorkerPool:
     def _pump(self) -> None:
         from repro.service.protocol import ERR_TIMEOUT, ERR_WORKER_CRASH
 
-        while not self._closed.is_set():
-            progressed = False
+        while True:
             with self._lock:
+                if self._closed.is_set():
+                    return
                 now = time.monotonic()
                 for slot in self._slots:
                     # 1. Drain completions.
-                    while slot.outbox is not None:
+                    while slot.results is not None and slot.results.poll():
                         try:
-                            key, ok, payload, code, message, elapsed = slot.outbox.get_nowait()
-                        except queue.Empty:
+                            key, ok, payload, code, message, elapsed = slot.results.recv()
+                        except (OSError, EOFError):
+                            # The worker is gone: step 3 fails a busy one's
+                            # job, probe() respawns an idle one.
+                            slot.results.close()
+                            slot.results = None
                             break
-                        except (OSError, ValueError, EOFError):
-                            break
-                        progressed = True
                         if slot.running is not None and slot.running[0].key == key:
                             job, future, _ = slot.running
                             slot.running = None
@@ -509,7 +541,6 @@ class WorkerPool:
                                     worker=slot.index,
                                 ),
                             )
-                            progressed = True
                     # 3. Crash detection: the worker died while busy.
                     if (
                         slot.running is not None
@@ -520,7 +551,7 @@ class WorkerPool:
                         slot.running = None
                         self._crashes += 1
                         exitcode = slot.process.exitcode
-                        self._discard_queues(slot)
+                        self._discard_channels(slot)
                         self._respawns += 1
                         self._spawn(slot)
                         self._resolve(
@@ -536,8 +567,22 @@ class WorkerPool:
                                 worker=slot.index,
                             ),
                         )
-                        progressed = True
                     # 4. Keep the shard busy.
                     self._dispatch(slot)
-            if not progressed:
-                time.sleep(_POLL_SECONDS)
+                # Wait on file descriptors, not connection objects: probe()
+                # may close a connection while this thread waits on it.
+                ready_on = [self._wake_r]
+                deadline = None
+                for slot in self._slots:
+                    if slot.results is not None:
+                        ready_on.append(slot.results.fileno())
+                    if slot.running is not None:
+                        ready_on.append(slot.process.sentinel)
+                        if deadline is None or slot.running[2] < deadline:
+                            deadline = slot.running[2]
+            timeout = None if deadline is None else max(0.0, deadline - time.monotonic())
+            if self._wake_r in wait(ready_on, timeout):
+                try:
+                    os.read(self._wake_r, 4096)
+                except BlockingIOError:
+                    pass

@@ -119,6 +119,9 @@ class ServeConfig:
             raise ValueError(f"max_pending must be >= 1, not {self.max_pending}")
         if not self.job_timeout > 0:
             raise ValueError(f"job_timeout must be > 0 seconds, not {self.job_timeout}")
+        for name in ("max_frame_bytes", "max_qasm_bytes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, not {getattr(self, name)}")
         for name in ("max_qubits", "cache_capacity"):
             value = getattr(self, name)
             if value is not None and value < 1:
@@ -467,25 +470,26 @@ class CompileServer:
         # Parse up front: a syntactically broken program is the client's
         # error (bad-request), not a compile failure, and the parsed circuit
         # gives us the content-addressed dedup key + early size validation.
-        from repro.qasm import QasmError, loads
+        from repro.qasm import QasmError, QubitCapError, loads
         from repro.service.cache import circuit_fingerprint
 
         try:
-            circuit = loads(qasm)
-        except QasmError as exc:
-            with self._lock:
-                self.stats.rejected_invalid += 1
-            return protocol.error_response(
-                request_id, protocol.ERR_BAD_REQUEST, f"invalid QASM: {exc}"
-            )
-        if self.config.max_qubits is not None and circuit.num_qubits > self.config.max_qubits:
+            # The qubit cap is checked at the qreg, before any gate expands.
+            circuit = loads(qasm, max_qubits=self.config.max_qubits)
+        except QubitCapError as exc:
             with self._lock:
                 self.stats.rejected_invalid += 1
             return protocol.error_response(
                 request_id,
                 protocol.ERR_TOO_LARGE,
-                f"circuit has {circuit.num_qubits} qubits; this server caps jobs at "
-                f"max_qubits={self.config.max_qubits}",
+                f"circuit has {exc.num_qubits} qubits; this server caps jobs at "
+                f"max_qubits={exc.max_qubits}",
+            )
+        except QasmError as exc:
+            with self._lock:
+                self.stats.rejected_invalid += 1
+            return protocol.error_response(
+                request_id, protocol.ERR_BAD_REQUEST, f"invalid QASM: {exc}"
             )
         target = request["target"]
         if target is not None:

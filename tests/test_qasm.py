@@ -9,6 +9,7 @@ compiling the original.
 
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -393,6 +394,27 @@ def test_exotic_expression_errors_are_qasm_errors():
     # ** raising (0^-1) must surface as QasmError, not ZeroDivisionError.
     with pytest.raises(QasmError, match="invalid parameter expression"):
         loads("qreg q[1];\nrx(0^-1) q[0];")
+    # A non-finite mcx control count is not an OverflowError/ValueError.
+    for literal in ("1e999", "1e999-1e999"):
+        with pytest.raises(QasmError, match="expects 1 controls"):
+            loads(f"qreg q[2];\nmcx({literal}) q[0],q[1];")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "qreg q[" + "1" * 5000 + "];",
+        "qreg q[2];\nh q[" + "0" * 5000 + "];",
+        "qreg q[3];\nmcx_" + "1" * 5000 + " q[0],q[1];",
+    ],
+    ids=["register-size", "index", "mcx-controls"],
+)
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit here"
+)
+def test_numbers_past_the_int_digit_limit_are_qasm_errors(text):
+    with pytest.raises(QasmError, match="5000 digits is too long"):
+        loads(text)
 
 
 def test_leading_dot_reals_lex():

@@ -375,6 +375,31 @@ def test_oversized_qasm_is_refused_before_parsing(limits_server, monkeypatch):
     assert limits_server.snapshot()["result_cache_aliases"] == 0
 
 
+def test_intake_work_is_bounded_by_the_caps(client):
+    # 23 bytes that would expand to 10^8 instructions: refused at the qreg.
+    start = time.monotonic()
+    with pytest.raises(ServeError) as excinfo:
+        client.compile("qreg q[100000000]; h q;")
+    assert time.monotonic() - start < 1.0
+    assert excinfo.value.code == "too-large"
+    assert "100000000 qubits" in excinfo.value.message
+    assert "max_qubits=64" in excinfo.value.message
+    # Gate macros doubling over 40 levels: refused before they expand.
+    lines = ["OPENQASM 2.0;", "qreg q[1];", "gate g0 a { h a; }"]
+    lines += [f"gate g{k} a {{ g{k - 1} a; g{k - 1} a; }}" for k in range(1, 41)]
+    lines.append("g40 q[0];")
+    start = time.monotonic()
+    with pytest.raises(ServeError) as excinfo:
+        client.compile("\n".join(lines))
+    assert time.monotonic() - start < 1.0
+    assert excinfo.value.code == "bad-request"
+    assert "instructions" in excinfo.value.message
+    # The daemon is still healthy and still bit-identical.
+    assert client.ping()
+    circuit = qft_circuit(4)
+    assert client.compile(dumps(circuit))["qasm"] == _sequential_qasm(circuit)
+
+
 def _raw_connect(server):
     sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     sock.settimeout(10.0)
@@ -518,6 +543,8 @@ def test_server_rejects_config_plus_overrides():
         {"job_timeout": -1.0},
         {"max_qubits": 0},
         {"cache_capacity": 0},
+        {"max_qasm_bytes": 0},
+        {"max_frame_bytes": 0},
     ],
     ids=lambda setting: "{}={}".format(*next(iter(setting.items()))),
 )

@@ -1,10 +1,10 @@
 """Shared lazy-export machinery for package ``__init__`` modules.
 
-Both ``repro`` and ``repro.target`` expose their public API through a
-``{name: "module:attribute"}`` table resolved on first attribute access, so
-importing the package stays cheap and submodules never cycle through the
-package ``__init__``.  A value of ``"module:"`` (empty attribute) exports the
-module object itself.
+``repro``, ``repro.target`` and ``repro.service`` expose their public API
+through a ``{name: "module:attribute"}`` table resolved on first attribute
+access, so importing the package stays cheap and submodules never cycle
+through the package ``__init__``.  A value of ``"module:"`` (empty
+attribute) exports the module object itself.
 """
 
 from __future__ import annotations

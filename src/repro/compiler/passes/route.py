@@ -19,6 +19,7 @@ from typing import Any, Dict, Optional
 
 from repro.compiler.passes.base import CompilerPass
 from repro.compiler.routing.coupling_map import CouplingMap
+from repro.compiler.routing.noise import compare_routing_strategies
 from repro.compiler.routing.sabre import SabreRouter
 from repro.ir import CircuitIR
 
@@ -82,37 +83,26 @@ class SabreRoutingPass(CompilerPass):
         ir.adopt(routing.circuit)
 
     def _run_noise_aware(self, ir: CircuitIR, properties: Dict[str, Any]) -> None:
-        model = self.calibration.routing_model(self.coupling_map)
-        common = dict(
+        # The pass carries the target's coupling map and calibration, which
+        # is all the portfolio reads of a target.
+        comparison = compare_routing_strategies(
+            ir.dependency_graph(),
+            self,
             mirroring=self.mirroring,
+            seed=self.seed,
             lookahead_size=self.lookahead_size,
             lookahead_weight=self.lookahead_weight,
-            seed=self.seed,
+            name=ir.name,
         )
-        graph = ir.dependency_graph()
-        distance_routing = SabreRouter(self.coupling_map, **common).run_graph(
-            graph, name=ir.name
-        )
-        try:
-            noise_routing = SabreRouter(
-                self.coupling_map, noise_model=model, **common
-            ).run_graph(graph, name=ir.name)
-        except RuntimeError:
-            # Weighted scoring failed to converge on this program; the
-            # distance-only result is always available as the floor.
-            noise_routing = distance_routing
-        distance_log = self.calibration.estimated_log_fidelity(distance_routing.circuit)
-        noise_log = self.calibration.estimated_log_fidelity(noise_routing.circuit)
-        if noise_log >= distance_log:
-            routing, strategy = noise_routing, "noise"
-        else:
-            routing, strategy = distance_routing, "distance"
+        routing = comparison.chosen
         properties["initial_layout"] = routing.initial_layout
         properties["final_layout"] = routing.final_layout
         properties["inserted_swaps"] = routing.inserted_swaps
         properties["absorbed_swaps"] = routing.absorbed_swaps
-        properties["routing_strategy"] = strategy
-        properties["estimated_log_fidelity"] = max(noise_log, distance_log)
-        properties["noise_log_fidelity"] = noise_log
-        properties["distance_log_fidelity"] = distance_log
+        properties["routing_strategy"] = comparison.strategy
+        properties["estimated_log_fidelity"] = max(
+            comparison.noise_log_fidelity, comparison.distance_log_fidelity
+        )
+        properties["noise_log_fidelity"] = comparison.noise_log_fidelity
+        properties["distance_log_fidelity"] = comparison.distance_log_fidelity
         ir.adopt(routing.circuit)

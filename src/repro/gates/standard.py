@@ -5,13 +5,17 @@ the paper: the CNOT-based ISA (``{CX, U3}``), the ReQISC SU(4) ISA
 (``{Can, U3}``), the fixed 2Q basis gates compared in Table 3 (``iSWAP``,
 ``SQiSW``, ``B``) and the reversible-logic gates appearing in the benchmark
 suite (``CCX``, ``MCX``, ``CSWAP`` ...).
+
+The gate set itself is declared once, in :data:`GATES`; the matrix-builder
+registry, :func:`named_gate` and the QASM importer and exporter
+(:mod:`repro.qasm`) all derive from it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Sequence
+from typing import Callable, Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -56,11 +60,12 @@ __all__ = [
     "cswap_gate",
     "mcx_gate",
     "unitary_gate",
-    "TWO_QUBIT_NAMES",
+    "GATES",
+    "GateSpec",
 ]
 
 # ---------------------------------------------------------------------------
-# Matrix builders (registered by name so Gate.matrix can find them).
+# Matrix builders (registered by name, from GATES, so Gate.matrix finds them).
 # ---------------------------------------------------------------------------
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -223,130 +228,89 @@ def _mat_mcx(num_controls: float) -> np.ndarray:
     return mat
 
 
-_BUILDERS = {
-    "id": _mat_i,
-    "x": _mat_x,
-    "y": _mat_y,
-    "z": _mat_z,
-    "h": _mat_h,
-    "s": _mat_s,
-    "sdg": _mat_sdg,
-    "t": _mat_t,
-    "tdg": _mat_tdg,
-    "sx": _mat_sx,
-    "rx": rx_matrix,
-    "ry": ry_matrix,
-    "rz": rz_matrix,
-    "p": _mat_p,
-    "u3": u3_matrix,
-    "cx": _mat_cx,
-    "cy": _mat_cy,
-    "cz": _mat_cz,
-    "ch": _mat_ch,
-    "cp": _mat_cp,
-    "crz": _mat_crz,
-    "cv": _mat_cv,
-    "cvdg": _mat_cvdg,
-    "swap": _mat_swap,
-    "iswap": _mat_iswap,
-    "sqisw": _mat_sqisw,
-    "b": _mat_b,
-    "can": _mat_can,
-    "rxx": _mat_rxx,
-    "ryy": _mat_ryy,
-    "rzz": _mat_rzz,
-    "ccx": _mat_ccx,
-    "ccz": _mat_ccz,
-    "cswap": _mat_cswap,
-    "mcx": _mat_mcx,
+class GateSpec(NamedTuple):
+    """One row of :data:`GATES`."""
+
+    #: Number of qubits the gate acts on.
+    arity: int
+    #: Parameter names, in order; their count is the gate's parameter count
+    #: and the QASM exporter prints them in ``opaque`` declarations.
+    params: Tuple[str, ...]
+    #: ``builder(*params) -> matrix`` (big-endian, first qubit most significant).
+    builder: Callable[..., np.ndarray]
+    #: True when ``qelib1.inc`` defines the gate (the exporter declares the
+    #: others ``opaque``).
+    qelib1: bool
+
+
+#: The standard gate set, declared once.  The matrix-builder registry, the
+#: import-time matrix interning, :func:`named_gate`, the QASM importer's
+#: built-in table and the QASM exporter all derive from these rows; adding a
+#: gate is one row here, a matrix builder and a constructor.  ``mcx`` (any
+#: arity) is the one special case and is kept out of the table.
+GATES: Dict[str, GateSpec] = {
+    "id": GateSpec(1, (), _mat_i, True),
+    "x": GateSpec(1, (), _mat_x, True),
+    "y": GateSpec(1, (), _mat_y, True),
+    "z": GateSpec(1, (), _mat_z, True),
+    "h": GateSpec(1, (), _mat_h, True),
+    "s": GateSpec(1, (), _mat_s, True),
+    "sdg": GateSpec(1, (), _mat_sdg, True),
+    "t": GateSpec(1, (), _mat_t, True),
+    "tdg": GateSpec(1, (), _mat_tdg, True),
+    "sx": GateSpec(1, (), _mat_sx, True),
+    "rx": GateSpec(1, ("theta",), rx_matrix, True),
+    "ry": GateSpec(1, ("theta",), ry_matrix, True),
+    "rz": GateSpec(1, ("phi",), rz_matrix, True),
+    "p": GateSpec(1, ("lambda",), _mat_p, True),
+    "u3": GateSpec(1, ("theta", "phi", "lambda"), u3_matrix, True),
+    "cx": GateSpec(2, (), _mat_cx, True),
+    "cy": GateSpec(2, (), _mat_cy, True),
+    "cz": GateSpec(2, (), _mat_cz, True),
+    "ch": GateSpec(2, (), _mat_ch, True),
+    "cp": GateSpec(2, ("lambda",), _mat_cp, True),
+    "crz": GateSpec(2, ("lambda",), _mat_crz, True),
+    "cv": GateSpec(2, (), _mat_cv, False),
+    "cvdg": GateSpec(2, (), _mat_cvdg, False),
+    "swap": GateSpec(2, (), _mat_swap, True),
+    "iswap": GateSpec(2, (), _mat_iswap, False),
+    "sqisw": GateSpec(2, (), _mat_sqisw, False),
+    "b": GateSpec(2, (), _mat_b, False),
+    "can": GateSpec(2, ("x", "y", "z"), _mat_can, False),
+    "rxx": GateSpec(2, ("theta",), _mat_rxx, True),
+    "ryy": GateSpec(2, ("theta",), _mat_ryy, False),
+    "rzz": GateSpec(2, ("theta",), _mat_rzz, True),
+    "ccx": GateSpec(3, (), _mat_ccx, True),
+    "ccz": GateSpec(3, (), _mat_ccz, False),
+    "cswap": GateSpec(3, (), _mat_cswap, True),
 }
 
-for _name, _builder in _BUILDERS.items():
-    register_matrix_builder(_name, _builder)
-
-#: Non-parametric standard gates.  Their matrices are constants, so they are
-#: interned eagerly at import time: every ``Gate.matrix`` lookup for them —
-#: including the very first on a hot path — is a read-only cache hit.
-_CONSTANT_NAMES = (
-    "id", "x", "y", "z", "h", "s", "sdg", "t", "tdg", "sx",
-    "cx", "cy", "cz", "ch", "cv", "cvdg", "swap", "iswap", "sqisw", "b",
-    "ccx", "ccz", "cswap",
-)
-
-#: Names of standard two-qubit gates (used by circuit metrics and passes).
-TWO_QUBIT_NAMES = frozenset(
-    {
-        "cx",
-        "cy",
-        "cz",
-        "ch",
-        "cp",
-        "crz",
-        "cv",
-        "cvdg",
-        "swap",
-        "iswap",
-        "sqisw",
-        "b",
-        "can",
-        "rxx",
-        "ryy",
-        "rzz",
-    }
-)
-
-_ARITY = {
-    "id": 1,
-    "x": 1,
-    "y": 1,
-    "z": 1,
-    "h": 1,
-    "s": 1,
-    "sdg": 1,
-    "t": 1,
-    "tdg": 1,
-    "sx": 1,
-    "rx": 1,
-    "ry": 1,
-    "rz": 1,
-    "p": 1,
-    "u3": 1,
-    "cx": 2,
-    "cy": 2,
-    "cz": 2,
-    "ch": 2,
-    "cp": 2,
-    "crz": 2,
-    "cv": 2,
-    "cvdg": 2,
-    "swap": 2,
-    "iswap": 2,
-    "sqisw": 2,
-    "b": 2,
-    "can": 2,
-    "rxx": 2,
-    "ryy": 2,
-    "rzz": 2,
-    "ccx": 3,
-    "ccz": 3,
-    "cswap": 3,
-}
-
-# Populate the intern pool for every constant standard gate (read-only
-# matrices shared by all Gate instances of that name).
-for _name in _CONSTANT_NAMES:
-    Gate(_name, _ARITY[_name]).matrix
+register_matrix_builder("mcx", _mat_mcx)
+for _name, _spec in GATES.items():
+    register_matrix_builder(_name, _spec.builder)
+    if not _spec.params:
+        # Constant matrix: intern it now, so every ``Gate.matrix`` lookup
+        # for it -- even the first on a hot path -- is a read-only cache hit.
+        Gate(_name, _spec.arity).matrix
 
 
 def named_gate(name: str, params: Sequence[float] = ()) -> Gate:
-    """Construct a standard gate by name."""
+    """Construct a standard gate by name.
+
+    Raises ``KeyError`` for a name outside :data:`GATES` and ``ValueError``
+    for ``mcx`` or for a parameter count that disagrees with the gate's row.
+    """
     if name == "mcx":
         raise ValueError("use mcx_gate(num_controls) for multi-controlled X gates")
     try:
-        arity = _ARITY[name]
+        spec = GATES[name]
     except KeyError:
         raise KeyError(f"unknown standard gate {name!r}") from None
-    return Gate(name, arity, params)
+    if len(params) != len(spec.params):
+        raise ValueError(
+            f"gate {name!r} takes {len(spec.params)} parameter(s), got {len(params)}"
+        )
+    return Gate(name, spec.arity, params)
 
 
 # -- 1Q constructors ---------------------------------------------------------

@@ -16,9 +16,12 @@ Layout of the emitted program::
     qreg q[N];
     <one line per instruction>
 
-Gates with no qelib1 definition (``can``, ``iswap``, ``sqisw``, ``b``,
-``cv``, ``cvdg``, ``ryy``, ``ccz``) are declared ``opaque`` so external
-parsers see well-formed QASM; this project's importer knows them natively.
+Standard gates with no qelib1 definition (the ``qelib1=False`` rows of
+:data:`repro.gates.standard.GATES`: ``can``, ``iswap``, ``b`` ...) are
+declared ``opaque`` so external parsers see well-formed QASM; this
+project's importer knows them natively.  Every named-gate line is checked
+against its ``GATES`` row (arity and parameter count) first, so ``dumps``
+never writes a line its own ``loads`` refuses.
 ``mcx`` gates are emitted as per-arity ``mcx_<k>`` symbols (k controls,
 target last), each with its own opaque declaration; the importer maps
 them back onto ``mcx_gate(k)``.  :class:`~repro.gates.gate.UnitaryGate`
@@ -31,35 +34,24 @@ from __future__ import annotations
 
 import math
 import os
+from string import ascii_lowercase
 from typing import IO, Dict, List, Tuple, Union
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.gates.gate import UnitaryGate
+from repro.gates.gate import Gate, UnitaryGate
+from repro.gates.standard import GATES
 from repro.qasm.errors import QasmError
 
 __all__ = ["dumps", "dump"]
 
-#: Gate names assumed to be defined by ``qelib1.inc`` (the Qiskit
-#: distribution of the include file) — no declaration is emitted for these.
-_QELIB1_NAMES = frozenset(
-    {
-        "id", "x", "y", "z", "h", "s", "sdg", "t", "tdg", "sx", "sxdg",
-        "rx", "ry", "rz", "p", "u1", "u2", "u3", "u",
-        "cx", "cy", "cz", "ch", "cp", "cu1", "cu3", "crz", "swap",
-        "rxx", "rzz", "ccx", "cswap", "c3x", "c4x",
-    }
-)
+#: Standard gates that ``qelib1.inc`` defines: no declaration is emitted for
+#: these.  Every other gate ``dumps`` writes is declared ``opaque``.
+_QELIB1_NAMES = frozenset(name for name, spec in GATES.items() if spec.qelib1)
 
-#: Opaque declarations for this project's extension gates, emitted when used.
-_EXTENSION_DECLS: Dict[str, str] = {
-    "iswap": "opaque iswap a,b;",
-    "sqisw": "opaque sqisw a,b;",
-    "b": "opaque b a,b;",
-    "cv": "opaque cv a,b;",
-    "cvdg": "opaque cvdg a,b;",
-    "ryy": "opaque ryy(theta) a,b;",
-    "can": "opaque can(x,y,z) a,b;",
-    "ccz": "opaque ccz a,b,c;",
+#: ``(arity, number of parameters)`` of each named gate ``dumps`` prints as a
+#: plain line; ``mcx`` is handled on its own.
+_SHAPES: Dict[str, Tuple[int, int]] = {
+    name: (spec.arity, len(spec.params)) for name, spec in GATES.items()
 }
 
 #: Human-readable definitions for the extension comment block.
@@ -75,17 +67,6 @@ _EXTENSION_NOTES: Dict[str, str] = {
     "mcx": "mcx_<k> = multi-controlled X with k controls (controls first, target last)",
 }
 
-#: Names the emitter knows how to print as plain named-gate lines.
-_NAMED_EMITTABLE = frozenset(
-    {
-        "id", "x", "y", "z", "h", "s", "sdg", "t", "tdg", "sx",
-        "rx", "ry", "rz", "p", "u3",
-        "cx", "cy", "cz", "ch", "cp", "crz", "swap", "iswap", "sqisw", "b",
-        "cv", "cvdg", "can", "rxx", "ryy", "rzz",
-        "ccx", "ccz", "cswap", "mcx",
-    }
-)
-
 
 def _format_param(value: float) -> str:
     """Shortest exact decimal form of ``value`` (parses back bit-identical)."""
@@ -95,6 +76,30 @@ def _format_param(value: float) -> str:
     # repr() of negative values starts with '-'; the importer's unary minus
     # reconstructs the same float, so no special casing is needed.
     return text
+
+
+def _mcx_controls(gate: Gate) -> int:
+    """Control count of an ``mcx_gate(k)``, the one gate outside ``GATES``.
+
+    Raises :class:`QasmError` for any other gate whose name or shape
+    (arity, parameter count) has no ``GATES`` row, since ``loads`` would
+    refuse the line.
+    """
+    controls = gate.num_qubits - 1
+    if gate.name == "mcx":
+        if controls < 1 or gate.params != (float(controls),):
+            raise QasmError(
+                f"mcx on {gate.num_qubits} qubit(s) with parameters {gate.params} "
+                "is not an mcx_gate(k)"
+            )
+        return controls
+    shape = _SHAPES.get(gate.name)
+    if shape is None:
+        raise QasmError(f"gate {gate.name!r} has no QASM serialization")
+    raise QasmError(
+        f"gate {gate.name!r} acts on {shape[0]} qubit(s) with {shape[1]} parameter(s), "
+        f"got {gate.num_qubits} qubit(s) and {len(gate.params)} parameter(s)"
+    )
 
 
 def _pragma_symbol(index: int) -> str:
@@ -127,18 +132,16 @@ def dumps(circuit: QuantumCircuit) -> str:
                 unitary_order.append((symbol, gate))
             body.append(f"{symbol} {qubits};")
             continue
-        if gate.name not in _NAMED_EMITTABLE:
-            raise QasmError(f"gate {gate.name!r} has no QASM serialization")
-        used_names.add(gate.name)
-        if gate.name == "mcx":
-            controls = gate.num_qubits - 1
+        name, params = gate.name, gate.params
+        used_names.add(name)
+        if _SHAPES.get(name) != (gate.num_qubits, len(params)):
+            controls = _mcx_controls(gate)
             mcx_arities.add(controls)
             body.append(f"mcx_{controls} {qubits};")
-        elif gate.params:
-            params = ",".join(_format_param(p) for p in gate.params)
-            body.append(f"{gate.name}({params}) {qubits};")
+        elif params:
+            body.append(f"{name}({','.join(map(_format_param, params))}) {qubits};")
         else:
-            body.append(f"{gate.name} {qubits};")
+            body.append(f"{name} {qubits};")
 
     header: List[str] = ["OPENQASM 2.0;", 'include "qelib1.inc";']
     extension_names = sorted(used_names - _QELIB1_NAMES)
@@ -147,9 +150,11 @@ def dumps(circuit: QuantumCircuit) -> str:
         if note:
             header.append(f"// {note}")
     for name in extension_names:
-        decl = _EXTENSION_DECLS.get(name)
-        if decl:
-            header.append(decl)
+        spec = GATES.get(name)
+        if spec is not None:  # mcx_<k> is declared per arity below
+            params = f"({','.join(spec.params)})" if spec.params else ""
+            formals = ",".join(ascii_lowercase[: spec.arity])
+            header.append(f"opaque {name}{params} {formals};")
     for controls in sorted(mcx_arities):
         formals = ",".join(f"q{i}" for i in range(controls + 1))
         header.append(f"opaque mcx_{controls} {formals};")

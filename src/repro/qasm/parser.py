@@ -64,57 +64,22 @@ _MAX_MACRO_GATES = 1_000_000
 
 
 # ---------------------------------------------------------------------------
-# Built-in gate table: qelib1 names, project extensions and common aliases.
-# Each entry maps a QASM mnemonic to (num_params, arity, constructor).
+# Built-in gate table: every standard gate (``standard.GATES``) under its own
+# name, plus qelib1's aliases.  Each entry maps a QASM mnemonic to
+# (num_params, arity, build), where ``build(params)`` returns the gate.
 # ---------------------------------------------------------------------------
 
 _PI_2 = math.pi / 2.0
 
-_BUILTINS: Dict[str, Tuple[int, int, Callable[..., Gate]]] = {
-    # qelib1 single-qubit gates.
-    "id": (0, 1, standard.i_gate),
-    "x": (0, 1, standard.x_gate),
-    "y": (0, 1, standard.y_gate),
-    "z": (0, 1, standard.z_gate),
-    "h": (0, 1, standard.h_gate),
-    "s": (0, 1, standard.s_gate),
-    "sdg": (0, 1, standard.sdg_gate),
-    "t": (0, 1, standard.t_gate),
-    "tdg": (0, 1, standard.tdg_gate),
-    "sx": (0, 1, standard.sx_gate),
-    "rx": (1, 1, standard.rx_gate),
-    "ry": (1, 1, standard.ry_gate),
-    "rz": (1, 1, standard.rz_gate),
-    "p": (1, 1, standard.p_gate),
-    "u1": (1, 1, standard.p_gate),
-    "u2": (2, 1, lambda phi, lam: standard.u3_gate(_PI_2, phi, lam)),
-    "u3": (3, 1, standard.u3_gate),
-    "u": (3, 1, standard.u3_gate),
-    "U": (3, 1, standard.u3_gate),
-    # qelib1 multi-qubit gates.
-    "cx": (0, 2, standard.cx_gate),
-    "CX": (0, 2, standard.cx_gate),
-    "cy": (0, 2, standard.cy_gate),
-    "cz": (0, 2, standard.cz_gate),
-    "ch": (0, 2, standard.ch_gate),
-    "cp": (1, 2, standard.cp_gate),
-    "cu1": (1, 2, standard.cp_gate),
-    "crz": (1, 2, standard.crz_gate),
-    "swap": (0, 2, standard.swap_gate),
-    "rxx": (1, 2, standard.rxx_gate),
-    "rzz": (1, 2, standard.rzz_gate),
-    "ccx": (0, 3, standard.ccx_gate),
-    "cswap": (0, 3, standard.cswap_gate),
-    # Project extensions (declared as `opaque` by the emitter).
-    "iswap": (0, 2, standard.iswap_gate),
-    "sqisw": (0, 2, standard.sqisw_gate),
-    "b": (0, 2, standard.b_gate),
-    "cv": (0, 2, standard.cv_gate),
-    "cvdg": (0, 2, standard.cvdg_gate),
-    "ryy": (1, 2, standard.ryy_gate),
-    "can": (3, 2, standard.can_gate),
-    "ccz": (0, 3, standard.ccz_gate),
+_BUILTINS: Dict[str, Tuple[int, int, Callable[[Sequence[float]], Gate]]] = {
+    name: (len(spec.params), spec.arity, partial(Gate, name, spec.arity))
+    for name, spec in standard.GATES.items()
 }
+_BUILTINS.update(
+    (alias, _BUILTINS[name])
+    for alias, name in (("u1", "p"), ("u", "u3"), ("U", "u3"), ("CX", "cx"), ("cu1", "cp"))
+)
+_BUILTINS["u2"] = (2, 1, lambda params: standard.u3_gate(_PI_2, *params))
 
 #: Multi-controlled X aliases with fixed control counts (qelib1 extras).
 _MCX_ALIASES = {"c3x": 3, "c4x": 4}
@@ -629,7 +594,7 @@ class _Parser:
         if name in _BUILTINS:
             n_params, arity, constructor = _BUILTINS[name]
             self._check_shape(name, token, len(params), n_params, len(qubits), arity)
-            self._append(constructor(*params), qubits, token)
+            self._append(constructor(params), qubits, token)
             return
         controls = _MCX_ALIASES.get(name)
         if controls is None:
@@ -904,7 +869,7 @@ def _read_straight_line(
                 if mcx is None:
                     return None
                 controls = int(mcx.group(1))
-                shape = shapes[gate_name] = (0, controls + 1, partial(standard.mcx_gate, controls))
+                shape = shapes[gate_name] = (0, controls + 1, lambda _, k=controls: standard.mcx_gate(k))
             n_params, arity, constructor = shape
             qubits = tuple(map(int, indices(args)))
             if len(qubits) != arity or max(qubits) >= size or len(set(qubits)) != arity:
@@ -913,12 +878,11 @@ def _read_straight_line(
                 params = tuple(map(float, literals.split(",")))
                 if len(params) != n_params or not all(map(math.isfinite, params)):
                     return None
-                gate = constructor(*params)
             elif n_params:
                 return None
             else:
-                gate = constructor()
-            append(Instruction.unchecked(gate, qubits))
+                params = ()
+            append(Instruction.unchecked(constructor(params), qubits))
     except ValueError:  # not a literal, or digits past int()'s limit
         return None
     circuit = QuantumCircuit(size, name=name)

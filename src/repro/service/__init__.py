@@ -29,8 +29,7 @@ KAK cache hook in :mod:`repro.linalg.weyl`) can import
 ``repro.service.cache`` without pulling the compiler stack into scope.
 """
 
-from importlib import import_module
-from typing import Any
+from repro._lazy import lazy_exports
 
 _LAZY_EXPORTS = {
     "SynthesisCache": "repro.service.cache:SynthesisCache",
@@ -54,17 +53,4 @@ _LAZY_EXPORTS = {
 
 __all__ = sorted(_LAZY_EXPORTS)
 
-
-def __getattr__(name: str) -> Any:
-    try:
-        target = _LAZY_EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module 'repro.service' has no attribute {name!r}") from None
-    module_name, _, attribute = target.partition(":")
-    value = getattr(import_module(module_name), attribute)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list:
-    return __all__
+__getattr__, __dir__ = lazy_exports("repro.service", _LAZY_EXPORTS, globals())

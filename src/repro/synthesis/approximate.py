@@ -372,21 +372,20 @@ class ApproximateSynthesizer:
         max_blocks: int,
         min_blocks: int = 0,
         pair_order: Optional[Sequence[Tuple[int, int]]] = None,
-        use_cache: bool = True,
     ) -> Optional[SynthesisResult]:
         """Find a short SU(4)-block circuit for ``target``.
 
         Block structures are linear sequences whose qubit pairs cycle through
         ``pair_order`` (all pairs by default).  The first structure reaching
-        the tolerance wins; otherwise the best attempt is returned.
+        the tolerance wins; otherwise the best attempt is returned.  Results
+        are memoized per synthesizer on the target (rounded to 1e-10), the
+        block range and the pair order.
         """
         target = np.asarray(target, dtype=complex)
         pairs = list(pair_order) if pair_order is not None else default_pair_order(num_qubits)
-        cache_key = None
-        if use_cache:
-            cache_key = (np.round(target, 10).tobytes(), max_blocks, min_blocks, tuple(pairs))
-            if cache_key in self._cache:
-                return self._cache[cache_key]
+        cache_key = (np.round(target, 10).tobytes(), max_blocks, min_blocks, tuple(pairs))
+        if cache_key in self._cache:
+            return self._cache[cache_key]
         best: Optional[SynthesisResult] = None
         for count in range(min_blocks, max_blocks + 1):
             blocks = [AnsatzBlock(pair=pairs[i % len(pairs)]) for i in range(count)]
@@ -398,6 +397,6 @@ class ApproximateSynthesizer:
             if result.infidelity <= self.tolerance:
                 best = result
                 break
-        if use_cache and cache_key is not None and best is not None:
+        if best is not None:
             self._cache[cache_key] = best
         return best

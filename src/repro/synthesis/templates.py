@@ -159,10 +159,8 @@ def template_ir_key(gate_name: str, local_qubits: Tuple[int, ...]) -> str:
 class TemplateLibrary:
     """Lookup table from 3-qubit IR patterns to SU(4)-ISA circuits."""
 
-    def __init__(self, optimize_with_synthesis: bool = False, synthesis_tolerance: float = 1e-8) -> None:
+    def __init__(self) -> None:
         self._templates: Dict[str, Template] = {}
-        self._optimize = optimize_with_synthesis
-        self._tolerance = synthesis_tolerance
         self._register_defaults()
 
     # ------------------------------------------------------------------
@@ -197,12 +195,6 @@ class TemplateLibrary:
             # realizes the same gate but starts/ends on different qubit pairs.
             variants.append(self._reversed_variant(realization))
         template = Template(name=name, reference=reference, realization=fused, variants=variants)
-        if self._optimize:
-            optimized = self._optimize_template(ref_unitary, fused)
-            if optimized is not None and optimized.count_two_qubit_gates() < template.num_su4:
-                template = Template(
-                    name=name, reference=reference, realization=optimized, variants=[optimized] + variants
-                )
         self._templates[name] = template
         return template
 
@@ -214,23 +206,6 @@ class TemplateLibrary:
         the assembly stage fusion opportunities with neighbouring templates.
         """
         return _fused_can(realization.inverse())
-
-    def _optimize_template(
-        self, target: np.ndarray, fallback: QuantumCircuit
-    ) -> Optional[QuantumCircuit]:
-        """Optionally search for a shorter realization via approximate synthesis."""
-        from repro.synthesis.approximate import ApproximateSynthesizer
-
-        synthesizer = ApproximateSynthesizer(tolerance=self._tolerance, restarts=2, seed=7)
-        best = synthesizer.synthesize(
-            target,
-            num_qubits=3,
-            max_blocks=max(fallback.count_two_qubit_gates() - 1, 1),
-            min_blocks=3,
-        )
-        if best is None or best.infidelity > self._tolerance:
-            return None
-        return best.circuit
 
     # ------------------------------------------------------------------
     def names(self) -> List[str]:

@@ -1,5 +1,6 @@
 """Tests for the gate library."""
 
+import inspect
 import math
 
 import numpy as np
@@ -176,6 +177,40 @@ def test_named_gate_helper():
         standard.named_gate("nope")
     with pytest.raises(ValueError):
         standard.named_gate("mcx")
+    assert standard.named_gate("rx", (0.1,)) == standard.rx_gate(0.1)
+    assert standard.named_gate("can", (0.1, 0.2, 0.3)) == standard.can_gate(0.1, 0.2, 0.3)
+    # The parameter count must match the gate's GATES row.
+    with pytest.raises(ValueError, match="takes 1 parameter"):
+        standard.named_gate("rx")
+    with pytest.raises(ValueError, match="takes 0 parameter"):
+        standard.named_gate("cx", (0.3,))
+    with pytest.raises(ValueError, match="takes 3 parameter"):
+        standard.named_gate("can", (0.1,))
+
+
+def _public_constructors():
+    names = [name for name in standard.__all__ if name.endswith("_gate")]
+    return [name for name in names if name not in ("mcx_gate", "unitary_gate")]
+
+
+def _call_constructor(name):
+    constructor = getattr(standard, name)
+    n_args = len(inspect.signature(constructor).parameters)
+    return constructor(*[0.25 * (k + 1) for k in range(n_args)]), n_args
+
+
+@pytest.mark.parametrize("constructor_name", _public_constructors())
+def test_constructor_agrees_with_its_gates_row(constructor_name):
+    gate, n_args = _call_constructor(constructor_name)
+    spec = standard.GATES[gate.name]
+    assert gate.num_qubits == spec.arity
+    assert len(gate.params) == n_args == len(spec.params)
+    assert gate.matrix.shape == (2**spec.arity, 2**spec.arity)
+
+
+def test_every_gates_row_has_one_public_constructor():
+    made = [_call_constructor(name)[0].name for name in _public_constructors()]
+    assert sorted(made) == sorted(standard.GATES)
 
 
 def test_unitary_gate_wraps_matrix():

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.circuits.circuit import QuantumCircuit
+from repro.gates.gate import Gate
 from repro.linalg.random import haar_random_unitary
 from repro.qasm import QasmError, dump, dumps, load, loads, parse
 from repro.workloads.suite import benchmark_suite
@@ -178,6 +179,75 @@ def test_dumps_rejects_unserializable_gate():
     weird.append(Gate("mystery", 1, (), matrix=np.eye(2)), [0])
     with pytest.raises(QasmError, match="no QASM serialization"):
         dumps(weird)
+
+
+@pytest.mark.parametrize(
+    "gate",
+    [
+        ("rx", 1, ()),
+        ("x", 2, ()),
+        ("can", 2, (0.1,)),
+        ("cx", 2, (0.3,)),
+        ("ccx", 2, ()),
+        ("mcx", 3, ()),
+        ("mcx", 1, (0.0,)),
+    ],
+    ids=lambda gate: f"{gate[0]}-{gate[1]}q-{len(gate[2])}p",
+)
+def test_dumps_rejects_gate_shapes_loads_would_refuse(gate):
+    name, arity, params = gate
+    circuit = QuantumCircuit(3)
+    circuit.append(Gate(name, arity, params), list(range(arity)))
+    with pytest.raises(QasmError):
+        dumps(circuit)
+
+
+def _all_gates_circuit():
+    """One application of every ``GATES`` row, plus an ``mcx``."""
+    from repro.gates.standard import GATES
+
+    circuit = QuantumCircuit(4)
+    for index, (name, spec) in enumerate(GATES.items()):
+        params = [0.125 * (k + 1) for k in range(len(spec.params))]
+        circuit.append(Gate(name, spec.arity, params), [(index + k) % 4 for k in range(spec.arity)])
+    circuit.mcx([0, 1, 2], 3)
+    return circuit
+
+
+#: ``dumps`` header of :func:`_all_gates_circuit`: the extension-gate notes
+#: and ``opaque`` declarations external parsers rely on.
+_ALL_GATES_HEADER = """\
+OPENQASM 2.0;
+include "qelib1.inc";
+// b = Can(pi/4, pi/8, 0) (the Berkeley gate)
+// can(x,y,z) = exp(-i (x XX + y YY + z ZZ)); the ReQISC SU(4) primitive
+// ccz = doubly-controlled Z
+// cv = controlled-sqrt(X); cvdg is its adjoint
+// cvdg = adjoint of cv
+// iswap = the iSWAP gate
+// mcx_<k> = multi-controlled X with k controls (controls first, target last)
+// ryy(theta) = exp(-i theta YY / 2)
+// sqisw = sqrt(iSWAP)
+opaque b a,b;
+opaque can(x,y,z) a,b;
+opaque ccz a,b,c;
+opaque cv a,b;
+opaque cvdg a,b;
+opaque iswap a,b;
+opaque ryy(theta) a,b;
+opaque sqisw a,b;
+opaque mcx_3 q0,q1,q2,q3;
+qreg q[4];
+"""
+
+
+def test_all_gates_header_is_stable_and_round_trips():
+    circuit = _all_gates_circuit()
+    text = dumps(circuit)
+    assert text.startswith(_ALL_GATES_HEADER)
+    assert len(text.splitlines()) == len(_ALL_GATES_HEADER.splitlines()) + len(circuit)
+    back = loads(text)
+    assert circuits_bit_identical(back, circuit)
 
 
 # ---------------------------------------------------------------------------

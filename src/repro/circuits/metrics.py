@@ -20,6 +20,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.instruction import Instruction
+from repro.gates.gate import Gate, UnitaryGate
 
 __all__ = [
     "BASELINE_CNOT_DURATION",
@@ -58,24 +59,18 @@ def count_distinct_two_qubit_gates(
     by their (rounded) canonical Weyl coordinates so that locally equivalent
     blocks count once.
     """
-    from repro.gates.gate import UnitaryGate
-    from repro.linalg.weyl import weyl_coordinates
+    return len({_distinct_key(i.gate, decimals) for i in circuit if i.is_two_qubit})
 
-    distinct = set()
-    for instruction in circuit:
-        if not instruction.is_two_qubit:
-            continue
-        gate = instruction.gate
-        if isinstance(gate, UnitaryGate):
-            coords = weyl_coordinates(gate.matrix)
-            key: Tuple = ("weyl", tuple(round(c, decimals) for c in coords))
-        elif gate.name == "can":
-            coords = tuple(round(c, decimals) for c in gate.params)
-            key = ("weyl", coords)
-        else:
-            key = (gate.name, tuple(round(p, decimals) for p in gate.params))
-        distinct.add(key)
-    return len(distinct)
+
+def _distinct_key(gate: Gate, decimals: int = 6) -> Tuple:
+    """Identity of a 2Q gate for :func:`count_distinct_two_qubit_gates`."""
+    if isinstance(gate, UnitaryGate):
+        from repro.linalg.weyl import weyl_coordinates
+
+        return ("weyl", tuple([round(c, decimals) for c in weyl_coordinates(gate.matrix)]))
+    if gate.name == "can":
+        return ("weyl", tuple([round(c, decimals) for c in gate.params]))
+    return (gate.name, tuple([round(p, decimals) for p in gate.params]))
 
 
 def cnot_isa_duration_model(
@@ -114,19 +109,21 @@ def circuit_duration(
 class CircuitMetrics:
     """Bundle of the paper's circuit-level metrics for one circuit."""
 
-    __slots__ = ("num_qubits", "num_2q", "depth_2q", "duration", "distinct_2q")
+    __slots__ = ("num_qubits", "num_2q", "depth_2q", "depth", "duration", "distinct_2q")
 
     def __init__(
         self,
         num_qubits: int,
         num_2q: int,
         depth_2q: int,
+        depth: int,
         duration: float,
         distinct_2q: int,
     ) -> None:
         self.num_qubits = num_qubits
         self.num_2q = num_2q
         self.depth_2q = depth_2q
+        self.depth = depth
         self.duration = duration
         self.distinct_2q = distinct_2q
 
@@ -136,6 +133,7 @@ class CircuitMetrics:
             "num_qubits": self.num_qubits,
             "num_2q": self.num_2q,
             "depth_2q": self.depth_2q,
+            "depth": self.depth,
             "duration": self.duration,
             "distinct_2q": self.distinct_2q,
         }
@@ -152,12 +150,40 @@ def compute_metrics(
     duration_fn: Optional[Callable[[Instruction], float]] = None,
     include_distinct: bool = True,
 ) -> CircuitMetrics:
-    """Compute the full metric bundle for ``circuit``."""
-    distinct = count_distinct_two_qubit_gates(circuit) if include_distinct else 0
+    """Compute the full metric bundle for ``circuit`` in one walk.
+
+    Each value is the one :func:`count_two_qubit_gates`,
+    :func:`two_qubit_depth`, ``circuit.depth()``,
+    :func:`count_distinct_two_qubit_gates` and :func:`circuit_duration`
+    return, computed with the same arithmetic in the same order.
+    """
+    if duration_fn is None:
+        duration_fn = cnot_isa_duration_model()
+    width = circuit.num_qubits
+    depth, depth_2q, clock = [0] * width, [0] * width, [0.0] * width
+    num_2q, distinct = 0, set()
+    for instruction in circuit.instructions:
+        qubits = instruction.qubits
+        spent = float(duration_fn(instruction))
+        if len(qubits) == 1:
+            (q,) = qubits
+            depth[q] += 1
+            clock[q] = clock[q] + spent
+            continue
+        level = max([depth[q] for q in qubits]) + 1
+        level_2q = max([depth_2q[q] for q in qubits]) + 1
+        finish = max([clock[q] for q in qubits]) + spent
+        for q in qubits:
+            depth[q], depth_2q[q], clock[q] = level, level_2q, finish
+        if len(qubits) == 2:
+            num_2q += 1
+            if include_distinct:
+                distinct.add(_distinct_key(instruction.gate))
     return CircuitMetrics(
-        num_qubits=circuit.num_qubits,
-        num_2q=count_two_qubit_gates(circuit),
-        depth_2q=two_qubit_depth(circuit),
-        duration=circuit_duration(circuit, duration_fn),
-        distinct_2q=distinct,
+        num_qubits=width,
+        num_2q=num_2q,
+        depth_2q=max(depth_2q, default=0),
+        depth=max(depth, default=0),
+        duration=max(clock, default=0.0),
+        distinct_2q=len(distinct),
     )

@@ -151,7 +151,7 @@ class FinalizeToCanPass(CompilerPass):
         # Factor table: r1, r2, l1, l2 of decomposition d at 4d..4d+3, then
         # the 1Q matrices.
         matrices = [m for d in decomposed for m in (d.r1, d.r2, d.l1, d.l2)] + one_qubit
-        table = np.stack(matrices).astype(complex, copy=False) if matrices else np.empty((0, 2, 2), complex)
+        table = np.array(matrices, dtype=complex) if matrices else np.empty((0, 2, 2), complex)
 
         flat = np.fromiter(itertools.chain.from_iterable(rows), np.int64, 4 * len(rows))
         kind, index, q0, q1 = flat.reshape(-1, 4).T

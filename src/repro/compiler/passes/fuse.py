@@ -18,7 +18,8 @@ class Fuse2QBlocksPass(CompilerPass):
     (``"unitary"``, default — kept opaque so later passes can keep fusing) or
     ``{Can, U3}`` (``"can"``).
 
-    Each maximal run collapses onto its first node via ``replace_block``.
+    Each maximal run goes in where its first member stood
+    (:func:`~repro.synthesis.blocks.consolidate_blocks`).
     """
 
     name = "fuse_2q_blocks"

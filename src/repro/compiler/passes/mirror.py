@@ -34,9 +34,9 @@ class MirrorNearIdentityPass(CompilerPass):
 
     The near-identity decision is made once per unique
     explicit-matrix 2Q gate, in one batched KAK call, before the permutation
-    scan; each affected node is then rewritten in place with
-    ``substitute_node`` (mirrored gate, or the same gate on permuted wires);
-    untouched gates keep their node.
+    scan; when any gate is mirrored, the scanned program (mirrored gates,
+    gates on permuted wires, untouched gates) is installed with one
+    ``rewrite``.
     """
 
     name = "mirror_near_identity"
@@ -45,25 +45,28 @@ class MirrorNearIdentityPass(CompilerPass):
         self.threshold = threshold
 
     def run(self, ir: CircuitIR, properties: Dict[str, Any]) -> None:
-        nodes = list(ir.nodes())
-        decisions = self._decide([ir.instruction(node).gate for node in nodes])
+        program = list(ir.instructions())
+        decisions = self._decide([instruction.gate for instruction in program])
         permutation: List[int] = list(range(ir.num_qubits))
         mirrored_count = 0
-        for node, mirror in zip(nodes, decisions):
-            instruction = ir.instruction(node)
-            wires = tuple(permutation[q] for q in instruction.qubits)
+        output: List[Instruction] = []
+        for instruction, mirror in zip(program, decisions):
+            wires = tuple([permutation[q] for q in instruction.qubits])
             gate = instruction.gate
             if mirror:
                 mirrored = UnitaryGate(_SWAP @ gate.matrix, label="su4")
-                ir.substitute_node(node, Instruction(mirrored, wires))
+                output.append(Instruction.unchecked(mirrored, wires))
                 # The logical SWAP is resolved by exchanging the wires that
                 # the two logical qubits map to from here on.
                 a, b = instruction.qubits
                 permutation[a], permutation[b] = permutation[b], permutation[a]
                 mirrored_count += 1
-                continue
-            if wires != instruction.qubits:
-                ir.substitute_node(node, Instruction(gate, wires))
+            elif wires != instruction.qubits:
+                output.append(Instruction.unchecked(gate, wires))
+            else:
+                output.append(instruction)
+        if mirrored_count:  # otherwise no wire moved
+            ir.rewrite(output)
         properties["mirror_permutation"] = list(permutation)
         properties["mirrored_gate_count"] = mirrored_count
 

@@ -18,7 +18,7 @@ program-agnostic hierarchical pass and routing.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.instruction import Instruction
@@ -56,7 +56,6 @@ class TemplateSynthesisPass(CompilerPass):
     ) -> None:
         self.library = library or default_template_library()
         self.cache = cache
-        self._library_key: Optional[str] = None
 
     # ------------------------------------------------------------------
     def run(self, ir: CircuitIR, properties: Dict[str, Any]) -> None:
@@ -66,7 +65,7 @@ class TemplateSynthesisPass(CompilerPass):
         key = circuit_fingerprint(
             ir,
             "template_synthesis",
-            self._library_fingerprint(),
+            self.library.fingerprint(),
             "selective=True",
             "fuse=True",
         )
@@ -80,24 +79,19 @@ class TemplateSynthesisPass(CompilerPass):
         else:
             ir.rewrite(cached)
 
-    def _library_fingerprint(self) -> str:
-        """Content key of the template library (templates change the output)."""
-        if self._library_key is None:
-            parts = [
-                circuit_fingerprint(variant)
-                for name in self.library.names()
-                for variant in self.library.variants(name)
-            ]
-            self._library_key = "library:" + ",".join(parts)
-        return self._library_key
-
     def _transform(self, ir: CircuitIR) -> None:
+        names = {instruction.gate.name for instruction in ir.instructions()}
+        if "mcx" in names or any(name in names and self.library.has(name) for name in _TEMPLATED_GATES):
+            self._assemble(ir, expand_mcx_gates(ir) if "mcx" in names else ir.instructions())
+        consolidate_blocks(ir, form="unitary")
+
+    def _assemble(self, ir: CircuitIR, source: Iterable[Instruction]) -> None:
+        """Rewrite ``ir`` as ``source`` with every templated gate assembled."""
         program: List[Instruction] = []
         # Last pending 2Q pair per qubit (used by selective assembly to pick
         # the template variant that fuses best with already-emitted gates).
         last_pair_for_qubit: Dict[int, Optional[Tuple[int, int]]] = {}
-
-        for instruction in expand_mcx_gates(ir):
+        for instruction in source:
             name = instruction.gate.name
             if name in _TEMPLATED_GATES and self.library.has(name):
                 variant = self._pick_variant(name, instruction.qubits, last_pair_for_qubit)
@@ -109,9 +103,7 @@ class TemplateSynthesisPass(CompilerPass):
             else:
                 program.append(instruction)
                 self._track(instruction, last_pair_for_qubit)
-
         ir.rewrite(program)
-        consolidate_blocks(ir, form="unitary")
 
     # ------------------------------------------------------------------
     @staticmethod

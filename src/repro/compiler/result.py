@@ -15,6 +15,7 @@ from typing import Any, Dict, List, Mapping, Optional
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.metrics import (
     circuit_duration,
+    compute_metrics,
     count_distinct_two_qubit_gates,
     count_two_qubit_gates,
     two_qubit_depth,
@@ -75,11 +76,14 @@ class CompilationResult:
         repeated calls — e.g. ``summary()`` over a whole suite — reuse one
         model instead of rebuilding it per circuit.
         """
+        return circuit_duration(self.circuit, self._duration_model(target))
+
+    def _duration_model(self, target: Optional["Target"] = None):
         from repro.target.target import Target
 
         resolved = target or self.target or Target.default()
         isa = "cnot" if self.properties.get("isa") == "cnot" else "su4"
-        return circuit_duration(self.circuit, resolved.duration_model(isa))
+        return resolved.duration_model(isa)
 
     @property
     def final_permutation(self) -> List[int]:
@@ -114,14 +118,15 @@ class CompilationResult:
         calibration proxy, the genAshN pulse duration, (when routing ran) the
         inserted-SWAP overhead, and the name of the target device.
         """
+        metrics = compute_metrics(self.circuit, self._duration_model())
         return {
             "compiler": self.compiler_name,
             "target": self.target.name if self.target is not None else None,
-            "num_2q": self.num_two_qubit_gates,
-            "depth_2q": self.two_qubit_depth,
-            "depth": self.depth,
-            "distinct_2q": self.distinct_two_qubit_gates,
-            "duration": self.duration(),
+            "num_2q": metrics.num_2q,
+            "depth_2q": metrics.depth_2q,
+            "depth": metrics.depth,
+            "distinct_2q": metrics.distinct_2q,
+            "duration": metrics.duration,
             "routing_overhead": self.routing_overhead,
             "compile_seconds": self.compile_seconds,
             "conversions": sum(self.conversions.values()) if self.conversions else 0,

@@ -242,10 +242,9 @@ class UnitaryGate(Gate):
     def __init__(self, matrix: np.ndarray, label: str = "unitary") -> None:
         matrix = np.asarray(matrix, dtype=complex)
         dim = matrix.shape[0]
-        if matrix.shape != (dim, dim) or dim & (dim - 1):
+        if matrix.shape != (dim, dim) or dim < 1 or dim & (dim - 1):
             raise ValueError(f"matrix shape {matrix.shape} is not a power-of-two square")
-        num_qubits = int(np.log2(dim))
-        super().__init__(label, num_qubits, (), matrix)
+        super().__init__(label, dim.bit_length() - 1, (), matrix)
 
     def __repr__(self) -> str:
         return f"{self.name}[{self.num_qubits}q]"

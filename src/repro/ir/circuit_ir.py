@@ -87,8 +87,7 @@ class CircuitIR:
     ) -> "CircuitIR":
         """Build an IR from a pre-validated instruction sequence."""
         ir = cls(num_qubits, name)
-        for instruction in instructions:
-            ir.append(instruction)
+        ir.rewrite(instructions)
         return ir
 
     @classmethod

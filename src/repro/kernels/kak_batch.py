@@ -18,6 +18,12 @@ Two properties make the batch path safe to wire into the compiler:
   bytes before any numerics run (identical fused blocks recur heavily across
   benchmark programs), and the per-family interning statistics are exposed
   through :func:`batch_stats` for the benchmark.
+* **One decomposition per block per compile.**  Inside
+  :func:`decomposition_table` (every :func:`repro.target.compile` run) the
+  batches share a table keyed by exact matrix bytes, so the blocks that
+  mirroring decomposes are not decomposed again by finalization.  By
+  composition independence a reused decomposition is bitwise the one a
+  fresh batch would make.
 
 The arithmetic mirrors the scalar ``kak_decompose`` step for step (same
 mixing angle, same residue fix, same canonicalization), and the two paths
@@ -36,9 +42,11 @@ stacked and scalar LAPACK calls round differently.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
-from typing import Dict, List, Sequence
+from contextvars import ContextVar
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,7 +60,7 @@ from repro.linalg.weyl import (
     _simultaneously_diagonalize,
 )
 
-__all__ = ["kak_decompose_batch", "batch_stats", "reset_batch_stats"]
+__all__ = ["kak_decompose_batch", "batch_stats", "reset_batch_stats", "decomposition_table"]
 
 #: First mixing angle of the simultaneous diagonalization — must match the
 #: deterministic attempt-0 angle of ``weyl._simultaneously_diagonalize`` so
@@ -64,16 +72,29 @@ _STATS: Dict[str, int] = {
     "inputs": 0,
     "unique": 0,
     "interned": 0,
+    "table_hits": 0,
     "cache_hits": 0,
+    "decomposed": 0,
 }
+
+#: Decompositions made or reused by the running compile, keyed by exact
+#: matrix bytes: ``(decomposition, checked, cached)``, ``checked`` once its
+#: reconstruction error is known to be within the 1e-6 bound, ``cached`` when
+#: it was read from the synthesis cache.  Set per compile by
+#: :func:`decomposition_table`; a context variable, so concurrent compiles in
+#: different threads never see each other's table.
+_TABLE: ContextVar[Optional[Dict[bytes, Tuple[KAKDecomposition, bool, bool]]]] = ContextVar(
+    "repro_kak_table", default=None
+)
 
 
 def batch_stats() -> Dict[str, int]:
-    """Counters of the batch collector (inputs, exact-bytes dedup, cache).
+    """Counters of the batch collector (inputs, exact-bytes dedup, reuse).
 
     ``interned`` counts inputs that were deduplicated against another batch
-    member by exact matrix bytes; ``cache_hits`` counts unique matrices that
-    were served from an installed KAK cache without running the numerics.
+    member by exact matrix bytes.  Of the unique matrices, ``table_hits``
+    were served from the running compile's table, ``cache_hits`` from an
+    installed KAK cache, and ``decomposed`` ran the numerics.
     """
     return dict(_STATS)
 
@@ -82,6 +103,21 @@ def reset_batch_stats() -> None:
     """Zero the batch counters (the benchmark brackets runs with this)."""
     for key in _STATS:
         _STATS[key] = 0
+
+
+@contextlib.contextmanager
+def decomposition_table() -> Iterator[None]:
+    """Share one decomposition table among the batches run inside the block.
+
+    :func:`repro.target.compile` wraps each pipeline run in it, so a block
+    that mirroring decomposed is not decomposed again by finalization.  The
+    table is dropped when the block exits.
+    """
+    token = _TABLE.set({})
+    try:
+        yield
+    finally:
+        _TABLE.reset(token)
 
 
 def _diagonalize_batch(m2: np.ndarray) -> np.ndarray:
@@ -253,8 +289,11 @@ def _reconstruct_batch(phase, l1, l2, coords, r1, r2) -> np.ndarray:
     return phase[:, None, None] * (left @ can @ right)
 
 
-def _kak_decompose_stack(stack: np.ndarray, validate: bool) -> List[KAKDecomposition]:
-    """Decompose a deduplicated ``(N, 4, 4)`` stack (the batched numerics)."""
+def _kak_decompose_stack(stack: np.ndarray) -> Tuple[List[KAKDecomposition], np.ndarray]:
+    """Decompose a deduplicated ``(N, 4, 4)`` stack (the batched numerics).
+
+    Returns the decompositions and their Frobenius reconstruction errors.
+    """
     n = stack.shape[0]
     dets = np.linalg.det(stack)
     if np.any(np.abs(np.abs(dets) - 1.0) > 1e-6):
@@ -286,8 +325,12 @@ def _kak_decompose_stack(stack: np.ndarray, validate: bool) -> List[KAKDecomposi
 
     left_local = MAGIC_BASIS @ k1 @ MAGIC_BASIS_DAG
     right_local = MAGIC_BASIS @ p.transpose(0, 2, 1) @ MAGIC_BASIS_DAG
-    phase_left, l1s, l2s = _decompose_tensor_product_batch(left_local)
-    phase_right, r1s, r2s = _decompose_tensor_product_batch(right_local)
+    # Both sides in one call: items are independent, so each side's factors
+    # are the ones a call of its own would return.
+    phases, firsts, seconds = _decompose_tensor_product_batch(np.concatenate([left_local, right_local]))
+    phase_left, phase_right = phases[:n], phases[n:]
+    l1s, r1s = firsts[:n], firsts[n:]
+    l2s, r2s = seconds[:n], seconds[n:]
 
     coords = _phases_to_coordinates_batch(thetas)
     # Scalar complex products: numpy's array multiply rounds differently.
@@ -297,14 +340,21 @@ def _kak_decompose_stack(stack: np.ndarray, validate: bool) -> List[KAKDecomposi
         KAKDecomposition(global_phase=gp, l1=l1s[i], l2=l2s[i], r1=r1s[i], r2=r2s[i], x=cx, y=cy, z=cz)
         for i, (gp, (cx, cy, cz)) in enumerate(zip(phase.tolist(), coords.tolist()))
     ]
-    if validate:
-        errors = np.linalg.norm(
-            (_reconstruct_batch(phase, l1s, l2s, coords, r1s, r2s) - stack).reshape(n, -1), axis=1
-        )
-        if np.any(errors > 1e-6):
-            worst = float(errors.max())
-            raise ValueError(f"KAK reconstruction error too large: {worst:.3e}")
-    return results
+    errors = np.linalg.norm(
+        (_reconstruct_batch(phase, l1s, l2s, coords, r1s, r2s) - stack).reshape(n, -1), axis=1
+    )
+    return results, errors
+
+
+def _reconstruction_errors(decompositions: Sequence[KAKDecomposition], matrices: np.ndarray) -> np.ndarray:
+    """Frobenius reconstruction error of each decomposition, in one stacked call."""
+    phase = np.array([d.global_phase for d in decompositions], dtype=complex)
+    coords = np.array([d.coordinates for d in decompositions])
+    l1, l2, r1, r2 = (
+        np.array([getattr(d, name) for d in decompositions]) for name in ("l1", "l2", "r1", "r2")
+    )
+    rebuilt = _reconstruct_batch(phase, l1, l2, coords, r1, r2)
+    return np.linalg.norm((rebuilt - matrices).reshape(len(matrices), -1), axis=1)
 
 
 def kak_decompose_batch(
@@ -316,9 +366,13 @@ def kak_decompose_batch(
     each returned :class:`KAKDecomposition` satisfies the same reconstruction
     bound and lands on the same Weyl-chamber representative — but the batch
     runs the dense numerics once over the deduplicated ``(N, 4, 4)`` stack.
-    Exact-bytes duplicates share one decomposition object; an installed KAK
-    cache (:func:`repro.linalg.weyl.install_kak_cache`) is consulted under
-    the batch-specific key context ``("kak", "batch")``.
+    Exact-bytes duplicates share one decomposition object.  Each unique
+    matrix is looked up first in the running compile's table
+    (:func:`decomposition_table`), then in an installed KAK cache
+    (:func:`repro.linalg.weyl.install_kak_cache`, key context
+    ``("kak", "batch")``); only what both miss is decomposed.  With
+    ``validate`` every reused decomposition not yet checked is checked in
+    one stacked reconstruction.
     """
     matrices = [np.ascontiguousarray(u, dtype=complex) for u in unitaries]
     for matrix in matrices:
@@ -335,33 +389,60 @@ def kak_decompose_batch(
     _STATS["unique"] += len(unique)
     _STATS["interned"] += len(matrices) - len(unique)
 
-    results: List[KAKDecomposition] = [None] * len(matrices)  # type: ignore[list-item]
+    table = _TABLE.get()
+    if table is None:  # outside a compile: a table for this call only
+        table = {}
     cache = _weyl.installed_kak_cache()
-    pending: List[tuple] = []  # (cache_key, member positions)
-    if cache is not None:
-        from repro.service.cache import unitary_fingerprint
+    pending: List[tuple] = []  # (content, cache key)
+    unchecked: List[bytes] = []  # reused entries to validate
+    for content, positions in unique.items():
+        entry = table.get(content)
+        if entry is not None:
+            _STATS["table_hits"] += 1
+            if validate and not entry[1]:
+                unchecked.append(content)
+            continue
+        cache_key = None
+        if cache is not None:
+            from repro.service.cache import unitary_fingerprint
 
-        for positions in unique.values():
-            matrix = matrices[positions[0]]
-            cache_key = unitary_fingerprint(matrix, "kak", "batch")
+            cache_key = unitary_fingerprint(matrices[positions[0]], "kak", "batch")
             cached = cache.get(cache_key)
             if cached is not None:
-                if validate and cached.reconstruction_error(matrix) > 1e-6:
-                    raise ValueError("cached KAK reconstruction error too large")
                 _STATS["cache_hits"] += 1
-                for position in positions:
-                    results[position] = cached
-            else:
-                pending.append((cache_key, positions))
-    else:
-        pending = [(None, positions) for positions in unique.values()]
+                table[content] = (cached, False, True)
+                if validate:
+                    unchecked.append(content)
+                continue
+        pending.append((content, cache_key))
+
+    if unchecked:
+        errors = _reconstruction_errors(
+            [table[content][0] for content in unchecked],
+            np.array([matrices[unique[content][0]] for content in unchecked]),
+        )
+        failed = [content for content, error in zip(unchecked, errors.tolist()) if error > 1e-6]
+        if any(table[content][2] for content in failed):
+            raise ValueError("cached KAK reconstruction error too large")
+        if failed:
+            raise ValueError(f"KAK reconstruction error too large: {float(errors.max()):.3e}")
+        for content in unchecked:
+            table[content] = (table[content][0], True, table[content][2])
 
     if pending:
-        stack = np.stack([matrices[positions[0]] for _, positions in pending])
-        decompositions = _kak_decompose_stack(stack, validate)
-        for (cache_key, positions), decomposition in zip(pending, decompositions):
-            if cache is not None and cache_key is not None:
+        stack = np.array([matrices[unique[content][0]] for content, _ in pending])
+        decompositions, errors = _kak_decompose_stack(stack)
+        if validate and np.any(errors > 1e-6):
+            raise ValueError(f"KAK reconstruction error too large: {float(errors.max()):.3e}")
+        _STATS["decomposed"] += len(pending)
+        for (content, cache_key), decomposition, error in zip(pending, decompositions, errors.tolist()):
+            if cache_key is not None:
                 cache.put(cache_key, decomposition)
-            for position in positions:
-                results[position] = decomposition
+            table[content] = (decomposition, error <= 1e-6, False)
+
+    results: List[KAKDecomposition] = [None] * len(matrices)  # type: ignore[list-item]
+    for content, positions in unique.items():
+        decomposition = table[content][0]
+        for position in positions:
+            results[position] = decomposition
     return results

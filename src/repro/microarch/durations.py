@@ -202,11 +202,11 @@ def su4_duration_model(
                 f"duration model expects <=2-qubit gates, got {gate.num_qubits}"
             )
         if gate.name == "can":
-            key = ("can", tuple(round(p, 10) for p in gate.params))
+            key = ("can", tuple([round(p, 10) for p in gate.params]))
         elif isinstance(gate, UnitaryGate):
             key = None
         else:
-            key = (gate.name, tuple(round(p, 10) for p in gate.params))
+            key = (gate.name, tuple([round(p, 10) for p in gate.params]))
         if key is not None and key in cache:
             return cache[key]
         if gate.name == "can":

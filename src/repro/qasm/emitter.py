@@ -115,9 +115,12 @@ def dumps(circuit: QuantumCircuit) -> str:
     unitary_order: List[Tuple[str, UnitaryGate]] = []
 
     body: List[str] = []
+    operands: Dict[Tuple[int, ...], str] = {}  # qubit tuple -> "q[a],q[b]"
     for instruction in circuit:
         gate = instruction.gate
-        qubits = ",".join(f"q[{q}]" for q in instruction.qubits)
+        qubits = operands.get(instruction.qubits)
+        if qubits is None:
+            qubits = operands[instruction.qubits] = ",".join(f"q[{q}]" for q in instruction.qubits)
         if isinstance(gate, UnitaryGate):
             if not gate.name or not all(33 <= ord(ch) <= 126 for ch in gate.name):
                 raise QasmError(

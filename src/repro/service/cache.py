@@ -62,6 +62,7 @@ import struct
 import threading
 import time
 import zlib
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -175,21 +176,18 @@ def circuit_fingerprint(circuit, *context: str) -> str:
     """
     from repro.gates.gate import UnitaryGate
 
-    digest = hashlib.sha256()
-    digest.update(str(circuit.num_qubits).encode())
+    # One sha256 over the joined pieces: the digest of the piecewise updates.
+    pieces = [str(circuit.num_qubits).encode()]
     for instruction in circuit:
         gate = instruction.gate
-        digest.update(b"|")
-        digest.update(gate.name.encode())
-        digest.update(str(instruction.qubits).encode())
+        pieces.append(b"|" + gate.name.encode() + str(instruction.qubits).encode())
         if isinstance(gate, UnitaryGate):
-            digest.update(np.ascontiguousarray(gate.matrix).tobytes())
+            pieces.append(np.ascontiguousarray(gate.matrix).tobytes())
         elif gate.params:
-            digest.update(np.asarray(gate.params, dtype=float).tobytes())
+            pieces.append(array("d", gate.params).tobytes())
     for tag in context:
-        digest.update(b"\x00")
-        digest.update(str(tag).encode())
-    return digest.hexdigest()
+        pieces.append(b"\x00" + str(tag).encode())
+    return hashlib.sha256(b"".join(pieces)).hexdigest()
 
 
 @dataclass

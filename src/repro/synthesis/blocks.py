@@ -25,13 +25,15 @@ __all__ = ["TwoQubitBlock", "consolidate_blocks", "replace_run", "block_unitarie
 
 OutputForm = Literal["unitary", "can", "cx"]
 
+_EYE4 = np.eye(4, dtype=complex)
+
 
 @dataclass
 class TwoQubitBlock:
     """A maximal run of instructions confined to one unordered qubit pair.
 
     ``members`` carries the collection key of every member instruction, in
-    program order: the IR node id inside :func:`consolidate_blocks`.
+    program order: the program position inside :func:`consolidate_blocks`.
     """
 
     qubits: Tuple[int, int]
@@ -52,6 +54,7 @@ def block_unitaries(blocks: Sequence[TwoQubitBlock]) -> List[np.ndarray]:
     group runs the plan once as stacked ``(B, 2^k, 2^k) @ (B, 2^k, rest)``
     products.  Every item of a stacked product is the per-block product,
     so each unitary is bitwise the one ``apply_gate_sequence`` builds alone.
+    The unitaries are read-only views of one array per group.
     """
     groups: Dict[Tuple[Tuple[int, ...], ...], List[int]] = {}
     for position, block in enumerate(blocks):
@@ -61,13 +64,15 @@ def block_unitaries(blocks: Sequence[TwoQubitBlock]) -> List[np.ndarray]:
     unitaries: List[np.ndarray] = [None] * len(blocks)  # type: ignore[list-item]
     for signature, members in groups.items():
         steps, final = _sequence_plan(2, signature, True)
-        tensor = np.tile(np.eye(4, dtype=complex), (len(members), 1, 1)).reshape(-1, 2, 2, 4)
+        tensor = np.tile(_EYE4, (len(members), 1, 1)).reshape(-1, 2, 2, 4)
         for step, (qubits, perm) in enumerate(zip(signature, steps)):
-            matrices = np.stack([blocks[b].instructions[step].gate.matrix for b in members])
+            # np.array of equal-shape arrays is np.stack's array, built faster.
+            matrices = np.array([blocks[b].instructions[step].gate.matrix for b in members])
             tensor = tensor.transpose((0,) + tuple(axis + 1 for axis in perm))
             shape = tensor.shape
             tensor = (matrices @ tensor.reshape(len(members), 2 ** len(qubits), -1)).reshape(shape)
         tensor = tensor.transpose((0,) + tuple(axis + 1 for axis in final)).reshape(-1, 4, 4)
+        tensor.setflags(write=False)  # so each UnitaryGate keeps its view uncopied
         for b, unitary in zip(members, tensor):
             unitaries[b] = unitary
     return unitaries
@@ -122,7 +127,7 @@ def _fuse_blocks(
     unitaries = block_unitaries(blocks)
     if form == "unitary":
         return [
-            [Instruction(UnitaryGate(unitary, label="su4"), block.qubits)]
+            [Instruction.unchecked(UnitaryGate(unitary, label="su4"), block.qubits)]
             for block, unitary in zip(blocks, unitaries)
         ]
     if form == "can":
@@ -153,13 +158,35 @@ def consolidate_blocks(
     minimal-CNOT synthesis (``"cx"``).  With ``only_if_fewer_gates`` the
     original run is kept whenever re-synthesis would not reduce its 2Q count
     (used by the CNOT baselines).  Each run goes in at the position of its
-    first member (:func:`replace_run`); nodes in no run are left untouched.
+    first member and its other members are dropped; instructions in no run
+    keep their place.  The new program is installed with one ``rewrite``
+    (node ids are renumbered), or not at all when every run is kept and
+    already contiguous.
     """
-    blocks = _collect_blocks([(node, ir.instruction(node)) for node in ir.nodes()])
+    program = list(ir.instructions())
+    blocks = _collect_blocks(enumerate(program))
     if not blocks:
         return
+    placed: Dict[int, List[Instruction]] = {}
+    dropped = set()
     for block, replacement in zip(blocks, _fuse_blocks(blocks, form, only_if_fewer_gates)):
-        replace_run(ir, block.members, replacement)
+        members = block.members
+        if replacement is None:
+            if members[-1] - members[0] == len(members) - 1:
+                continue  # a kept run that is already contiguous stays put
+            replacement = block.instructions
+        placed[members[0]] = replacement
+        dropped.update(members[1:])
+    if not placed:
+        return
+    output: List[Instruction] = []
+    for position, instruction in enumerate(program):
+        replacement = placed.get(position)
+        if replacement is not None:
+            output.extend(replacement)
+        elif position not in dropped:
+            output.append(instruction)
+    ir.rewrite(output)
 
 
 def replace_run(ir: CircuitIR, members: Sequence[int], replacement: Optional[List[Instruction]]) -> None:

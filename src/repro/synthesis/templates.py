@@ -161,6 +161,7 @@ class TemplateLibrary:
 
     def __init__(self) -> None:
         self._templates: Dict[str, Template] = {}
+        self._fingerprint: Optional[str] = None
         self._register_defaults()
 
     # ------------------------------------------------------------------
@@ -196,6 +197,7 @@ class TemplateLibrary:
             variants.append(self._reversed_variant(realization))
         template = Template(name=name, reference=reference, realization=fused, variants=variants)
         self._templates[name] = template
+        self._fingerprint = None
         return template
 
     def _reversed_variant(self, realization: QuantumCircuit) -> QuantumCircuit:
@@ -232,6 +234,15 @@ class TemplateLibrary:
     def su4_count(self, name: str) -> int:
         """SU(4) count of the primary realization."""
         return self._templates[name].num_su4
+
+    def fingerprint(self) -> str:
+        """Content key of every variant (memoized until the next :meth:`register`)."""
+        if self._fingerprint is None:
+            from repro.service.cache import circuit_fingerprint
+
+            parts = [circuit_fingerprint(variant) for name in self.names() for variant in self.variants(name)]
+            self._fingerprint = "library:" + ",".join(parts)
+        return self._fingerprint
 
 
 _DEFAULT_LIBRARY: Optional[TemplateLibrary] = None

@@ -66,6 +66,7 @@ def compile(
         Initial property values merged into the run's
         :class:`~repro.target.properties.PropertySet`.
     """
+    from repro.kernels.kak_batch import decomposition_table
     from repro.linalg.weyl import install_kak_cache
 
     start = time.perf_counter()
@@ -91,7 +92,8 @@ def compile(
     if synthesis_cache is not None:
         previous_kak_cache = install_kak_cache(synthesis_cache)
     try:
-        compiled, records = manager.run_with_records(circuit, props)
+        with decomposition_table():
+            compiled, records = manager.run_with_records(circuit, props)
     finally:
         if synthesis_cache is not None:
             install_kak_cache(previous_kak_cache)

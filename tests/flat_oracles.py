@@ -7,6 +7,9 @@ functions here compute the same results the older way, by re-emitting a new
 * :func:`consolidate_blocks_flat` collects the same 2Q runs and fuses them
   with the same arithmetic as :func:`repro.synthesis.blocks.consolidate_blocks`,
   then emits every run at the position of its first member;
+* :func:`consolidate_blocks_by_node` is the in-place fold
+  ``consolidate_blocks`` used before it built the program in one pass: one
+  ``replace_run`` (``replace_block`` at the first member) per run;
 * :func:`peephole_optimize` with :func:`_merge_one_qubit_runs` and
   :func:`_cancel_adjacent_two_qubit` are the flat-list peephole kernels;
 * :func:`finalize_closure_scan` is the per-wire running-product scan of
@@ -36,7 +39,8 @@ from repro.compiler.passes.finalize import _needs_synthesis
 from repro.gates import standard
 from repro.linalg.su2 import is_identity_class_batch, u3_params_batch, u3_params_from_matrix
 from repro.linalg.weyl import kak_decompose_batch
-from repro.synthesis.blocks import _collect_blocks, _fuse_blocks
+from repro.ir import CircuitIR
+from repro.synthesis.blocks import _collect_blocks, _fuse_blocks, replace_run
 
 
 def consolidate_blocks_flat(
@@ -63,6 +67,22 @@ def consolidate_blocks_flat(
         for instruction in emissions.get(position, []):
             result.append(instruction.gate, instruction.qubits)
     return result
+
+
+def consolidate_blocks_by_node(
+    ir: CircuitIR, form: str = "unitary", only_if_fewer_gates: bool = False
+) -> None:
+    """Node-by-node twin of :func:`repro.synthesis.blocks.consolidate_blocks`.
+
+    Collects the runs over live node ids and folds them into ``ir`` one at a
+    time with :func:`~repro.synthesis.blocks.replace_run`, which leaves a
+    kept run alone when it is already contiguous.
+    """
+    blocks = _collect_blocks([(node, ir.instruction(node)) for node in ir.nodes()])
+    if not blocks:
+        return
+    for block, replacement in zip(blocks, _fuse_blocks(blocks, form, only_if_fewer_gates)):
+        replace_run(ir, block.members, replacement)
 
 
 def _merge_one_qubit_runs(circuit: QuantumCircuit) -> QuantumCircuit:

@@ -11,6 +11,7 @@ from repro.circuits.instruction import Instruction
 from repro.circuits.metrics import (
     BASELINE_CNOT_DURATION,
     circuit_duration,
+    cnot_isa_duration_model,
     compute_metrics,
     count_distinct_two_qubit_gates,
     count_two_qubit_gates,
@@ -147,6 +148,51 @@ def test_compute_metrics_bundle():
     assert metrics.depth_2q == 1
     assert metrics.duration == pytest.approx(BASELINE_CNOT_DURATION)
     assert "num_2q" in metrics.as_dict()
+
+
+def _mixed_circuit(seed, with_three_qubit):
+    rng = np.random.default_rng(seed)
+    circuit = QuantumCircuit(5)
+    for _ in range(80):
+        roll = rng.random()
+        q = [int(x) for x in rng.choice(5, size=3, replace=False)]
+        if roll < 0.3:
+            circuit.u3(*(float(a) for a in rng.uniform(0, 6.28, 3)), q[0])
+        elif roll < 0.5:
+            circuit.cx(q[0], q[1])
+        elif roll < 0.65:
+            circuit.can(*(float(a) for a in rng.uniform(0, 0.7, 3)), q[0], q[1])
+        elif roll < 0.8:
+            circuit.unitary(haar_random_unitary(4, rng), [q[0], q[1]], label="su4")
+        elif roll < 0.9 or not with_three_qubit:
+            circuit.rzz(float(rng.uniform(0, 6.28)), q[0], q[1])
+        else:
+            circuit.ccx(*q)
+    return circuit
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_compute_metrics_are_the_separate_metrics(seed):
+    from repro.target.target import Target
+
+    models = [
+        (cnot_isa_duration_model(one_qubit_duration=0.1), True),
+        (Target.default().duration_model("su4"), False),  # 1Q/2Q gates only
+    ]
+    for model, with_three_qubit in models:
+        circuit = _mixed_circuit(seed, with_three_qubit)
+        expected = (
+            count_two_qubit_gates(circuit),
+            two_qubit_depth(circuit),
+            circuit.depth(),
+            count_distinct_two_qubit_gates(circuit),
+            circuit_duration(circuit, model),
+        )
+        got = compute_metrics(circuit, model)
+        assert (got.num_2q, got.depth_2q, got.depth, got.distinct_2q, got.duration) == expected
+        assert compute_metrics(circuit, model, include_distinct=False).distinct_2q == 0
+    empty = compute_metrics(QuantumCircuit(2), model)
+    assert (empty.num_2q, empty.depth_2q, empty.depth, empty.distinct_2q, empty.duration) == (0, 0, 0, 0, 0.0)
 
 
 def test_dag_roundtrip_preserves_unitary():

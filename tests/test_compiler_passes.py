@@ -271,6 +271,22 @@ def test_template_synthesis_handles_generic_gates():
     assert allclose_up_to_global_phase(result.to_unitary(), circuit.to_unitary(), atol=1e-6)
 
 
+def test_template_synthesis_expands_mcx_then_templates_it():
+    circuit = QuantumCircuit(6)
+    circuit.h(0).h(1).h(2).mcx([0, 1, 2], 3).cx(3, 4)
+    result = run_pass(TemplateSynthesisPass(), circuit)
+    assert result.max_gate_arity() == 2
+    # The expansion borrows a clean ancilla, so compare on |0...0>.
+    assert allclose_up_to_global_phase(result.statevector(), circuit.statevector(), atol=1e-6)
+
+
+def test_template_synthesis_without_templated_gates_only_fuses():
+    circuit = random_two_qubit_circuit(6, 80, seed=31)
+    assert circuits_bit_identical(
+        run_pass(TemplateSynthesisPass(), circuit), run_pass(Fuse2QBlocksPass(), circuit)
+    )
+
+
 def _seeded_24q_program():
     """24q random U3/CX program (same-pair runs included) with Toffolis mixed in."""
     rng = np.random.default_rng(24)

@@ -230,3 +230,11 @@ def test_unitary_gate_equality():
     matrix = haar_random_unitary(4, 2)
     assert UnitaryGate(matrix) == UnitaryGate(matrix)
     assert UnitaryGate(matrix) != UnitaryGate(haar_random_unitary(4, 3))
+
+
+def test_unitary_gate_arity_and_shape_checks():
+    for qubits in range(4):
+        assert UnitaryGate(np.eye(2**qubits)).num_qubits == qubits
+    for shape in ((0, 0), (3, 3), (2, 4)):
+        with pytest.raises(ValueError, match="power-of-two square"):
+            UnitaryGate(np.zeros(shape))

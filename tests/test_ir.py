@@ -11,10 +11,11 @@ from repro.compiler.passes.fuse import Fuse2QBlocksPass
 from repro.compiler.passes.peephole import PeepholeOptimizationPass
 from repro.gates import standard
 from repro.ir import CircuitIR, conversion_stats, reset_conversion_stats
+from repro.synthesis.blocks import consolidate_blocks
 from repro.target.pipeline import pipeline_names
 
 from circuit_helpers import run_pass
-from flat_oracles import consolidate_blocks_flat, peephole_optimize
+from flat_oracles import consolidate_blocks_by_node, consolidate_blocks_flat, peephole_optimize
 
 
 def random_standard_circuit(num_qubits, num_gates, seed):
@@ -289,6 +290,54 @@ def test_ir_fuse_matches_flat_kernel(seed):
         flat = consolidate_blocks_flat(lowered, form=form)
         via_ir = run_pass(Fuse2QBlocksPass(form=form), lowered)
         assert bit_identical(flat, via_ir)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("form, only_if_fewer", [("unitary", False), ("can", False), ("cx", True)])
+def test_one_rewrite_consolidation_matches_node_by_node_fold(seed, form, only_if_fewer):
+    # Random standard circuits interleave runs on different pairs (so runs
+    # are often not contiguous) and carry ccx gates that close runs.
+    circuit = random_standard_circuit(5, 60, seed)
+    expected = CircuitIR.from_circuit(circuit)
+    consolidate_blocks_by_node(expected, form=form, only_if_fewer_gates=only_if_fewer)
+    ir = CircuitIR.from_circuit(circuit)
+    consolidate_blocks(ir, form=form, only_if_fewer_gates=only_if_fewer)
+    assert bit_identical(ir.to_circuit(), expected.to_circuit())
+    assert len(ir) == len(expected) and ir.two_qubit_count() == expected.two_qubit_count()
+
+
+def _consolidation_case():
+    """Kept and replaced runs, contiguous and not, and a run closed by a ccx."""
+    circuit = QuantumCircuit(4, "runs")
+    circuit.cx(0, 1).cx(2, 3).h(0).t(3)  # two interleaved one-CX runs (kept by "cx")
+    circuit.ccx(0, 1, 2)  # closes the runs on 0, 1 and 2
+    circuit.cz(0, 1).x(3).cz(0, 1)  # a run that re-synthesizes to no CX at all
+    circuit.cx(1, 2).s(1)
+    return circuit
+
+
+@pytest.mark.parametrize("form, only_if_fewer", [("unitary", False), ("can", False), ("cx", True)])
+def test_one_rewrite_consolidation_on_kept_and_split_runs(form, only_if_fewer):
+    circuit = _consolidation_case()
+    expected = CircuitIR.from_circuit(circuit)
+    consolidate_blocks_by_node(expected, form=form, only_if_fewer_gates=only_if_fewer)
+    ir = CircuitIR.from_circuit(circuit)
+    consolidate_blocks(ir, form=form, only_if_fewer_gates=only_if_fewer)
+    assert bit_identical(ir.to_circuit(), expected.to_circuit())
+    if form == "cx":
+        # Each kept run collapses onto its first member, in its own order.
+        names = [(i.gate.name, i.qubits) for i in ir.instructions()]
+        assert names[:4] == [("cx", (0, 1)), ("h", (0,)), ("cx", (2, 3)), ("t", (3,))]
+        assert ir.two_qubit_count() == circuit.count_two_qubit_gates() - 2
+
+
+def test_consolidation_leaves_a_kept_contiguous_program_untouched():
+    circuit = QuantumCircuit(3, "kept")
+    circuit.cx(0, 1).h(1).cx(1, 2).t(2)
+    ir = CircuitIR.from_circuit(circuit)
+    nodes, depth = list(ir.nodes()), ir.depth()
+    consolidate_blocks(ir, form="cx", only_if_fewer_gates=True)
+    assert list(ir.nodes()) == nodes and ir._depth == depth  # no rewrite, cache kept
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -539,3 +539,15 @@ def test_complex_valued_power_expression_is_qasm_error():
     # position, not a downstream TypeError.
     with pytest.raises(QasmError, match="complex value"):
         loads("qreg q[1];\nrx((0-2)^0.5) q[0];")
+
+
+def test_dumps_formats_parameters_that_are_not_plain_floats():
+    circuit = QuantumCircuit(1)
+    circuit.rz(0.25, 0).rz(0.5, 0)
+    circuit.instructions[0].gate.params = (np.float64(0.1),)  # a float subclass
+    circuit.instructions[1].gate.params = (3,)  # an int, converted as before
+    assert dumps(circuit).splitlines()[-2:] == ["rz(0.1) q[0];", "rz(3.0) q[0];"]
+    for bad in (math.inf, -math.inf, math.nan):
+        circuit.instructions[1].gate.params = (bad,)
+        with pytest.raises(QasmError, match="non-finite"):
+            dumps(circuit)

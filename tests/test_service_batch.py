@@ -224,7 +224,7 @@ def test_template_pass_hits_an_entry_holding_a_circuit():
     cache = SynthesisCache()
     pass_ = TemplateSynthesisPass(cache=cache)
     key = circuit_fingerprint(
-        circuit, "template_synthesis", pass_._library_fingerprint(), "selective=True", "fuse=True"
+        circuit, "template_synthesis", pass_.library.fingerprint(), "selective=True", "fuse=True"
     )
     cache.put(key, expected.copy())
     assert _circuits_identical(run_pass(pass_, circuit), expected)

@@ -63,6 +63,43 @@ def test_circuit_fingerprint_distinguishes_unitary_gates_with_same_label():
     assert circuit_fingerprint(first) != circuit_fingerprint(second)
 
 
+def _streaming_circuit_fingerprint(circuit, *context):
+    """The fingerprint's definition: one sha256 update per piece, in order."""
+    import hashlib
+
+    from repro.gates.gate import UnitaryGate
+
+    digest = hashlib.sha256()
+    digest.update(str(circuit.num_qubits).encode())
+    for instruction in circuit:
+        gate = instruction.gate
+        digest.update(b"|")
+        digest.update(gate.name.encode())
+        digest.update(str(instruction.qubits).encode())
+        if isinstance(gate, UnitaryGate):
+            digest.update(np.ascontiguousarray(gate.matrix).tobytes())
+        elif gate.params:
+            digest.update(np.asarray(gate.params, dtype=float).tobytes())
+    for tag in context:
+        digest.update(b"\x00")
+        digest.update(str(tag).encode())
+    return digest.hexdigest()
+
+
+def test_circuit_fingerprint_is_its_streaming_definition():
+    from repro.ir import CircuitIR
+    from repro.workloads.suite import benchmark_suite
+
+    rng = np.random.default_rng(6)
+    mixed = QuantumCircuit(3, "mixed").h(0).cx(0, 1).rz(-0.0, 2).can(0.3, 0.2, 0.1, 1, 2)
+    mixed.unitary(haar_random_su4(rng=rng), [2, 0], label="su4").ccx(0, 1, 2).cx(0, 1)
+    circuits = [mixed, CircuitIR.from_circuit(mixed), QuantumCircuit(1)]
+    circuits += [case.circuit for case in benchmark_suite(scale="tiny")[:5]]
+    for circuit in circuits:
+        for context in ((), ("serve", "reqisc-eff", "None", "0")):
+            assert circuit_fingerprint(circuit, *context) == _streaming_circuit_fingerprint(circuit, *context)
+
+
 # ---------------------------------------------------------------------------
 # Hit / miss / eviction behaviour.
 # ---------------------------------------------------------------------------

@@ -368,6 +368,17 @@ def test_template_register_rejects_wrong_circuit():
         library.register("bogus", _reference_ccx(), wrong)
 
 
+def test_library_fingerprint_is_memoized_until_a_register():
+    library = TemplateLibrary()
+    key = library.fingerprint()
+    assert library.fingerprint() is key
+    assert key == TemplateLibrary().fingerprint()
+    realization = QuantumCircuit(3)
+    realization.cv(1, 2).cx(0, 1).cvdg(1, 2).cx(0, 1).cv(0, 2)
+    library.register("toffoli", _reference_ccx(), realization)
+    assert library.fingerprint() != key
+
+
 def _reference_ccx():
     circuit = QuantumCircuit(3)
     circuit.ccx(0, 1, 2)

@@ -7,12 +7,15 @@ extra adds pytest, hypothesis, pytest-benchmark (the figure benchmarks
 under ``benchmarks/`` use its ``benchmark`` fixture) and networkx, which
 the tests use as an oracle for the stdlib graph code.
 
-The native SABRE routing loop (``repro.kernels._sabre_loop``: the whole
-step loop, one call per routing run) is built opportunistically: when a C
-compiler is available the extension compiles and ``repro.kernels``
-auto-selects it, and when it is not (or the build fails for any reason) the
-install still succeeds and the router's Python loop is selected at runtime —
-a source install without a toolchain must never fail.
+The native kernels extension (``repro.kernels._native``) holds two
+kernels: the SABRE routing loop (the whole step loop, one call per routing
+run) and the approximate-synthesis instantiation objective (value and
+gradient, one call per L-BFGS-B evaluation).  It is built
+opportunistically: when a C compiler is available the extension compiles
+and ``repro.kernels`` auto-selects it, and when it is not (or the build
+fails for any reason) the install still succeeds and the Python/numpy
+fallbacks are selected at runtime — a source install without a toolchain
+must never fail.
 """
 
 import os
@@ -78,8 +81,8 @@ setup(
     packages=find_packages("src"),
     ext_modules=[
         Extension(
-            "repro.kernels._sabre_loop",
-            sources=["src/repro/kernels/_sabre_loop.c"],
+            "repro.kernels._native",
+            sources=["src/repro/kernels/_native.c"],
             optional=True,
         )
     ],

@@ -23,7 +23,7 @@ from repro.compiler.passes.base import CompilerPass
 from repro.ir import CircuitIR
 from repro.service.cache import SynthesisCache, unitary_fingerprint
 from repro.simulators.statevector import apply_gate, apply_gate_sequence
-from repro.synthesis.approximate import INSTANTIATION_VERSION, ApproximateSynthesizer
+from repro.synthesis.approximate import ApproximateSynthesizer, instantiation_token
 from repro.synthesis.blocks import consolidate_blocks, replace_run
 
 __all__ = [
@@ -262,7 +262,12 @@ class HierarchicalSynthesisPass(CompilerPass):
         return [instr.remap(mapping) for instr in local]
 
     def cache_key(self, target: np.ndarray, original_count: int) -> str:
-        """:class:`SynthesisCache` key of one block's re-synthesis outcome."""
+        """:class:`SynthesisCache` key of one block's re-synthesis outcome.
+
+        It carries the token of the active kernel backend's instantiation
+        path, so a cache hit returns what a cold compile on that backend
+        would emit.
+        """
         synth = self.synthesizer
         return unitary_fingerprint(
             target,
@@ -270,7 +275,7 @@ class HierarchicalSynthesisPass(CompilerPass):
             f"count={original_count}",
             f"tol={self.tolerance}",
             f"synth={synth.tolerance}:{synth.restarts}:{synth.seed}:{synth.max_iterations}",
-            INSTANTIATION_VERSION,
+            instantiation_token(),
         )
 
     def _synthesize_local(

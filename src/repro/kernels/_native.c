@@ -1,4 +1,12 @@
-/* Compiled SABRE routing loop: one call routes a whole dependency graph.
+/* The repro.kernels native extension: two kernels behind one module.
+ *
+ *  - route(...): the compiled SABRE routing loop, one call per routing run;
+ *  - instantiation_objective(...): the approximate-synthesis objective
+ *    f = 1 - |tr(T^dagger U)| / d and its exact gradient, one call per
+ *    L-BFGS-B evaluation.
+ *
+ * The module uses only the buffer protocol (no numpy C API), so it builds
+ * against any CPython >= 3.9 with no third-party headers.
  *
  * route(...) runs the step loop of repro.compiler.routing.sabre.SabreRouter
  * end to end and returns the event stream the router's shared emitter turns
@@ -31,13 +39,11 @@
  *    and resets to 1.0 after decay_reset_interval SWAPs;
  *  - the step limit and an empty candidate set raise RuntimeError with the
  *    Python loop's messages.
- *
- * The module uses only the buffer protocol (no numpy C API), so it builds
- * against any CPython >= 3.9 with no third-party headers.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -548,7 +554,393 @@ release:
     return result;
 }
 
-static PyMethodDef sabre_loop_methods[] = {
+/* ------------------------------------------------------------------------
+ * Instantiation objective of repro.synthesis.approximate.
+ *
+ * instantiation_objective(params, kinds, qubits, offsets, fixed, target,
+ *                         gradient) -> f
+ *
+ * evaluates f = 1 - |A| / d with A = tr(T^dagger U) for the ansatz
+ * U = G_{K-1} ... G_0 described by the plan arrays, one row per operation:
+ * kinds[k] is 0 for U3, 1 for Can, 2 for a fixed gate whose 4x4 matrix
+ * opens row k of the (count, 17) complex array fixed; qubits[k] = (q0, q1),
+ * q1 = -1 for 1Q; offsets[k] is the first of its three parameters.  It
+ * writes df/dparams into gradient.
+ *
+ * The forward sweep stores every prefix P_{k-1} = G_{k-1} ... G_0; the
+ * backward sweep keeps Bt = (T^dagger G_{K-1} ... G_{k+1})^T, the transpose
+ * of B_k, so that both sweeps apply each gate to the 2 or 4 stacked rows it
+ * touches and never form a dense d x d product.  The derivative of A along
+ * entry g[a, b] of a parametrized gate is the partial trace
+ * sum_s (P_{k-1} B_k)[(s, b), (s, a)] over spectator states s, read straight
+ * off the rows of P_{k-1} and Bt, and df = -Re(conj(A) dA) / (|A| d).  The
+ * value agrees with the numpy path to rounding, not bit for bit.
+ * ------------------------------------------------------------------------ */
+
+typedef struct {
+    double re, im;
+} cplx;
+
+enum { OP_U3 = 0, OP_CAN = 1, OP_FIXED = 2 };
+
+static inline cplx
+cmul(cplx a, cplx b)
+{
+    cplx r = {a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re};
+    return r;
+}
+
+static inline cplx
+cexpi(double angle)
+{
+    cplx r = {cos(angle), sin(angle)};
+    return r;
+}
+
+static inline cplx
+cscale(cplx a, double s)
+{
+    cplx r = {a.re * s, a.im * s};
+    return r;
+}
+
+/* i * a */
+static inline cplx
+ctimes_i(cplx a)
+{
+    cplx r = {-a.im, a.re};
+    return r;
+}
+
+/* Row-major U3(theta, phi, lam) in g[0..3] and its three derivatives. */
+static void
+u3_gate(const double *angles, cplx *g, cplx d[3][16])
+{
+    double c = cos(angles[0] / 2.0), s = sin(angles[0] / 2.0);
+    cplx e_phi = cexpi(angles[1]), e_lam = cexpi(angles[2]);
+    cplx e_both = cexpi(angles[1] + angles[2]);
+    cplx zero = {0.0, 0.0}, cc = {c, 0.0};
+    g[0] = cc;
+    g[1] = cscale(e_lam, -s);
+    g[2] = cscale(e_phi, s);
+    g[3] = cscale(e_both, c);
+    d[0][0] = (cplx){-0.5 * s, 0.0};
+    d[0][1] = cscale(e_lam, -0.5 * c);
+    d[0][2] = cscale(e_phi, 0.5 * c);
+    d[0][3] = cscale(e_both, -0.5 * s);
+    d[1][0] = zero;
+    d[1][1] = zero;
+    d[1][2] = ctimes_i(g[2]);
+    d[1][3] = ctimes_i(g[3]);
+    d[2][0] = zero;
+    d[2][1] = ctimes_i(g[1]);
+    d[2][2] = zero;
+    d[2][3] = ctimes_i(g[3]);
+}
+
+/* Row-major Can(x, y, z) = exp(-i (x XX + y YY + z ZZ)) in g[0..15] and its
+ * derivatives.  On span{|00>, |11>} it is e^{-iz} exp(-i (x - y) X), on
+ * span{|01>, |10>} e^{iz} exp(-i (x + y) X); every other entry is zero. */
+static void
+can_gate(const double *coords, cplx *g, cplx d[3][16])
+{
+    double minus = coords[0] - coords[1], plus = coords[0] + coords[1];
+    cplx outer = cexpi(-coords[2]), inner = cexpi(coords[2]);
+    cplx diag_o = cscale(outer, cos(minus)), off_o = cscale(ctimes_i(outer), -sin(minus));
+    cplx diag_i = cscale(inner, cos(plus)), off_i = cscale(ctimes_i(inner), -sin(plus));
+    /* d/d(minus) and d/d(plus) of the diagonal and off-diagonal entries. */
+    cplx ddiag_o = cscale(outer, -sin(minus)), doff_o = cscale(ctimes_i(outer), -cos(minus));
+    cplx ddiag_i = cscale(inner, -sin(plus)), doff_i = cscale(ctimes_i(inner), -cos(plus));
+    memset(g, 0, 16 * sizeof(cplx));
+    memset(d, 0, 3 * 16 * sizeof(cplx));
+    g[0] = g[15] = diag_o;
+    g[3] = g[12] = off_o;
+    g[5] = g[10] = diag_i;
+    g[6] = g[9] = off_i;
+    /* x moves minus and plus by +1; y moves minus by -1 and plus by +1. */
+    d[0][0] = d[0][15] = ddiag_o;
+    d[0][3] = d[0][12] = doff_o;
+    d[1][0] = d[1][15] = cscale(ddiag_o, -1.0);
+    d[1][3] = d[1][12] = cscale(doff_o, -1.0);
+    d[0][5] = d[0][10] = d[1][5] = d[1][10] = ddiag_i;
+    d[0][6] = d[0][9] = d[1][6] = d[1][9] = doff_i;
+    /* z multiplies the outer block by e^{-iz} and the inner one by e^{iz}. */
+    d[2][0] = d[2][15] = cscale(ctimes_i(diag_o), -1.0);
+    d[2][3] = d[2][12] = cscale(ctimes_i(off_o), -1.0);
+    d[2][5] = d[2][10] = ctimes_i(diag_i);
+    d[2][6] = d[2][9] = ctimes_i(off_i);
+}
+
+/* dst rows (x, y) <- (g00 x + g01 y, g10 x + g11 y) from src rows; src may
+ * be dst. */
+static void
+mix_pair(const cplx *sx, const cplx *sy, cplx *dx, cplx *dy, Py_ssize_t dim,
+         cplx g00, cplx g01, cplx g10, cplx g11)
+{
+    for (Py_ssize_t m = 0; m < dim; m++) {
+        cplx x = sx[m], y = sy[m];
+        cplx a = cmul(g00, x), b = cmul(g01, y), c = cmul(g10, x), e = cmul(g11, y);
+        dx[m] = (cplx){a.re + b.re, a.im + b.im};
+        dy[m] = (cplx){c.re + e.re, c.im + e.im};
+    }
+}
+
+/* dst rows r[i] <- sum_j g[4 i + j] src rows r[j]; src may be dst. */
+static void
+mix_quad(const cplx *src, cplx *dst, const Py_ssize_t *rows, Py_ssize_t dim, const cplx *g)
+{
+    const cplx *in[4];
+    for (int j = 0; j < 4; j++)
+        in[j] = src + rows[j] * dim;
+    for (Py_ssize_t m = 0; m < dim; m++) {
+        cplx v[4] = {in[0][m], in[1][m], in[2][m], in[3][m]};
+        for (int i = 0; i < 4; i++) {
+            double re = 0.0, im = 0.0;
+            for (int j = 0; j < 4; j++) {
+                cplx t = cmul(g[4 * i + j], v[j]);
+                re += t.re;
+                im += t.im;
+            }
+            dst[rows[i] * dim + m] = (cplx){re, im};
+        }
+    }
+}
+
+/* The full rows an operation on (q0[, q1]) of an n-qubit register mixes,
+ * for the spectator state ``base``: rows[local] with local = 2 b0 + b1. */
+static int
+op_rows(Py_ssize_t base, int kind, int64_t q0, int64_t q1, int n, Py_ssize_t *rows)
+{
+    Py_ssize_t m0 = (Py_ssize_t)1 << (n - 1 - q0);
+    if (kind == OP_U3) {
+        if (base & m0)
+            return 0;
+        rows[0] = base;
+        rows[1] = base | m0;
+        return 2;
+    }
+    Py_ssize_t m1 = (Py_ssize_t)1 << (n - 1 - q1);
+    if (base & (m0 | m1))
+        return 0;
+    rows[0] = base;
+    rows[1] = base | m1;
+    rows[2] = base | m0;
+    rows[3] = base | m0 | m1;
+    return 4;
+}
+
+/* dst <- G_full src (src may be dst) for the small matrix g of one op. */
+static void
+apply_rows(const cplx *src, cplx *dst, int kind, int64_t q0, int64_t q1, int n, const cplx *g)
+{
+    Py_ssize_t dim = (Py_ssize_t)1 << n, rows[4];
+    for (Py_ssize_t base = 0; base < dim; base++) {
+        int count = op_rows(base, kind, q0, q1, n, rows);
+        if (count == 0)
+            continue;
+        const Py_ssize_t *r = rows;
+        if (kind == OP_U3) {
+            mix_pair(src + r[0] * dim, src + r[1] * dim, dst + r[0] * dim, dst + r[1] * dim,
+                     dim, g[0], g[1], g[2], g[3]);
+        } else if (kind == OP_CAN) {
+            /* Can only couples local states 0 <-> 3 and 1 <-> 2. */
+            mix_pair(src + r[0] * dim, src + r[3] * dim, dst + r[0] * dim, dst + r[3] * dim,
+                     dim, g[0], g[3], g[12], g[15]);
+            mix_pair(src + r[1] * dim, src + r[2] * dim, dst + r[1] * dim, dst + r[2] * dim,
+                     dim, g[5], g[6], g[9], g[10]);
+        } else {
+            mix_quad(src, dst, r, dim, g);
+        }
+    }
+}
+
+/* sum_m x[m] y[m] (no conjugation). */
+static inline cplx
+row_dot(const cplx *x, const cplx *y, Py_ssize_t dim)
+{
+    double re = 0.0, im = 0.0;
+    for (Py_ssize_t m = 0; m < dim; m++) {
+        re += x[m].re * y[m].re - x[m].im * y[m].im;
+        im += x[m].re * y[m].im + x[m].im * y[m].re;
+    }
+    cplx r = {re, im};
+    return r;
+}
+
+/* coef[a * size + b] = sum_s (P B)[(s, b), (s, a)] = sum_s P[(s, b)] . Bt[(s, a)]
+ * for every entry (a, b) the op's derivatives can make non-zero. */
+static void
+partial_trace(const cplx *prefix, const cplx *bt, int kind, int64_t q0, int64_t q1, int n,
+              cplx *coef)
+{
+    Py_ssize_t dim = (Py_ssize_t)1 << n, rows[4];
+    int size = kind == OP_U3 ? 2 : 4;
+    memset(coef, 0, 16 * sizeof(cplx));
+    for (Py_ssize_t base = 0; base < dim; base++) {
+        if (op_rows(base, kind, q0, q1, n, rows) == 0)
+            continue;
+        for (int a = 0; a < size; a++)
+            for (int b = 0; b < size; b++) {
+                if (kind == OP_CAN && a != b && a + b != 3)
+                    continue;
+                cplx t = row_dot(prefix + rows[b] * dim, bt + rows[a] * dim, dim);
+                coef[a * size + b].re += t.re;
+                coef[a * size + b].im += t.im;
+            }
+    }
+}
+
+static PyObject *
+instantiation_objective(PyObject *self, PyObject *args)
+{
+    Py_buffer params_buf, kinds_buf, qubits_buf, offsets_buf, fixed_buf, grad_buf;
+    Py_buffer target_buf = {0};
+    PyObject *target_obj, *result = NULL;
+    cplx *work = NULL;
+
+    if (!PyArg_ParseTuple(args, "y*y*y*y*y*Ow*:instantiation_objective", &params_buf,
+                          &kinds_buf, &qubits_buf, &offsets_buf, &fixed_buf,
+                          &target_obj, &grad_buf))
+        return NULL;
+    if (PyObject_GetBuffer(target_obj, &target_buf, PyBUF_RECORDS_RO) < 0)
+        goto release;
+
+    const Py_ssize_t word = (Py_ssize_t)sizeof(int64_t);
+    const double *params = (const double *)params_buf.buf;
+    const int64_t *kinds = (const int64_t *)kinds_buf.buf;
+    const int64_t *qubits = (const int64_t *)qubits_buf.buf;
+    const int64_t *offsets = (const int64_t *)offsets_buf.buf;
+    const cplx *fixed = (const cplx *)fixed_buf.buf;
+    double *gradient = (double *)grad_buf.buf;
+    Py_ssize_t num_params = params_buf.len / (Py_ssize_t)sizeof(double);
+    Py_ssize_t count = kinds_buf.len / word;
+    Py_ssize_t dim = target_buf.ndim == 2 ? target_buf.shape[0] : 0;
+    int n = 0;
+    while (n < 62 && ((Py_ssize_t)1 << n) < dim)
+        n++;
+
+    int valid = count > 0 && dim >= 2 && ((Py_ssize_t)1 << n) == dim
+        && target_buf.shape[1] == dim && target_buf.itemsize == 16
+        && target_buf.format != NULL && strcmp(target_buf.format, "Zd") == 0
+        && params_buf.len == num_params * (Py_ssize_t)sizeof(double)
+        && grad_buf.len == params_buf.len && qubits_buf.len == 2 * count * word
+        && offsets_buf.len == count * word
+        && fixed_buf.len == count * 17 * (Py_ssize_t)sizeof(cplx);
+    for (Py_ssize_t k = 0; valid && k < count; k++) {
+        int64_t kind = kinds[k], q0 = qubits[2 * k], q1 = qubits[2 * k + 1];
+        valid = kind >= OP_U3 && kind <= OP_FIXED && q0 >= 0 && q0 < n
+            && (kind == OP_U3 || (q1 >= 0 && q1 < n && q1 != q0))
+            && (kind == OP_FIXED || (offsets[k] >= 0 && offsets[k] <= num_params - 3));
+    }
+    if (!valid) {
+        PyErr_SetString(PyExc_ValueError, "instantiation_objective: inconsistent input arrays");
+        goto release;
+    }
+
+    /* One block: prefix[k] = P_{k-1} for k < count, then Bt (d x d each),
+     * then per op its gate and three derivatives (16 entries each), then
+     * per op dA along its three parameters. */
+    Py_ssize_t area = dim * dim;
+    if (area > (PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(cplx) - 67 * count) / (count + 1)) {
+        PyErr_NoMemory();
+        goto release;
+    }
+    work = PyMem_Malloc(((size_t)(count + 1) * (size_t)area + 67 * (size_t)count) * sizeof(cplx));
+    if (work == NULL) {
+        PyErr_NoMemory();
+        goto release;
+    }
+    cplx *bt = work + count * area;
+    cplx *gates = bt + area;
+    cplx *d_overlap = gates + 64 * count;
+    /* gates + 64 k: g, then dg/dparam_p at + 16 (p + 1) (row-major, 2x2 or 4x4). */
+    for (Py_ssize_t k = 0; k < count; k++) {
+        cplx *g = gates + 64 * k;
+        cplx(*d)[16] = (cplx(*)[16])(g + 16);
+        if (kinds[k] == OP_U3)
+            u3_gate(params + offsets[k], g, d);
+        else if (kinds[k] == OP_CAN)
+            can_gate(params + offsets[k], g, d);
+        else
+            memcpy(g, fixed + 17 * k, 16 * sizeof(cplx));
+    }
+
+    memset(work, 0, (size_t)area * sizeof(cplx));
+    for (Py_ssize_t i = 0; i < dim; i++)
+        work[i * dim + i].re = 1.0;
+    for (Py_ssize_t k = 0; k + 1 < count; k++)
+        apply_rows(work + k * area, work + (k + 1) * area, (int)kinds[k], qubits[2 * k],
+                   qubits[2 * k + 1], n, gates + 64 * k);
+
+    /* Bt = conj(T), read through the target's strides (any layout). */
+    const char *base = (const char *)target_buf.buf;
+    for (Py_ssize_t i = 0; i < dim; i++)
+        for (Py_ssize_t m = 0; m < dim; m++) {
+            cplx t;
+            memcpy(&t, base + i * target_buf.strides[0] + m * target_buf.strides[1], sizeof t);
+            bt[i * dim + m] = (cplx){t.re, -t.im};
+        }
+
+    memset(gradient, 0, (size_t)grad_buf.len);
+    cplx coef[16], transposed[16];
+    for (Py_ssize_t k = count - 1; k >= 0; k--) {
+        int kind = (int)kinds[k];
+        int64_t q0 = qubits[2 * k], q1 = qubits[2 * k + 1];
+        const cplx *g = gates + 64 * k;
+        int size = kind == OP_U3 ? 2 : 4;
+        if (kind != OP_FIXED) {
+            partial_trace(work + k * area, bt, kind, q0, q1, n, coef);
+            for (int p = 0; p < 3; p++) {
+                const cplx *dg = g + 16 * (p + 1);
+                double re = 0.0, im = 0.0;
+                for (int e = 0; e < size * size; e++) {
+                    cplx t = cmul(dg[e], coef[e]);
+                    re += t.re;
+                    im += t.im;
+                }
+                d_overlap[3 * k + p] = (cplx){re, im};
+            }
+        }
+        /* Bt <- G^T Bt, i.e. B_{k-1} = B_k G_k. */
+        for (int a = 0; a < size; a++)
+            for (int b = 0; b < size; b++)
+                transposed[a * size + b] = g[b * size + a];
+        apply_rows(bt, bt, kind, q0, q1, n, transposed);
+    }
+
+    cplx overlap = {0.0, 0.0};
+    for (Py_ssize_t i = 0; i < dim; i++) {
+        overlap.re += bt[i * dim + i].re;
+        overlap.im += bt[i * dim + i].im;
+    }
+    double magnitude = hypot(overlap.re, overlap.im);
+    /* At A = 0 |A| has no derivative; any unit phase gives a finite
+     * subgradient. */
+    cplx phase = {1.0, 0.0};
+    if (magnitude > 0.0)
+        phase = (cplx){overlap.re / magnitude, -overlap.im / magnitude};
+    for (Py_ssize_t k = 0; k < count; k++) {
+        if (kinds[k] == OP_FIXED)
+            continue;
+        for (int p = 0; p < 3; p++)
+            gradient[offsets[k] + p] = -cmul(phase, d_overlap[3 * k + p]).re / (double)dim;
+    }
+    result = PyFloat_FromDouble(1.0 - magnitude / (double)dim);
+
+release:
+    PyMem_Free(work);
+    PyBuffer_Release(&params_buf);
+    PyBuffer_Release(&kinds_buf);
+    PyBuffer_Release(&qubits_buf);
+    PyBuffer_Release(&offsets_buf);
+    PyBuffer_Release(&fixed_buf);
+    PyBuffer_Release(&grad_buf);
+    if (target_buf.obj != NULL)
+        PyBuffer_Release(&target_buf);
+    return result;
+}
+
+static PyMethodDef native_methods[] = {
     {"route", route, METH_VARARGS,
      "route(q0, q1, succ_ptr, succ, indegree, front, layout, edges,\n"
      "      incident_ptr, incident, distance, penalty, lookahead_size,\n"
@@ -556,19 +948,25 @@ static PyMethodDef sabre_loop_methods[] = {
      "      mirroring, max_steps)\n"
      "Run the whole SABRE step loop; returns (events, wires, absorptions,\n"
      "final_layout, inserted, absorbed)."},
+    {"instantiation_objective", instantiation_objective, METH_VARARGS,
+     "instantiation_objective(params, kinds, qubits, offsets, fixed, target,\n"
+     "                        gradient)\n"
+     "Approximate-synthesis infidelity 1 - |tr(T^dagger U)| / d of the ansatz\n"
+     "plan at params; writes its gradient into gradient and returns the value."},
     {NULL, NULL, 0, NULL},
 };
 
-static struct PyModuleDef sabre_loop_module = {
+static struct PyModuleDef native_module = {
     PyModuleDef_HEAD_INIT,
-    "_sabre_loop",
-    "Compiled SABRE routing loop (buffer-protocol only).",
+    "_native",
+    "Native repro.kernels: the SABRE routing loop and the instantiation\n"
+    "objective (buffer-protocol only).",
     -1,
-    sabre_loop_methods,
+    native_methods,
 };
 
 PyMODINIT_FUNC
-PyInit__sabre_loop(void)
+PyInit__native(void)
 {
-    return PyModule_Create(&sabre_loop_module);
+    return PyModule_Create(&native_module);
 }

@@ -15,7 +15,7 @@ with ``ids``) and ``base_cost`` the pre-SWAP cost.  Candidate *selection*
 (argmin / stable argsort + absorption) stays in the router's loop.
 
 The native backend does not call this module: the whole step loop,
-scoring included, runs in :mod:`repro.kernels._sabre_loop`.  Only the
+scoring included, runs in :mod:`repro.kernels._native`.  Only the
 arithmetic is shared, and it is bit-identical: every sum is over small
 integer distances (exact in both int64 numpy reductions and C ``int64_t``),
 and the float arithmetic (``sum/F``, ``+ w*(sum/E)``, ``* max(decay)``) is

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import gc
 import multiprocessing
 import os
 import threading
@@ -159,6 +160,9 @@ def _worker_main(worker_index: int, jobs, results, cache_spec, fault_plan=None) 
             # Chaos cache layer: the plan crosses the fork as a plain value;
             # each worker owns a fresh injector over its own write stream.
             cache.fault_injector = fault_plan.injector("cache")
+    # Move the heap inherited from the daemon out of the collector's reach:
+    # a full collection would otherwise walk all of it on some job's time.
+    gc.freeze()
     try:
         while True:
             try:

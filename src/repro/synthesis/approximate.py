@@ -19,7 +19,11 @@ Instantiation minimizes ``f = 1 - |tr(T^dagger U)| / d`` with L-BFGS-B on an
 exact gradient: one forward sweep of prefix products and one backward sweep
 of suffix products over the ansatz operations give, for every gate, the
 partial trace its parameters' derivatives are dotted with (see
-:func:`_infidelity_and_gradient`).
+:func:`_infidelity_and_gradient`).  The kernel backend (``REPRO_KERNELS``,
+see :mod:`repro.kernels`) picks who evaluates it: the native extension's
+``instantiation_objective`` or the numpy fallback.  The two agree to 1e-12
+but not bit for bit, so an optimizer run (and every result persisted from
+it) is tagged with the token of the backend that ran.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from scipy.optimize import minimize
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.gates import standard
+from repro.kernels import instantiation_objective_native, select_backend
 from repro.linalg.constants import COORD_TO_PHASE, MAGIC_BASIS, MAGIC_BASIS_DAG
 
 __all__ = [
@@ -41,13 +46,20 @@ __all__ = [
     "SynthesisResult",
     "ApproximateSynthesizer",
     "default_pair_order",
-    "INSTANTIATION_VERSION",
+    "INSTANTIATION_TOKENS",
+    "instantiation_token",
 ]
 
-#: Names the numerical instantiation path.  Results it produces differ in
-#: their low bits from those of any earlier optimizer, so persisted results
-#: (synthesis-cache keys) carry this token.
-INSTANTIATION_VERSION = "grad=analytic/1"
+#: Names each numerical instantiation path, per kernel backend.  Results
+#: one produces differ in their low bits from those of any other (or of any
+#: earlier optimizer), so persisted results (synthesis-cache keys) carry the
+#: token of the path that ran.
+INSTANTIATION_TOKENS = {"py": "grad=analytic/1", "native": "grad=analytic/native/1"}
+
+
+def instantiation_token() -> str:
+    """Token of the active kernel backend's instantiation path."""
+    return INSTANTIATION_TOKENS[select_backend()]
 
 
 @dataclass(frozen=True)
@@ -102,6 +114,11 @@ class _AnsatzPlan:
     * ``trace_u3`` / ``trace_can`` gather, from the ``(K, d, d)`` stack of
       ``E_k = P_{k-1} B_k`` products, the partial-trace terms whose sums give
       ``dtr(T^dagger U)/dg[a, b]`` for every entry of each parametrized gate.
+
+    The native kernel reads the same structure per operation instead:
+    ``kinds`` (:data:`_KIND_CODES`), ``qubits`` (``(K, 2)``, ``-1`` for the
+    second qubit of a 1Q gate), ``offsets`` (first parameter, ``-1`` for a
+    fixed gate) and, for fixed gates, their matrix in ``template``.
     """
 
     dim: int
@@ -114,6 +131,13 @@ class _AnsatzPlan:
     can_ops: np.ndarray
     can_params: np.ndarray
     trace_can: np.ndarray
+    kinds: np.ndarray
+    qubits: np.ndarray
+    offsets: np.ndarray
+
+
+#: Operation kind codes of the native kernel; any other kind is a fixed gate (2).
+_KIND_CODES = {"u3": 0, "can": 1}
 
 
 def _operation_tables(
@@ -166,7 +190,8 @@ def _ansatz_plan(num_qubits: int, blocks: Sequence[AnsatzBlock]) -> _AnsatzPlan:
         else:
             template[position, :16] = standard.named_gate(kind).matrix.reshape(16)
     # Parametrized operations own consecutive parameter triples in order.
-    rank = np.cumsum([kind in positions for _, kind in operations]) - 1
+    parametrized = np.array([kind in positions for _, kind in operations])
+    rank = np.cumsum(parametrized) - 1
     triples = {
         kind: 3 * rank[np.array(found, dtype=np.intp)][:, None] + np.arange(3)
         for kind, found in positions.items()
@@ -182,6 +207,9 @@ def _ansatz_plan(num_qubits: int, blocks: Sequence[AnsatzBlock]) -> _AnsatzPlan:
         can_ops=np.array(positions["can"], dtype=np.intp),
         can_params=triples["can"],
         trace_can=np.array(traces["can"], dtype=np.intp).reshape(-1, 16, max(dim // 4, 1)),
+        kinds=np.array([_KIND_CODES.get(kind, 2) for _, kind in operations], dtype=np.int64),
+        qubits=np.array([(qubits + (-1,))[:2] for qubits, _ in operations], dtype=np.int64),
+        offsets=np.where(parametrized, 3 * rank, -1).astype(np.int64),
     )
 
 
@@ -268,6 +296,24 @@ def _infidelity_and_gradient(
     return 1.0 - magnitude / dim, gradient
 
 
+def _native_infidelity_and_gradient(
+    params: np.ndarray, plan: _AnsatzPlan, target: np.ndarray
+) -> Tuple[float, np.ndarray]:
+    """:func:`_infidelity_and_gradient` evaluated by the native kernel.
+
+    Returns a fresh gradient array per call: scipy keeps the one it gets.
+    """
+    gradient = np.empty(plan.num_parameters)
+    value = instantiation_objective_native(
+        params, plan.kinds, plan.qubits, plan.offsets, plan.template, target, gradient
+    )
+    return value, gradient
+
+
+#: The instantiation objective of each kernel backend.
+_OBJECTIVES = {"py": _infidelity_and_gradient, "native": _native_infidelity_and_gradient}
+
+
 class ApproximateSynthesizer:
     """Multi-start numerical instantiation plus structural search."""
 
@@ -324,6 +370,7 @@ class ApproximateSynthesizer:
         ``None`` when the optimizer failed outright.
         """
         target = np.asarray(target, dtype=complex)
+        objective = _OBJECTIVES[select_backend()]
         plan = _ansatz_plan(num_qubits, blocks)
         num_params = plan.num_parameters
         rng = np.random.default_rng(self.seed)
@@ -339,7 +386,7 @@ class ApproximateSynthesizer:
 
         for start in starts:
             result = minimize(
-                _infidelity_and_gradient,
+                objective,
                 x0=start,
                 args=(plan, target),
                 jac=True,
@@ -379,11 +426,11 @@ class ApproximateSynthesizer:
         ``pair_order`` (all pairs by default).  The first structure reaching
         the tolerance wins; otherwise the best attempt is returned.  Results
         are memoized per synthesizer on the target (rounded to 1e-10), the
-        block range and the pair order.
+        block range, the pair order and the kernel backend.
         """
         target = np.asarray(target, dtype=complex)
         pairs = list(pair_order) if pair_order is not None else default_pair_order(num_qubits)
-        cache_key = (np.round(target, 10).tobytes(), max_blocks, min_blocks, tuple(pairs))
+        cache_key = (np.round(target, 10).tobytes(), max_blocks, min_blocks, tuple(pairs), select_backend())
         if cache_key in self._cache:
             return self._cache[cache_key]
         best: Optional[SynthesisResult] = None

@@ -81,22 +81,25 @@ def compile(
     props["target"] = resolved.name
 
     context = PassContext(target=resolved, seed=seed, synthesis_cache=synthesis_cache)
-    manager = PassManager()
-    for stage in spec.stages:
-        if stage.requires_topology and resolved.coupling_map is None:
-            continue
-        manager.append(PASS_REGISTRY.create(stage, context))
-
     conversions_before = conversion_stats()
-    previous_kak_cache = None
-    if synthesis_cache is not None:
-        previous_kak_cache = install_kak_cache(synthesis_cache)
-    try:
-        with decomposition_table():
-            compiled, records = manager.run_with_records(circuit, props)
-    finally:
+    # Passes are built inside the table too: the first template pass of a
+    # process builds the default template library, whose KAK batches then
+    # share the compile's table instead of each decomposing alone.  The KAK
+    # cache is installed after that, so the library never reads or writes it.
+    with decomposition_table():
+        manager = PassManager()
+        for stage in spec.stages:
+            if stage.requires_topology and resolved.coupling_map is None:
+                continue
+            manager.append(PASS_REGISTRY.create(stage, context))
+        previous_kak_cache = None
         if synthesis_cache is not None:
-            install_kak_cache(previous_kak_cache)
+            previous_kak_cache = install_kak_cache(synthesis_cache)
+        try:
+            compiled, records = manager.run_with_records(circuit, props)
+        finally:
+            if synthesis_cache is not None:
+                install_kak_cache(previous_kak_cache)
     conversions_after = conversion_stats()
 
     return CompilationResult(

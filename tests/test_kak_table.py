@@ -12,6 +12,10 @@ refused by the one stacked reuse check.
 
 import contextlib
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -22,6 +26,7 @@ from repro.kernels import backend_info
 from repro.kernels.kak_batch import batch_stats, decomposition_table, kak_decompose_batch, reset_batch_stats
 from repro.linalg.random import haar_random_su4
 from repro.linalg.weyl import install_kak_cache
+from repro.qasm import dumps
 from repro.service.cache import SynthesisCache, unitary_fingerprint
 from repro.synthesis.templates import default_template_library
 from repro.target.api import compile as target_compile
@@ -78,6 +83,46 @@ def test_each_unique_block_is_decomposed_once_per_compile(monkeypatch, case):
     reset_batch_stats()
     target_compile(circuit, target=target, spec=spec)
     assert batch_stats()["decomposed"] > len(requested)
+
+
+_FIRST_COMPILE_PROBE = """
+import json
+import numpy as np
+import repro.kernels.kak_batch as kak_batch
+from repro.qasm import dumps
+from repro.target.api import compile as target_compile
+from circuit_helpers import random_two_qubit_circuit
+
+requested = set()
+original = kak_batch.kak_decompose_batch
+
+def spy(unitaries, validate=True):
+    requested.update(np.ascontiguousarray(u, dtype=complex).tobytes() for u in unitaries)
+    return original(unitaries, validate=validate)
+
+kak_batch.kak_decompose_batch = spy
+result = target_compile(random_two_qubit_circuit(8, 160, seed=11), spec="reqisc-eff")
+decomposed = kak_batch.batch_stats()["decomposed"]
+print(json.dumps({"decomposed": decomposed, "unique": len(requested), "qasm": dumps(result.circuit)}))
+"""
+
+
+def test_first_compile_of_a_process_decomposes_each_block_once():
+    # The first template pass of a process builds the default template
+    # library; its KAK batches run inside that compile's table as well.
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    probe = subprocess.run(
+        [sys.executable, "-c", _FIRST_COMPILE_PROBE], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert probe.returncode == 0, probe.stderr
+    report = json.loads(probe.stdout.splitlines()[-1])
+    assert report["decomposed"] == report["unique"]
+    # Same output as a compile in a process whose library already exists.
+    default_template_library()
+    expected = target_compile(random_two_qubit_circuit(8, 160, seed=11), spec="reqisc-eff")
+    assert report["qasm"] == dumps(expected.circuit)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -105,6 +105,22 @@ def test_extension_without_route_counts_as_missing(monkeypatch):
         select_backend()
 
 
+def test_extension_without_the_objective_counts_as_stale(monkeypatch):
+    """A build from before the instantiation objective never runs."""
+    stale = types.ModuleType(kernels._NATIVE_NAME)
+    stale.route = lambda *args: None
+    monkeypatch.setitem(sys.modules, kernels._NATIVE_NAME, stale)
+    monkeypatch.setattr(kernels, "_NATIVE", None)
+    monkeypatch.setenv("REPRO_KERNELS", "auto")
+    assert select_backend() == "py"
+    info = backend_info()
+    assert info["native_available"] is False
+    assert "instantiation_objective" in info["native_error"]
+    monkeypatch.setenv("REPRO_KERNELS", "native")
+    with pytest.raises(RuntimeError, match="stale"):
+        select_backend()
+
+
 # ---------------------------------------------------------------------------
 # SABRE routing loop: native vs pure-Python vs the frozen reference.
 # ---------------------------------------------------------------------------

@@ -8,12 +8,15 @@ and ``shed`` are covered end to end by ``test_service_server.py`` and
 ``test_resilience.py``.
 """
 
+import gc
+import multiprocessing
 import time
 
 import pytest
 
 from repro.qasm import dumps
 from repro.resilience import FaultPlan
+from repro.service import pool as pool_module
 from repro.service.pool import PoolJob, WorkerPool
 from repro.workloads.algorithms import qft_circuit
 
@@ -67,3 +70,20 @@ def test_clock_skew_dispatched_to_an_idle_pump_times_out_promptly():
         assert pool.submit(_job()).result(timeout=60).ok
     finally:
         pool.shutdown()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs forked workers"
+)
+def test_workers_run_with_the_inherited_heap_frozen(monkeypatch):
+    # A forked worker reports its own freeze count in place of a compile.
+    monkeypatch.setattr(
+        pool_module, "_execute_job", lambda job, cache: (True, gc.get_freeze_count(), None, None)
+    )
+    pool = WorkerPool(workers=1)
+    try:
+        outcome = pool.submit(_job()).result(timeout=60)
+    finally:
+        pool.shutdown()
+    assert outcome.ok
+    assert outcome.payload > 0

@@ -17,12 +17,16 @@ from repro.linalg.weyl import canonical_gate, weyl_coordinates
 from repro.linalg.su2 import u3_matrix
 from repro.simulators.statevector import apply_gate_sequence, simulate_statevector
 from repro.simulators.unitary import permutation_unitary
+from repro.kernels import backend_info
 from repro.synthesis.approximate import (
+    _OBJECTIVES,
+    INSTANTIATION_TOKENS,
     AnsatzBlock,
     ApproximateSynthesizer,
     _ansatz_plan,
     _infidelity_and_gradient,
     default_pair_order,
+    instantiation_token,
 )
 from repro.ir import CircuitIR
 from repro.synthesis.blocks import _collect_blocks, block_unitaries, consolidate_blocks, replace_run
@@ -473,35 +477,49 @@ def _reference_unitary(params, num_qubits, blocks):
 
 _GRADIENT_CASES = [(n, gate) for n in (2, 3, 4) for gate in (None, "cx", "sqisw", "b")]
 
+needs_native = pytest.mark.skipif(not backend_info()["native_available"], reason="extension not built")
 
-@pytest.mark.parametrize("num_qubits,gate_name", _GRADIENT_CASES)
-def test_objective_gradient_matches_central_differences(num_qubits, gate_name):
+#: Objective backends available in this checkout.
+_OBJECTIVE_BACKENDS = ["py"] + (["native"] if backend_info()["native_available"] else [])
+
+#: The objective tests' cases on both backends; the numpy cases keep their ids.
+_OBJECTIVE_CASES = [pytest.param(n, gate, "py", id=f"{n}-{gate}") for n, gate in _GRADIENT_CASES]
+_OBJECTIVE_CASES += [
+    pytest.param(n, gate, "native", id=f"{n}-{gate}-native", marks=needs_native)
+    for n, gate in _GRADIENT_CASES
+]
+
+
+@pytest.mark.parametrize("num_qubits,gate_name,backend", _OBJECTIVE_CASES)
+def test_objective_gradient_matches_central_differences(num_qubits, gate_name, backend):
+    objective = _OBJECTIVES[backend]
     rng = np.random.default_rng(num_qubits * 10 + len(gate_name or ""))
     blocks = _ansatz(num_qubits, gate_name)
     plan = _ansatz_plan(num_qubits, blocks)
     target = haar_random_unitary(2**num_qubits, rng)
     params = rng.uniform(-math.pi, math.pi, plan.num_parameters)
-    _, gradient = _infidelity_and_gradient(params, plan, target)
+    _, gradient = objective(params, plan, target)
     step = 1e-6
     numeric = np.empty_like(gradient)
     for index in range(params.size):
         shift = np.zeros_like(params)
         shift[index] = step
-        upper, _ = _infidelity_and_gradient(params + shift, plan, target)
-        lower, _ = _infidelity_and_gradient(params - shift, plan, target)
+        upper, _ = objective(params + shift, plan, target)
+        lower, _ = objective(params - shift, plan, target)
         numeric[index] = (upper - lower) / (2 * step)
     assert np.max(np.abs(gradient - numeric)) <= 1e-6
 
 
-@pytest.mark.parametrize("num_qubits,gate_name", _GRADIENT_CASES)
-def test_objective_value_matches_gate_by_gate_infidelity(num_qubits, gate_name):
+@pytest.mark.parametrize("num_qubits,gate_name,backend", _OBJECTIVE_CASES)
+def test_objective_value_matches_gate_by_gate_infidelity(num_qubits, gate_name, backend):
+    objective = _OBJECTIVES[backend]
     rng = np.random.default_rng(100 + num_qubits)
     blocks = _ansatz(num_qubits, gate_name)
     plan = _ansatz_plan(num_qubits, blocks)
     target = haar_random_unitary(2**num_qubits, rng)
     for _ in range(3):
         params = rng.uniform(-math.pi, math.pi, plan.num_parameters)
-        value, _ = _infidelity_and_gradient(params, plan, target)
+        value, _ = objective(params, plan, target)
         trial = _reference_unitary(params, num_qubits, blocks)
         expected = 1.0 - abs(np.trace(target.conj().T @ trial)) / 2**num_qubits
         assert abs(value - expected) <= 1e-14
@@ -511,9 +529,56 @@ def test_objective_gradient_is_finite_for_an_orthogonal_target():
     # With every parameter zero the ansatz is the identity, and tr(Z x Z) = 0.
     plan = _ansatz_plan(2, ())
     target = np.kron(standard.z_gate().matrix, standard.z_gate().matrix)
-    value, gradient = _infidelity_and_gradient(np.zeros(plan.num_parameters), plan, target)
-    assert value == 1.0
-    assert np.all(np.isfinite(gradient))
+    for backend in _OBJECTIVE_BACKENDS:
+        value, gradient = _OBJECTIVES[backend](np.zeros(plan.num_parameters), plan, target)
+        assert value == 1.0, backend
+        assert np.all(np.isfinite(gradient)), backend
+
+
+@needs_native
+@pytest.mark.parametrize("num_qubits,gate_name", _GRADIENT_CASES)
+def test_native_objective_agrees_with_numpy(num_qubits, gate_name):
+    rng = np.random.default_rng(200 + num_qubits)
+    pairs = default_pair_order(num_qubits)
+    blocks = []
+    for index in range(5):
+        pair = pairs[index % len(pairs)]
+        # Odd blocks reverse their pair: the first qubit sits below the second.
+        blocks.append(AnsatzBlock(pair=pair if index % 2 == 0 else pair[::-1], gate_name=gate_name))
+    plan = _ansatz_plan(num_qubits, blocks)
+    target = haar_random_unitary(2**num_qubits, rng)
+    # Transposed and Fortran-ordered views: the kernel reads any strides.
+    for view in (target, target.T, np.asfortranarray(target)):
+        params = rng.uniform(-math.pi, math.pi, plan.num_parameters)
+        expected, expected_gradient = _infidelity_and_gradient(params, plan, view)
+        value, gradient = _OBJECTIVES["native"](params, plan, view)
+        assert abs(value - expected) <= 1e-12
+        assert np.max(np.abs(gradient - expected_gradient)) <= 1e-12
+
+
+@needs_native
+@pytest.mark.parametrize("num_qubits,count", [(1, 0), (5, 7)])
+def test_native_objective_has_no_size_limit_of_its_own(num_qubits, count):
+    rng = np.random.default_rng(300 + num_qubits)
+    plan = _ansatz_plan(num_qubits, _ansatz(num_qubits, "b", count=count))
+    target = haar_random_unitary(2**num_qubits, rng)
+    params = rng.uniform(-math.pi, math.pi, plan.num_parameters)
+    expected, expected_gradient = _infidelity_and_gradient(params, plan, target)
+    value, gradient = _OBJECTIVES["native"](params, plan, target)
+    assert abs(value - expected) <= 1e-12
+    assert np.max(np.abs(gradient - expected_gradient)) <= 1e-12
+
+
+@needs_native
+def test_native_objective_returns_a_fresh_gradient_per_call():
+    plan = _ansatz_plan(2, _ansatz(2, None, count=1))
+    target = standard.iswap_gate().matrix
+    params = np.linspace(-1.0, 1.0, plan.num_parameters)
+    _, first = _OBJECTIVES["native"](params, plan, target)
+    kept = first.copy()
+    _, second = _OBJECTIVES["native"](params + 0.5, plan, target)
+    assert second is not first
+    assert np.array_equal(first, kept)
 
 
 def test_rip_add_dense_block_is_resynthesized_through_reqisc_full():
@@ -536,7 +601,6 @@ def test_resynthesis_cache_key_is_versioned():
     # key with those of an earlier one.
     from repro.compiler.passes.hierarchical import HierarchicalSynthesisPass
     from repro.service.cache import unitary_fingerprint
-    from repro.synthesis.approximate import INSTANTIATION_VERSION
 
     hierarchical = HierarchicalSynthesisPass()
     synth = hierarchical.synthesizer
@@ -545,5 +609,33 @@ def test_resynthesis_cache_key_is_versioned():
     block.cx(0, 1).cx(1, 2).cx(0, 2).cx(0, 1).cx(1, 2)
     target = block.to_unitary()
     context = ("hierarchical_synthesis", "count=5", "tol=1e-06", settings)
-    assert hierarchical.cache_key(target, 5) == unitary_fingerprint(target, *context, INSTANTIATION_VERSION)
+    token = instantiation_token()
+    assert hierarchical.cache_key(target, 5) == unitary_fingerprint(target, *context, token)
     assert hierarchical.cache_key(target, 5) != unitary_fingerprint(target, *context)
+
+
+def test_resynthesis_cache_key_carries_the_active_backend(monkeypatch):
+    # The two objectives differ in their low bits, so a result one backend
+    # persisted must never answer a compile on the other.
+    from repro.compiler.passes.hierarchical import HierarchicalSynthesisPass
+    from repro.service.cache import unitary_fingerprint
+
+    # The numpy path keeps its historical token: caches filled before the
+    # native objective existed still hit under REPRO_KERNELS=py.
+    assert INSTANTIATION_TOKENS["py"] == "grad=analytic/1"
+    assert INSTANTIATION_TOKENS["native"] != INSTANTIATION_TOKENS["py"]
+    hierarchical = HierarchicalSynthesisPass()
+    synth = hierarchical.synthesizer
+    settings = f"synth={synth.tolerance}:{synth.restarts}:{synth.seed}:{synth.max_iterations}"
+    context = ("hierarchical_synthesis", "count=5", "tol=1e-06", settings)
+    target = haar_random_unitary(8, np.random.default_rng(4))
+    keys = {}
+    for backend in ("py", "native"):
+        if backend == "native" and not backend_info()["native_available"]:
+            continue
+        monkeypatch.setenv("REPRO_KERNELS", backend)
+        assert instantiation_token() == INSTANTIATION_TOKENS[backend]
+        keys[backend] = hierarchical.cache_key(target, 5)
+        assert keys[backend] == unitary_fingerprint(target, *context, INSTANTIATION_TOKENS[backend])
+    if len(keys) == 2:
+        assert keys["py"] != keys["native"]
